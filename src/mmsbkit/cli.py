@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``generate`` (synthesize a benchmark network), ``cluster``
-(estimate memberships from an edge list), ``evaluate`` (score an
+(estimate memberships from an edge list; every requested method runs on
+one shared eigendecomposition), ``evaluate`` (score an
 estimate against ground truth), ``sweep`` (run a JSON-configured
 parameter sweep), and ``stats`` (summary statistics of a network).
 
@@ -38,8 +39,7 @@ from .model import (
     planted_memberships,
     sample_adjacency,
 )
-from .recovery import crsc, crsc_equivalence, srsc, srsc_equivalence
-from .spectral import default_tau
+from .recovery import run_methods
 from .sweep import SweepConfig, diag_off_block, run_sweep
 
 EXIT_OK = 0
@@ -47,12 +47,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_METHOD_RUNNERS = {
-    "srsc": srsc,
-    "crsc": crsc,
-    "srsc-eq": srsc_equivalence,
-    "crsc-eq": crsc_equivalence,
-}
+#: ``cluster --method`` names; each is the lower-case form of the
+#: recovery method tag.
+_CLUSTER_METHODS = ("crsc", "crsc-eq", "srsc", "srsc-eq")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument(
         "--method",
         action="append",
-        choices=sorted(_METHOD_RUNNERS),
+        choices=_CLUSTER_METHODS,
         required=True,
         help="method to run (repeatable)",
     )
@@ -150,13 +147,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_cluster(args) -> int:
     graph = read_edge_list(args.edges, n=args.n)
-    resolved_tau = default_tau(graph.n) if args.tau is None else args.tau
-    for method in dict.fromkeys(args.method):
-        runner = _METHOD_RUNNERS[method]
-        if method in ("crsc", "crsc-eq"):
-            result = runner(graph, args.k, tau=resolved_tau, corner_seed=args.seed)
-        else:
-            result = runner(graph, args.k, tau=resolved_tau)
+    methods = list(dict.fromkeys(args.method))
+    results = run_methods(
+        graph, args.k, [m.upper() for m in methods], tau=args.tau, corner_seed=args.seed
+    )
+    for method, result in zip(methods, results):
         pihat_path = Path(f"{args.out}.{method}.pihat.csv")
         summary_path = Path(f"{args.out}.{method}.summary.json")
         write_memberships(result.pi_hat, pihat_path)

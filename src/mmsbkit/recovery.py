@@ -16,6 +16,10 @@ exactly; they exist as an independent route for cross-checking. The two
 sampled graph and recover the planted memberships exactly (up to column
 order).
 
+:func:`run_methods` runs any of the four empirical variants on one
+shared eigendecomposition; the single-method functions are one-method
+calls of it.
+
 Pipeline runs are pure and hold no shared state; concurrent invocations
 on different graphs are safe.
 """
@@ -180,13 +184,26 @@ def recover_from_basis(
     )
 
 
-def _run_empirical(graph: Graph, K: int, tau: float | None, method: str, corner_seed: int) -> RecoveryResult:
+def run_methods(
+    graph: Graph,
+    K: int,
+    methods: list[str],
+    tau: float | None = None,
+    corner_seed: int = 0,
+) -> list[RecoveryResult]:
+    """Run several empirical pipelines on one regularized Laplacian and
+    one eigendecomposition of it.
+
+    ``methods`` are tags accepted by :func:`recover_from_basis`; results
+    come back in the same order. ``tau`` defaults to ``0.1 * ln(n)``;
+    ``corner_seed`` feeds the k-means restarts of the cone methods.
+    """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     resolved = default_tau(graph.n) if tau is None else float(tau)
     lap = regularized_laplacian(graph, resolved)
     basis = leading_eigenpairs(lap, K)
-    return recover_from_basis(basis, lap, method, clip=True, corner_seed=corner_seed)
+    return [recover_from_basis(basis, lap, m, clip=True, corner_seed=corner_seed) for m in methods]
 
 
 def srsc(graph: Graph, K: int, tau: float | None = None) -> RecoveryResult:
@@ -196,7 +213,7 @@ def srsc(graph: Graph, K: int, tau: float | None = None) -> RecoveryResult:
     ``sqrt(tau + degree)``, corners come from successive projection, and
     ``Z = V @ inv(corner)`` is clipped at zero and row-normalized.
     """
-    return _run_empirical(graph, K, tau, "SRSC", 0)
+    return run_methods(graph, K, ["SRSC"], tau)[0]
 
 
 def crsc(graph: Graph, K: int, tau: float | None = None, corner_seed: int = 0) -> RecoveryResult:
@@ -208,19 +225,19 @@ def crsc(graph: Graph, K: int, tau: float | None = None, corner_seed: int = 0) -
     normalization. ``corner_seed`` feeds the k-means restarts and fixes
     the run deterministically.
     """
-    return _run_empirical(graph, K, tau, "CRSC", corner_seed)
+    return run_methods(graph, K, ["CRSC"], tau, corner_seed)[0]
 
 
 def srsc_equivalence(graph: Graph, K: int, tau: float | None = None) -> RecoveryResult:
     """Simplex pipeline run on the projector ``V @ V.T``; must match
     :func:`srsc` exactly. Materializes an n x n dense matrix."""
-    return _run_empirical(graph, K, tau, "SRSC-EQ", 0)
+    return run_methods(graph, K, ["SRSC-EQ"], tau)[0]
 
 
 def crsc_equivalence(graph: Graph, K: int, tau: float | None = None, corner_seed: int = 0) -> RecoveryResult:
     """Cone pipeline run on the projector ``V @ V.T``; must match
     :func:`crsc` exactly. Materializes an n x n dense matrix."""
-    return _run_empirical(graph, K, tau, "CRSC-EQ", corner_seed)
+    return run_methods(graph, K, ["CRSC-EQ"], tau, corner_seed)[0]
 
 
 def _run_ideal(omega: PopulationMatrix, K: int, tau: float | None, method: str) -> RecoveryResult:

@@ -26,8 +26,13 @@ import numpy as np
 from .evaluation import mixed_hamming_error
 from .exceptions import DataFormatError, NumericalError
 from .model import BlockModel, build_population_matrix, planted_memberships, sample_adjacency
-from .recovery import recover_from_basis
-from .spectral import default_tau, leading_eigenpairs, regularized_laplacian
+from .recovery import run_methods
+from .spectral import default_tau
+
+# Unused here: benchmarks/spans.py times a sweep by wrapping these names in
+# this module.
+from .recovery import recover_from_basis  # noqa: F401
+from .spectral import leading_eigenpairs, regularized_laplacian  # noqa: F401
 
 #: 64-bit odd constant separating the edge-sampling stream from the
 #: membership stream inside one trial.
@@ -235,14 +240,8 @@ def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]
     block = BlockModel(block.tilde_p, rho=float(point["rho"]))
     omega = build_population_matrix(pi, block)
     graph = sample_adjacency(omega, trial_seed ^ STREAM_SPLIT)
-    tau = _resolve_tau(point["tau"], n)
-    lap = regularized_laplacian(graph, tau)
-    basis = leading_eigenpairs(lap, k)
-    errors = {}
-    for method in methods:
-        result = recover_from_basis(basis, lap, method, clip=True)
-        errors[method] = mixed_hamming_error(result.pi_hat, pi).error
-    return errors
+    results = run_methods(graph, k, list(methods), _resolve_tau(point["tau"], n))
+    return {m: mixed_hamming_error(result.pi_hat, pi).error for m, result in zip(methods, results)}
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:

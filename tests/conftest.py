@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from mmsbkit import (
     BlockModel,
@@ -39,6 +40,16 @@ def small_omega():
 def small_graph():
     _, _, omega = three_block_setup(n=120, n0=24)
     return sample_adjacency(omega, 3)
+
+
+@pytest.fixture
+def arpack_fails(monkeypatch):
+    """Every sparse eigensolve fails the way a non-converging ARPACK run does."""
+
+    def eigsh(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", eigsh)
 
 
 def pure_corner_indices(pi) -> list[int]:

@@ -124,6 +124,24 @@ class TestClusterAndEvaluate:
             tmp_path / "one.crsc.summary.json"
         ).read_bytes() == (tmp_path / "two.crsc.summary.json").read_bytes()
 
+    def test_one_run_of_all_methods_matches_single_method_runs(self, tmp_path):
+        out = tmp_path / "net"
+        run_cli(["--quiet"] + generate_args(out, n=100, n0=25))
+        methods = ["srsc", "crsc", "srsc-eq", "crsc-eq"]
+
+        def cluster(prefix, chosen):
+            argv = ["--quiet", "cluster", "--edges", str(tmp_path / "net.edgelist"), "--k", "3"]
+            argv += [arg for m in chosen for arg in ("--method", m)]
+            assert run_cli(argv + ["--seed", "5", "--out", str(tmp_path / prefix)]) == 0
+
+        cluster("all", methods)
+        for method in methods:
+            cluster("single", [method])
+            for kind in ("pihat.csv", "summary.json"):
+                assert (
+                    tmp_path / f"all.{method}.{kind}"
+                ).read_bytes() == (tmp_path / f"single.{method}.{kind}").read_bytes()
+
 
 class TestEvaluateNormalization:
     def test_multi_label_truth_is_normalized(self, tmp_path, capsys):
@@ -260,6 +278,36 @@ class TestExitCodes:
                 "--edges", str(f),
                 "--k", "2",
                 "--tau", "0",
+                "--method", "srsc",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+
+    def test_k_zero_is_usage_error(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_text("0 1\n1 2\n2 3\n")
+        code = run_cli(
+            [
+                "--quiet",
+                "cluster",
+                "--edges", str(f),
+                "--k", "0",
+                "--method", "srsc",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 1
+
+    def test_eigensolver_failure_is_numerical_error(self, tmp_path, arpack_fails):
+        out = tmp_path / "net"
+        run_cli(["--quiet"] + generate_args(out, n=100, n0=25))
+        code = run_cli(
+            [
+                "--quiet",
+                "cluster",
+                "--edges", str(tmp_path / "net.edgelist"),
+                "--k", "3",
                 "--method", "srsc",
                 "--out", str(tmp_path / "run"),
             ]

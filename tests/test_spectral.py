@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmsbkit import (
     Graph,
@@ -15,6 +16,7 @@ from mmsbkit import (
     sample_adjacency,
     scale_rows_by_degree,
 )
+from mmsbkit.spectral import _leading_positions
 from conftest import pure_corner_indices, three_block_setup
 
 
@@ -80,6 +82,10 @@ class TestLeadingEigenpairs:
     def test_magnitude_tie_prefers_positive(self):
         basis = leading_eigenpairs(self.diag_lap([-0.5, 0.5]), 1)
         assert basis.eigenvalues[0] == pytest.approx(0.5)
+
+    def test_rounding_tie_prefers_positive(self):
+        basis = leading_eigenpairs(self.diag_lap([-0.5000000000000004, 0.5]), 1)
+        assert basis.eigenvalues[0] == 0.5
 
     def test_population_rank_three(self, small_omega):
         # exactly K = 3 eigenvalues carry magnitude above the rank cutoff
@@ -176,3 +182,93 @@ class TestSampledSpectrumSweep:
                 lap = regularized_laplacian(g, tau)
                 vals = np.linalg.eigvalsh(lap.matrix)
                 assert np.abs(vals).max() <= 1.0 + 1e-10
+
+
+def ranked_dense_pairs(lap, K):
+    """Reference: full dense eigendecomposition under the documented
+    ranking (|lambda| descending with rounding ties, positive first, then
+    position)."""
+    vals, vecs = np.linalg.eigh(lap.matrix)
+    take = _leading_positions(vals, K)
+    return vals[take], vecs[:, take]
+
+
+def assert_matches_dense(lap, K):
+    basis = leading_eigenpairs(lap, K)
+    vals, vecs = ranked_dense_pairs(lap, K)
+    assert np.abs(basis.eigenvalues - vals).max() <= 1e-12
+    assert np.abs(basis.vectors @ basis.vectors.T - vecs @ vecs.T).max() <= 1e-10
+
+
+class TestSparseSolverMatchesDense:
+    def cases(self):
+        """Seeded graphs with every regularizer they admit. The last graph
+        has five isolated nodes, where tau = 0 is undefined."""
+        graphs = []
+        for rho in (0.05, 0.8):
+            _, _, omega = three_block_setup(n=300, n0=60, rho=rho, seed=4)
+            graphs.append(sample_adjacency(omega, 9))
+        base = default_tau(300)
+        for graph in graphs:
+            for tau in (0.0, base, 10 * base):
+                yield graph, tau
+        isolated = Graph.from_edges(305, graphs[0].edges())
+        assert (isolated.degrees() == 0).sum() >= 5
+        for tau in (base, 10 * base):
+            yield isolated, tau
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_pairs_match_dense_eigh(self, K):
+        for graph, tau in self.cases():
+            lap = regularized_laplacian(graph, tau)
+            assert sp.issparse(lap.operator)
+            assert_matches_dense(lap, K)
+
+    @pytest.mark.parametrize(
+        "detached, tau, K",
+        [(1, 0.0, 2), (3, 0.0, 4), (3, default_tau(300), 4), ("copies", 0.5, 2)],
+    )
+    def test_repeated_leading_eigenvalue_matches_dense(self, detached, tau, K):
+        # With tau = 0 every connected component has eigenvalue 1, every
+        # detached edge adds the pair +-1/(1 + tau), and identical
+        # components repeat their spectrum; one Lanczos start vector sees
+        # only one vector of each repeated eigenspace.
+        if detached == "copies":
+            path = [(i, i + 1) for i in range(19)] + [(0, 5)]
+            graph = Graph.from_edges(40, np.array(path + [(a + 20, b + 20) for a, b in path]))
+        else:
+            _, _, omega = three_block_setup(n=300, n0=60, rho=0.5, profile="random-half", seed=4)
+            giant = sample_adjacency(omega, 9).edges()
+            pairs = 300 + np.arange(2 * detached).reshape(-1, 2)
+            graph = Graph.from_edges(300 + 2 * detached, np.vstack([giant, pairs]))
+        assert_matches_dense(regularized_laplacian(graph, tau), K)
+
+    @pytest.mark.parametrize(
+        "n, edges, K",
+        [(4, [], 2), (5, [(2, 4)], 1), (4, [(0, 1), (0, 2), (0, 3)], 2)],
+    )
+    def test_low_rank_laplacian_matches_dense(self, n, edges, K):
+        # an edgeless graph gives the zero operator; a detached edge or a
+        # star has rank 2, so nothing is left once the pairs are deflated
+        graph = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        assert_matches_dense(regularized_laplacian(graph, 0.7), K)
+
+    def test_mirror_symmetric_path_matches_dense(self):
+        # the antisymmetric eigenvector of a path is orthogonal to the
+        # all-ones vector, so a Lanczos run started there misses it
+        n = 38
+        path = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+        assert_matches_dense(regularized_laplacian(Graph.from_edges(n, path), 0.5), 2)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_even_cycle_tie_prefers_positive(self, n):
+        # eigenvalues +-0.8 tie in magnitude; only K+1 pairs reveal both
+        ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+        lap = regularized_laplacian(Graph.from_edges(n, ring), 0.5)
+        basis = leading_eigenpairs(lap, 1)
+        assert basis.eigenvalues[0] == pytest.approx(0.8, abs=1e-12)
+
+    def test_arpack_failure_is_numerical_error(self, small_graph, arpack_fails):
+        lap = regularized_laplacian(small_graph, 1.0)
+        with pytest.raises(NumericalError, match="Lanczos"):
+            leading_eigenpairs(lap, 3)

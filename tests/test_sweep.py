@@ -168,6 +168,12 @@ class TestRunSweep:
         assert len(result.failures) == 1
         assert "zero norm" in result.failures[0]["error"]
 
+    def test_eigensolver_failure_is_reported_not_raised(self, arpack_fails):
+        result = run_sweep(tiny_config(reps=1))
+        assert len(result.rows) == 0
+        assert len(result.failures) == 1
+        assert "Lanczos" in result.failures[0]["error"]
+
     def test_eight_community_point_runs(self):
         # the community-count experiment reaches K=8; exercise one point
         config = tiny_config(
