@@ -75,8 +75,8 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
     sorted with i < j."""
     path = Path(path)
     lines = [f"# n={graph.n}"]
-    for i, j in graph.edges():
-        lines.append(f"{i} {j}")
+    # Python ints format faster than numpy scalars
+    lines += [f"{i} {j}" for i, j in graph.edges().tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

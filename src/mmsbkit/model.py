@@ -5,8 +5,12 @@ A network with ``n`` nodes and ``K`` overlapping communities is described
 by a row-stochastic membership matrix ``Pi`` (n x K) and a symmetric
 connectivity matrix ``P = rho * tilde_p`` (K x K) whose entries are edge
 probabilities between communities. The expected adjacency is
-``Omega = Pi @ P @ Pi.T``; observed graphs draw each upper-triangular
-entry independently as Bernoulli(Omega[i, j]).
+``Omega = Pi @ P @ Pi.T``; it is kept factored, as ``Pi`` and
+``B = Pi @ P``, and its entries are computed a block of rows at a time,
+so generating a graph needs O(nK) memory rather than an n x n array.
+Observed graphs draw each upper-triangular entry independently as
+Bernoulli(Omega[i, j]): one uniform per pair i < j, in row-major order,
+drawn in blocks of rows.
 
 All containers are frozen dataclasses over read-only numpy arrays, so
 instances can be shared freely across threads.
@@ -25,6 +29,10 @@ ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 RANK_SV_TOL = 1e-10
 PURITY_TOL = 1e-12
+
+#: Most entries of ``Omega`` computed at once: per block of rows in
+#: :func:`sample_adjacency`, and when a factored ``Omega`` is densified.
+SAMPLE_BLOCK = 1 << 20
 
 #: Mixed-row layouts understood by :func:`planted_memberships`.
 PROFILES = ("four-profiles", "uniform", "random-half")
@@ -133,31 +141,104 @@ class BlockModel:
         return self.rho * self.tilde_p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PopulationMatrix:
-    """Expected adjacency ``Omega``: symmetric, entries in [0, 1]."""
+    """Expected adjacency ``Omega``: symmetric, entries in [0, 1].
 
-    matrix: np.ndarray
+    ``PopulationMatrix(matrix)`` wraps a dense array.
+    ``PopulationMatrix(pi=..., b=...)`` is the factored form that
+    :func:`build_population_matrix` returns: it keeps only the memberships
+    ``pi`` and ``b = Pi @ P`` (n x K each), and :meth:`entries` computes
+    blocks of ``Omega`` from them. ``matrix`` is always a dense read-only
+    (n, n) array; a factored ``Omega`` builds it on first access, from the
+    same kernel as :meth:`entries`, and keeps it.
+    """
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected adjacency must be square, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("expected adjacency contains non-finite entries")
-        if np.abs(m - m.T).max() > SYMMETRY_TOL:
-            raise ValueError("expected adjacency must be symmetric within 1e-12")
-        if m.min() < 0.0 or m.max() > 1.0:
-            raise ValueError("expected adjacency entries must lie in [0, 1]")
-        object.__setattr__(self, "matrix", _readonly(m))
+    pi: np.ndarray | None  # (n, K) memberships of a factored Omega, else None
+    b: np.ndarray | None  # (n, K) Pi @ P of a factored Omega, else None
+
+    def __init__(
+        self,
+        matrix: np.ndarray | None = None,
+        *,
+        pi: np.ndarray | None = None,
+        b: np.ndarray | None = None,
+    ):
+        given = (matrix is not None, pi is not None, b is not None)
+        if given not in ((True, False, False), (False, True, True)):
+            raise ValueError("give either the dense matrix or both factors pi and b")
+        if matrix is not None:
+            m = np.asarray(matrix, dtype=np.float64)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"expected adjacency must be square, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError("expected adjacency contains non-finite entries")
+            if np.abs(m - m.T).max() > SYMMETRY_TOL:
+                raise ValueError("expected adjacency must be symmetric within 1e-12")
+            if m.min() < 0.0 or m.max() > 1.0:
+                raise ValueError("expected adjacency entries must lie in [0, 1]")
+            m = _readonly(m)
+        else:
+            m = None
+            pi, b = _readonly(pi), _readonly(b)
+            if pi.ndim != 2 or pi.shape != b.shape or pi.shape[0] < 1:
+                raise ValueError(f"factors must share one (n, K) shape, got {pi.shape} and {b.shape}")
+            if not (np.isfinite(pi).all() and np.isfinite(b).all()):
+                raise ValueError("expected adjacency factors contain non-finite entries")
+            if pi.min() < 0.0 or b.min() < 0.0:
+                raise ValueError("expected adjacency factors must be nonnegative")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_matrix", m)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return (self.pi if self.pi is not None else self._matrix).shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """``Omega`` as a dense read-only (n, n) array."""
+        if self._matrix is None:
+            n = self.n
+            m = np.empty((n, n))
+            step = max(1, SAMPLE_BLOCK // n)
+            for r0 in range(0, n, step):
+                m[r0:r0 + step] = _factored_entries(self.pi, self.b, slice(r0, r0 + step), slice(None))
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
+
+    def entries(self, rows: slice, cols: slice) -> np.ndarray:
+        """The block ``Omega[rows, cols]``: a view of a dense ``Omega``,
+        computed from the factors of a factored one."""
+        if self._matrix is not None:
+            return self._matrix[rows, cols]
+        return _factored_entries(self.pi, self.b, rows, cols)
 
     def degrees(self) -> np.ndarray:
         """Expected degree vector (full row sums, diagonal included)."""
         return self.matrix.sum(axis=1)
+
+
+def _factored_entries(pi: np.ndarray, b: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """``Omega[rows, cols]`` from the factors ``Pi`` and ``B = Pi @ P``.
+
+    Entry (i, j) is ``(sum_k B[i,k] Pi[j,k] + sum_k Pi[i,k] B[j,k]) / 2``
+    clipped to [0, 1], each sum taken in increasing k with elementwise
+    products and no BLAS. The value is therefore exactly symmetric in
+    (i, j), and does not depend on the block's shape, the BLAS build or
+    its thread count.
+    """
+    b_i, pi_j, pi_i, b_j = b[rows], pi[cols], pi[rows], b[cols]
+    left = np.multiply.outer(b_i[:, 0], pi_j[:, 0])
+    right = np.multiply.outer(pi_i[:, 0], b_j[:, 0])
+    term = np.empty_like(left)
+    for k in range(1, pi.shape[1]):
+        left += np.multiply.outer(b_i[:, k], pi_j[:, k], out=term)
+        right += np.multiply.outer(pi_i[:, k], b_j[:, k], out=term)
+    left += right
+    left /= 2.0
+    return np.clip(left, 0.0, 1.0, out=left)
 
 
 @dataclass(frozen=True)
@@ -221,43 +302,64 @@ class Graph:
 
 
 def build_population_matrix(pi: MembershipMatrix, block: BlockModel) -> PopulationMatrix:
-    """Expected adjacency ``Omega = Pi @ (rho * tilde_p) @ Pi.T``.
+    """Expected adjacency ``Omega = Pi @ (rho * tilde_p) @ Pi.T``, factored.
 
-    Raises ``ValueError`` when the community counts of ``pi`` and
-    ``block`` disagree. The result is explicitly symmetrized to keep the
-    1e-12 symmetry invariant under floating point round-off.
+    The result keeps ``Pi`` and ``B = Pi @ P`` (n x K), with ``B`` summed
+    in increasing k without BLAS; no n x n array is built until something
+    reads ``matrix``. Raises ``ValueError`` when the community counts of
+    ``pi`` and ``block`` disagree.
     """
     if pi.K != block.K:
         raise ValueError(f"community count mismatch: memberships have K={pi.K}, block model K={block.K}")
-    m = pi.weights @ block.p @ pi.weights.T
-    m = (m + m.T) / 2.0
-    np.clip(m, 0.0, 1.0, out=m)
-    return PopulationMatrix(m)
+    w, p = pi.weights, block.p
+    b = w[:, :1] * p[0]
+    for k in range(1, pi.K):
+        b += w[:, k:k + 1] * p[k]
+    return PopulationMatrix(pi=w, b=b)
+
+
+def _row_blocks(n: int):
+    """Runs ``[r0, r1)`` of rows 0 .. n-2 whose rates ``Omega[r0:r1, r0+1:]``
+    number at most ``SAMPLE_BLOCK`` (or are one row); at least half of
+    them are pairs i < j."""
+    r0 = 0
+    while r0 < n - 1:
+        r1 = min(n - 1, r0 + max(1, SAMPLE_BLOCK // (n - 1 - r0)))
+        yield r0, r1
+        r0 = r1
 
 
 def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
     """Draw a graph with independent Bernoulli(Omega[i, j]) edges for i < j.
 
-    Sampling is deterministic given ``seed``: a PCG64 generator produces
-    one uniform block per row ``i`` covering columns ``i+1 .. n-1``, in
-    increasing row order. The diagonal is never sampled and stays 0.
+    Sampling is deterministic given ``seed``: a PCG64 generator draws one
+    uniform per pair i < j, in row-major order (row i covers columns
+    i+1 .. n-1, rows in increasing order), and the pair is an edge when
+    its uniform is below ``Omega[i, j]``. The uniforms are drawn in blocks
+    of whole rows holding up to ``SAMPLE_BLOCK`` pairs; PCG64 draws
+    concatenate exactly, so the block size does not change the graph. Only
+    one block of rates exists at a time, so a factored ``Omega`` is never
+    built as an n x n array. The diagonal is never sampled and stays 0.
     """
-    w = omega.matrix
     n = omega.n
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    rows = []
-    cols = []
-    for i in range(n - 1):
-        u = rng.random(n - 1 - i)
-        hits = np.nonzero(u < w[i, i + 1:])[0]
-        if hits.size:
-            rows.append(np.full(hits.size, i, dtype=np.int64))
-            cols.append(hits + i + 1)
-    if rows:
-        pairs = np.column_stack([np.concatenate(rows), np.concatenate(cols)])
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    return Graph.from_edges(n, pairs)
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    pairs += [_sample_rows(omega, rng, r0, r1) for r0, r1 in _row_blocks(n)]
+    return Graph.from_edges(n, np.concatenate(pairs))
+
+
+def _sample_rows(omega: PopulationMatrix, rng: np.random.Generator, r0: int, r1: int) -> np.ndarray:
+    """Edges (i, j), i < j, drawn for rows ``r0 .. r1-1``; one uniform per
+    pair in row-major order. A function of its own, so that one block's
+    arrays are freed before the next block's are made."""
+    n = omega.n
+    rates = omega.entries(slice(r0, r1), slice(r0 + 1, n))
+    # block row r is node r0 + r; its pairs start at block column r
+    upper = np.arange(n - r0 - 1) >= np.arange(r1 - r0)[:, None]
+    u = np.ones(upper.shape)  # 1 is never below a rate
+    u[upper] = rng.random(np.count_nonzero(upper))
+    i, j = np.nonzero(u < rates)
+    return np.column_stack([i + r0, j + r0 + 1])
 
 
 def planted_memberships(n: int, K: int, n0: int, mixed_profile: str, seed: int = 0) -> MembershipMatrix:

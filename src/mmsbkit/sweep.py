@@ -56,7 +56,8 @@ def block_from_spec(spec: dict, K: int) -> BlockModel:
     Accepted forms: ``{"diag": d, "off": o}`` for a constant-diagonal
     template, ``{"matrix": [[...]]}`` for an explicit symmetric matrix,
     and ``{"preset": "negative-eig", "index": i}`` for the 3x3 family
-    whose smallest eigenvalue grows more negative with ``index``. An
+    whose smallest eigenvalue decreases with ``index``, turning negative
+    from ``index`` 9 on. An
     optional ``"rho"`` key is ignored here (sparsity is its own axis).
     """
     if not isinstance(spec, dict):
@@ -87,8 +88,10 @@ def diag_off_block(K: int, diag: float, off: float) -> np.ndarray:
 
 
 def negative_eig_block(index: int) -> BlockModel:
-    """3x3 connectivity template whose smallest eigenvalue is negative and
-    grows more negative as ``index`` increases (valid for 1 <= index <= 12)."""
+    """3x3 connectivity template whose smallest eigenvalue decreases as
+    ``index`` increases (valid for 1 <= index <= 12). It is positive for
+    indices 1..8 (0.399 at 1, 0.019 at 8) and negative from 9 on (-0.052
+    at 9, -0.270 at 12)."""
     if not 1 <= index <= 12:
         raise ValueError(f"index must lie in 1..12, got {index}")
     c = 0.075 * index

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmsbkit
 from mmsbkit.cli import run_cli
 
 
@@ -36,6 +41,20 @@ class TestGenerate:
         assert (
             tmp_path / "a.memberships.csv"
         ).read_bytes() == (tmp_path / "b.memberships.csv").read_bytes()
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        src = str(Path(mmsbkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            argv = generate_args(out, n=1200, n0=240, seed=5)
+            subprocess.run([sys.executable, "-m", "mmsbkit.cli", "--quiet"] + argv, env=env, check=True)
+            outputs.append(
+                [Path(f"{out}.{suffix}").read_bytes() for suffix in ("edgelist", "memberships.csv")]
+            )
+        assert outputs[0] == outputs[1]
 
 
 class TestStats:

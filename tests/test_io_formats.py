@@ -87,6 +87,12 @@ class TestGraphRoundTrip:
         assert back.n == g.n
         assert (back.adjacency != g.adjacency).nnz == 0
 
+    def test_writer_output_bytes(self, tmp_path):
+        g = Graph.from_edges(12, np.array([[3, 1], [0, 10], [1, 0], [3, 11], [10, 2]]))
+        f = tmp_path / "g.edgelist"
+        write_edge_list(g, f)
+        assert f.read_bytes() == b"# n=12\n0 1\n0 10\n1 3\n2 10\n3 11\n"
+
     def test_round_trip_keeps_trailing_isolated_node(self, tmp_path):
         g = Graph.from_edges(4, np.array([[0, 1]]))  # nodes 2, 3 isolated
         f = tmp_path / "g.edgelist"

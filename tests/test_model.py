@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import mmsbkit.model as model
 from mmsbkit import (
     BlockModel,
     Graph,
     MembershipMatrix,
     PopulationMatrix,
     build_population_matrix,
+    diag_off_block,
     planted_memberships,
     sample_adjacency,
 )
@@ -139,6 +143,112 @@ class TestSampleAdjacency:
         _, _, omega = three_block_setup(n=40, n0=8)
         g = sample_adjacency(omega, 9)
         assert g.adjacency.diagonal().sum() == 0
+
+
+def row_loop_sample(omega: PopulationMatrix, seed: int) -> Graph:
+    """Reference sampler: one uniform draw per row i over the dense Omega,
+    covering columns i+1 .. n-1, rows in increasing order."""
+    w, n = omega.matrix, omega.n
+    rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for i in range(n - 1):
+        hits = np.nonzero(rng.random(n - 1 - i) < w[i, i + 1:])[0]
+        pairs.append(np.column_stack([np.full(hits.size, i), hits + i + 1]))
+    return Graph.from_edges(n, np.concatenate(pairs))
+
+
+def factored_omega(n, K=3, rho=0.5, seed=0):
+    pi = planted_memberships(n, K, n // (2 * K), "random-half", seed=seed)
+    return build_population_matrix(pi, BlockModel(diag_off_block(K, 0.8, 0.1), rho=rho))
+
+
+class TestBlockSampler:
+    @pytest.mark.parametrize("block", [1, 7, "n", None])
+    @pytest.mark.parametrize("n", [1, 2, 3, 90])
+    @pytest.mark.parametrize("rho", [0.01, 0.5, 1.0])
+    def test_matches_row_loop_on_factored_and_dense_omega(self, monkeypatch, block, n, rho):
+        if block is not None:
+            monkeypatch.setattr(model, "SAMPLE_BLOCK", n if block == "n" else block)
+        dense = PopulationMatrix(factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n).matrix)
+        for seed in (0, 19):
+            # a fresh factored Omega: reading .matrix would make the sampler slice the cache
+            omega = factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n)
+            expected = row_loop_sample(dense, seed).edges()
+            assert np.array_equal(sample_adjacency(omega, seed).edges(), expected)
+            assert np.array_equal(sample_adjacency(dense, seed).edges(), expected)
+
+    def test_several_default_blocks_match_row_loop(self):
+        omega = factored_omega(1600, rho=0.05, seed=4)
+        assert len(list(model._row_blocks(omega.n))) > 1
+        edges = sample_adjacency(omega, 8).edges()
+        assert omega._matrix is None
+        assert np.array_equal(edges, row_loop_sample(omega, 8).edges())
+
+    def test_blocks_cover_every_row_once(self, monkeypatch):
+        for block in (1, 7, 50, 1 << 20):
+            monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
+            runs = list(model._row_blocks(50))
+            assert runs[0][0] == 0 and runs[-1][1] == 49
+            assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+            assert all((r1 - r0) * (49 - r0) <= max(block, 49 - r0) for r0, r1 in runs)
+
+    def test_factored_sampling_never_builds_omega(self):
+        n = 4000
+        omega = factored_omega(n, rho=0.05, seed=1)
+        tracemalloc.start()
+        try:
+            graph = sample_adjacency(omega, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count() > 0
+        assert peak < n * n * 8 / 4
+        assert omega._matrix is None  # not densified along the way
+
+
+class TestFactoredPopulationMatrix:
+    def test_matrix_is_symmetric_and_matches_product(self):
+        pi = planted_memberships(300, 3, 50, "random-half", seed=2)
+        block = BlockModel(diag_off_block(3, 0.8, 0.1), rho=0.7)
+        m = build_population_matrix(pi, block).matrix
+        assert np.array_equal(m, m.T)
+        assert np.abs(m - pi.weights @ block.p @ pi.weights.T).max() <= 1e-15
+
+    def test_entries_match_matrix_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(model, "SAMPLE_BLOCK", 500)  # densify in many row blocks
+        omega = factored_omega(120, seed=3)
+        blocks = [omega.entries(slice(a, b), slice(c, d)) for a, b, c, d in
+                  [(0, 120, 0, 120), (5, 6, 0, 120), (17, 60, 18, 120), (119, 120, 3, 77)]]
+        m = omega.matrix
+        assert np.array_equal(blocks[0], m)
+        assert np.array_equal(blocks[1], m[5:6])
+        assert np.array_equal(blocks[2], m[17:60, 18:])
+        assert np.array_equal(blocks[3], m[119:, 3:77])
+
+    def test_matrix_is_cached_and_read_only(self):
+        omega = factored_omega(40)
+        assert omega._matrix is None
+        m = omega.matrix
+        assert omega.matrix is m
+        with pytest.raises(ValueError):
+            m[0, 1] = 0.0
+
+    def test_entries_are_clipped_to_unit_interval(self):
+        omega = PopulationMatrix(pi=np.ones((3, 1)), b=np.full((3, 1), 1.5))
+        assert np.array_equal(omega.matrix, np.ones((3, 3)))
+
+    def test_needs_matrix_or_both_factors(self):
+        w = np.full((3, 2), 0.5)
+        with pytest.raises(ValueError, match="either"):
+            PopulationMatrix()
+        with pytest.raises(ValueError, match="either"):
+            PopulationMatrix(pi=w)
+        with pytest.raises(ValueError, match="either"):
+            PopulationMatrix(np.eye(3), pi=w, b=w)
+        with pytest.raises(ValueError, match="shape"):
+            PopulationMatrix(pi=w, b=w[:, :1])
+        with pytest.raises(ValueError, match="nonnegative"):
+            PopulationMatrix(pi=w, b=-w)
 
 
 class TestPlantedMemberships:
