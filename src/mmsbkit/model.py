@@ -48,7 +48,9 @@ _FOUR_PROFILES = np.array(
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only float64 copy of ``a``; the copy leaves the caller's
+    array writable and keeps its later writes out of the object."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 

@@ -57,8 +57,8 @@ def block_from_spec(spec: dict, K: int) -> BlockModel:
     template, ``{"matrix": [[...]]}`` for an explicit symmetric matrix,
     and ``{"preset": "negative-eig", "index": i}`` for the 3x3 family
     whose smallest eigenvalue decreases with ``index``, turning negative
-    from ``index`` 9 on. An
-    optional ``"rho"`` key is ignored here (sparsity is its own axis).
+    from ``index`` 9 on. Any other key, ``"rho"`` included (sparsity is
+    the grid's own axis), is rejected.
     """
     if not isinstance(spec, dict):
         raise DataFormatError(f"block spec must be an object, got {type(spec).__name__}")

@@ -52,6 +52,16 @@ def arpack_fails(monkeypatch):
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", eigsh)
 
 
+@pytest.fixture
+def nnls_fails(monkeypatch):
+    """Every NNLS solve stops at its iteration cap, as scipy reports it."""
+
+    def nnls(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr("scipy.optimize.nnls", nnls)
+
+
 def pure_corner_indices(pi) -> list[int]:
     """One planted pure index per community (first row of each block)."""
     out = []

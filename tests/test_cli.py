@@ -56,6 +56,22 @@ class TestGenerate:
             )
         assert outputs[0] == outputs[1]
 
+    def test_loads_no_solver_modules(self, tmp_path):
+        # the solvers are imported where they run: importing them costs
+        # every process start-up time and memory, and generate needs neither
+        src = str(Path(mmsbkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["--quiet"] + generate_args(tmp_path / "net", n=60, n0=12)
+        script = (
+            "import sys, mmsbkit\n"
+            "from mmsbkit.cli import run_cli\n"
+            f"assert run_cli({argv!r}) == 0\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+        assert done.stdout.strip() == "[]"
+
 
 class TestStats:
     def test_reports_pure_and_mixed_counts(self, tmp_path, capsys):
@@ -328,6 +344,21 @@ class TestExitCodes:
                 "--edges", str(tmp_path / "net.edgelist"),
                 "--k", "3",
                 "--method", "srsc",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+
+    def test_svm_solver_failure_is_numerical_error(self, tmp_path, nnls_fails):
+        out = tmp_path / "net"
+        run_cli(["--quiet"] + generate_args(out, n=100, n0=25))
+        code = run_cli(
+            [
+                "--quiet",
+                "cluster",
+                "--edges", str(tmp_path / "net.edgelist"),
+                "--k", "3",
+                "--method", "crsc",
                 "--out", str(tmp_path / "run"),
             ]
         )

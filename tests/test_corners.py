@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsbkit import (
     NumericalError,
@@ -14,6 +15,10 @@ from mmsbkit import (
     svm_cone_select,
 )
 from conftest import demo_cone_setup, pure_corner_indices, three_block_setup
+from test_acceptance import _random_cone_instance
+
+#: derandomized so that every run draws the same examples
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def residual_norms_by_projection(m, picked):
@@ -131,6 +136,55 @@ class TestOneClassSvm:
     def test_rejects_non_unit_rows(self):
         with pytest.raises(ValueError, match="unit"):
             one_class_svm(np.array([[2.0, 0.0]]))
+
+
+class TestOneClassSvmProperties:
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3, 4]))
+    def test_matches_closed_form_on_exact_cones(self, seed, k):
+        s, sc = _random_cone_instance(np.random.default_rng(seed), k)
+        closed = cone_closed_form(sc)
+        sol = one_class_svm(s)
+        assert abs(closed.b - sol.b) <= 1e-8
+        assert np.abs(closed.w - sol.w).max() <= 1e-8
+
+    @PROPERTY_SETTINGS
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        width=st.integers(1, 6),
+        duplicates=st.integers(0, 5),
+    )
+    def test_certificates_on_positive_unit_rows(self, seed, n, width, duplicates):
+        rng = np.random.default_rng(seed)
+        raw = rng.random((n, width)) + 1e-3
+        raw = np.vstack([raw, raw[rng.integers(n, size=duplicates)]])
+        s = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        sol = one_class_svm(s)
+        assert sol.weights.min() >= 0.0
+        assert abs(sol.weights.sum() - 1.0) <= 1e-12
+        assert np.abs(sol.weights @ s - sol.b * sol.w).max() <= 1e-12
+        margins = s @ sol.w
+        assert abs(margins.min() - sol.b) <= 1e-8
+        assert set(sol.support) == set(np.nonzero(sol.weights > 1e-12)[0])
+
+    @PROPERTY_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 40))
+    def test_invariant_under_orthonormal_embedding(self, seed, extra):
+        # the projector routes hand the solver the rows S @ Q.T, with Q
+        # the orthonormal eigenvector columns
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5))
+        s, _ = _random_cone_instance(rng, k)
+        q, _ = np.linalg.qr(rng.standard_normal((k + extra, k)))
+        plain = one_class_svm(s)
+        embedded = one_class_svm(s @ q.T)
+        assert abs(plain.b - embedded.b) <= 1e-10
+        assert np.abs(q @ plain.w - embedded.w).max() <= 1e-10
+
+    def test_solver_iteration_cap_is_numerical_error(self, nnls_fails):
+        with pytest.raises(NumericalError, match="converge"):
+            one_class_svm(np.eye(2))
 
 
 class TestConeClosedForm:

@@ -42,6 +42,30 @@ class TestMembershipMatrix:
             pi.weights[0, 0] = 0.3
 
 
+@pytest.mark.parametrize(
+    "build, attr",
+    [
+        (MembershipMatrix, "weights"),
+        (BlockModel, "tilde_p"),
+        (PopulationMatrix, "matrix"),
+    ],
+)
+def test_constructors_leave_callers_array_writable_and_unshared(build, attr):
+    mine = np.full((3, 3), 0.2)
+    np.fill_diagonal(mine, 0.6)
+    obj = build(mine)
+    mine[0, 1] = mine[1, 0] = 0.1  # the caller's array stays writable
+    assert getattr(obj, attr)[0, 1] == 0.2
+    assert not getattr(obj, attr).flags.writeable
+
+
+def test_factored_population_matrix_copies_its_factors():
+    pi, b = np.eye(2), np.full((2, 2), 0.3)
+    omega = PopulationMatrix(pi=pi, b=b)
+    pi[0, 0] = b[0, 0] = 0.0
+    assert omega.pi[0, 0] == 1.0 and omega.b[0, 0] == 0.3
+
+
 class TestBlockModel:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -252,6 +252,29 @@ class TestReconstructionHelpers:
         with pytest.raises(NumericalError, match="singular"):
             _solve_right_inverse(np.eye(2), np.ones((2, 2)))
 
+    def test_wide_corner_matches_square_corner(self):
+        # the projector routes pass rows @ Q.T and corner @ Q.T for the
+        # orthonormal eigenvector columns Q; the solve must not depend on
+        # that embedding, up to the rounding floor cond(corner) * eps
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.standard_normal((40, 3)))
+        for cond in (10.0, 1e8):
+            u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            corner = u @ np.diag([1.0, cond**-0.5, 1.0 / cond]) @ v.T
+            z = rng.random((40, 3))
+            rows = z @ corner
+            square = _solve_right_inverse(rows, corner)
+            wide = _solve_right_inverse(rows @ q.T, corner @ q.T)
+            tol = 100 * cond * np.finfo(float).eps
+            assert np.abs(square - z).max() <= tol
+            assert np.abs(wide - square).max() <= tol
+
+    def test_singular_wide_corner_raises(self):
+        q, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((5, 2)))
+        with pytest.raises(NumericalError, match="singular"):
+            _solve_right_inverse(q.T, np.ones((2, 2)) @ q.T)
+
     def test_unclipped_route_rejects_zero_rows(self):
         with pytest.raises(NumericalError, match="zero row"):
             _memberships_from_z(np.array([[0.0, 0.0]]), clip=False)

@@ -89,8 +89,9 @@ class TestBlockSpecs:
         assert block.tilde_p[0, 1] == 0.2
 
     def test_bad_spec_rejected(self):
-        with pytest.raises(DataFormatError):
-            block_from_spec({"offset": 1}, 2)
+        for spec in ({"offset": 1}, {"diag": 1.0, "off": 0.5, "rho": 0.3}):
+            with pytest.raises(DataFormatError):
+                block_from_spec(spec, 2)
 
 
 class TestRunSweep:
@@ -173,6 +174,12 @@ class TestRunSweep:
         assert len(result.rows) == 0
         assert len(result.failures) == 1
         assert "Lanczos" in result.failures[0]["error"]
+
+    def test_svm_solver_failure_is_reported_not_raised(self, nnls_fails):
+        result = run_sweep(tiny_config(reps=1))
+        assert "CRSC" not in [r.method for r in result.rows]
+        assert len(result.failures) == 1
+        assert "one-class svm failed to converge" in result.failures[0]["error"]
 
     def test_eight_community_point_runs(self):
         # the community-count experiment reaches K=8; exercise one point
