@@ -202,7 +202,7 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(config, workers=workers)
     Path(args.out).write_text(result.to_csv(), encoding="utf-8", newline="\n")
     for failure in result.failures:
-        _say(args, f"skipped point {failure['point']}: {failure['error']}")
+        _say(args, f"skipped {failure['method']} at point {failure['point']} ({failure['stage']}): {failure['error']}")
     _say(args, f"wrote {args.out} ({len(result.rows)} rows)")
     return EXIT_OK
 

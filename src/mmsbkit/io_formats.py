@@ -1,19 +1,28 @@
 """Stable text formats for graphs, membership matrices, and result tables.
 
 Edge lists are plain text: one ``i j`` pair of 0-indexed node ids per
-line, whitespace separated, with ``#`` starting a comment line. The
-writer emits a ``# n=<count>`` comment so isolated trailing nodes
-survive a round trip; the reader honors it unless an explicit node count
-is passed. Duplicate and reversed pairs collapse to one undirected edge;
-self-loops are rejected.
+line, whitespace separated. Only whole-line comments are allowed: a line
+whose first non-blank character is ``#`` (leading spaces are fine); a
+``#`` after an id is an error. The writer emits a ``# n=<count>``
+comment so isolated trailing nodes survive a round trip; the reader
+takes the last such comment unless an explicit node count is passed.
+Ids must fit in int64. Blank lines are skipped and CR LF line endings
+are accepted. Duplicate and reversed pairs collapse to one undirected
+edge; self-loops are rejected. A malformed file is diagnosed by line.
+
+The reader parses a file with numpy's C reader when every line outside
+the comments holds only ASCII digits, ``-``, spaces and tabs, and checks
+the ids as whole arrays. Any other file, and any file that fails a
+check, is read again line by line, which names the offending line.
 
 Numeric matrices are CSV with 17-significant-digit decimal values, which
-reproduce IEEE doubles bit-exactly on read-back. All files are UTF-8
-with LF line endings and locale-independent number formatting.
+reproduce IEEE doubles bit-exactly on read-back. Every writer emits
+UTF-8 with LF line endings and locale-independent number formatting.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from pathlib import Path
 
@@ -23,17 +32,75 @@ from .exceptions import DataFormatError
 from .model import Graph, MembershipMatrix
 
 _N_COMMENT = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+_INT64_MAX = int(np.iinfo(np.int64).max)
+#: Every byte the fast path parses outside comment lines.
+_PLAIN_BYTES = b"0123456789- \t\r\n"
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     """Parse an edge-list file into a :class:`Graph`.
 
-    When ``n`` is omitted it comes from a ``# n=<count>`` comment if
-    present, else from ``1 + max id``. Malformed lines, self-loops, and
-    ids at or above the declared count raise :class:`DataFormatError`
-    naming the offending line. The result does not depend on line order.
+    When ``n`` is omitted it comes from the last ``# n=<count>`` comment
+    if present, else from ``1 + max id``. Malformed lines, self-loops, ids
+    beyond int64, and ids at or above the declared count raise
+    :class:`DataFormatError` naming the offending line or edge. The result
+    does not depend on line order, nor on whether the file was parsed
+    whole or line by line.
     """
     path = Path(path)
+    try:
+        pairs, n = _read_plain(path.read_bytes(), n)
+    except ValueError:
+        return _read_by_line(path, n)
+    return Graph.from_edges(n, pairs)
+
+
+def _read_plain(data: bytes, n: int | None) -> tuple[np.ndarray, int]:
+    """Pairs and node count of a well-formed edge list, parsed whole.
+
+    Raises ``ValueError`` on anything :func:`_read_by_line` might read
+    differently or reject: a ``#`` that does not start a line, a CR not
+    followed by LF, any byte outside ``_PLAIN_BYTES`` in the edge
+    lines, a line without exactly two ids, an id outside int64, a
+    negative id, a self-loop, or an id at or above the node count.
+    """
+    if data.count(b"\r") != data.count(b"\r\n"):
+        raise ValueError("a lone CR ends a line in text mode")
+    declared = None
+    kept = []
+    start = 0
+    at = data.find(b"#")
+    while at != -1:
+        head = data.rfind(b"\n", 0, at) + 1
+        if data[head:at].strip(b" \t"):
+            raise ValueError("inline comment")
+        end = data.find(b"\n", at)
+        end = len(data) if end == -1 else end
+        match = _N_COMMENT.match(data[at:end].decode("utf-8").strip())
+        if match:
+            declared = int(match.group(1))
+        kept.append(data[start:head])
+        start = end
+        at = data.find(b"#", end)
+    kept.append(data[start:])
+    body = b"".join(kept)
+    if body.translate(None, _PLAIN_BYTES):
+        raise ValueError("bytes outside the plain format")
+    if body.strip():
+        pairs = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=np.int64, ndmin=2)
+    else:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    if pairs.shape[1] != 2:
+        raise ValueError("expected two ids per line")
+    if n is None:
+        n = declared if declared is not None else 1 + int(pairs.max(initial=-1))
+    if n < 0 or pairs.size and (pairs.min() < 0 or pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any()):
+        raise ValueError("ids fail a check")
+    return pairs, n
+
+
+def _read_by_line(path: Path, n: int | None) -> Graph:
+    """Read an edge list one line at a time; every check names its line."""
     pairs: list[tuple[int, int]] = []
     declared = None
     with path.open("r", encoding="utf-8") as handle:
@@ -55,6 +122,8 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
                 raise DataFormatError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
             if i < 0 or j < 0:
                 raise DataFormatError(f"{path}:{lineno}: negative node id in {line!r}")
+            if max(i, j) > _INT64_MAX:
+                raise DataFormatError(f"{path}:{lineno}: node id does not fit in int64 in {line!r}")
             if i == j:
                 raise DataFormatError(f"{path}:{lineno}: self-loop on node {i}")
             pairs.append((i, j))

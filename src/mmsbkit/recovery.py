@@ -26,12 +26,13 @@ on different graphs are safe.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corners import CornerSet, sp_select, svm_cone_select
-from .exceptions import NumericalError
+from .exceptions import MmsbkitError, NumericalError
 from .model import Graph, MembershipMatrix, PopulationMatrix, check_population_rank
 from .spectral import (
     RegularizedLaplacian,
@@ -82,6 +83,20 @@ class RecoveryResult:
         z = np.ascontiguousarray(self.z, dtype=np.float64)
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
+
+
+@contextmanager
+def stage(name: str):
+    """Label a package, value or linear-algebra error raised inside the
+    block with the pipeline stage ``name`` (``corners`` or
+    ``reconstruct`` here; the sweep adds the shared stages) as its
+    ``stage`` attribute; a label set further in is kept."""
+    try:
+        yield
+    except (MmsbkitError, ValueError) as exc:  # LinAlgError is a ValueError
+        if not hasattr(exc, "stage"):
+            exc.stage = name
+        raise
 
 
 def _solve_right_inverse(rows: np.ndarray, corner: np.ndarray) -> np.ndarray:
@@ -152,16 +167,20 @@ def recover_from_basis(
     v = basis.vectors
     rows = v @ v.T if method.endswith("-EQ") else v
     root_d = np.sqrt(lap.dtau)
-    if method.startswith("SRSC"):
-        points = root_d[:, None] * rows
-        corners = sp_select(points, basis.K)
-        z = _solve_right_inverse(rows, points[list(corners.indices)])
-    else:
-        points, factors = normalize_rows(rows)
-        corners = svm_cone_select(points, basis.K, seed=corner_seed)
-        idx = list(corners.indices)
-        z = _solve_right_inverse(rows, points[idx]) * (factors[idx] / root_d[idx])[None, :]
-    pi_hat, z_final, clipped, fallback = _memberships_from_z(z, clip)
+    simplex = method.startswith("SRSC")
+    with stage("corners"):
+        if simplex:
+            points = root_d[:, None] * rows
+            corners = sp_select(points, basis.K)
+        else:
+            points, factors = normalize_rows(rows)
+            corners = svm_cone_select(points, basis.K, seed=corner_seed)
+    idx = list(corners.indices)
+    with stage("reconstruct"):
+        z = _solve_right_inverse(rows, points[idx])
+        if not simplex:
+            z = z * (factors[idx] / root_d[idx])[None, :]
+        pi_hat, z_final, clipped, fallback = _memberships_from_z(z, clip)
     tag = method if clip else f"IDEAL-{method}"
     return RecoveryResult(
         pi_hat=pi_hat,

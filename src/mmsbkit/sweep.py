@@ -26,19 +26,30 @@ import numpy as np
 from .evaluation import mixed_hamming_error
 from .exceptions import DataFormatError, NumericalError
 from .model import BlockModel, build_population_matrix, planted_memberships, sample_adjacency
-from .recovery import run_methods
-from .spectral import default_tau
-
-# Unused here: benchmarks/spans.py times a sweep by wrapping these names in
-# this module.
-from .recovery import recover_from_basis  # noqa: F401
-from .spectral import leading_eigenpairs, regularized_laplacian  # noqa: F401
+from .recovery import recover_from_basis, stage
+from .spectral import default_tau, leading_eigenpairs, regularized_laplacian
 
 #: 64-bit odd constant separating the edge-sampling stream from the
 #: membership stream inside one trial.
 STREAM_SPLIT = 0x9E3779B97F4A7C15
 
 SWEEP_CSV_HEADER = "n,K,rho,tau,method,mean_err,sd_err,reps"
+
+#: Errors a trial may raise that the sweep records instead of raising.
+_TRIAL_ERRORS = (NumericalError, DataFormatError, ValueError, np.linalg.LinAlgError)
+
+
+@dataclass(frozen=True)
+class _Failure:
+    """Stage and message of a failed trial. The exception itself is not
+    kept: its traceback would hold the trial's arrays alive."""
+
+    stage: str | None
+    error: str
+
+    @classmethod
+    def of(cls, exc: Exception) -> "_Failure":
+        return cls(getattr(exc, "stage", None), str(exc))
 
 _METHOD_ALIASES = {
     "srsc": "SRSC",
@@ -232,19 +243,37 @@ def _validate_point(point: dict) -> str | None:
         return f"K*n0 = {k * n0} exceeds n = {n}"
     if point["profile"] == "four-profiles" and k != 3:
         return "four-profiles requires K = 3"
+    try:
+        _resolve_tau(point["tau"], n)
+    except DataFormatError as exc:
+        return str(exc)
     return None
 
 
-def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) -> dict[str, float]:
-    n, k, n0 = int(point["n"]), int(point["k"]), int(point["n0"])
-    trial_seed = (int(base_seed) ^ trial) & 0xFFFFFFFFFFFFFFFF
-    pi = planted_memberships(n, k, n0, point["profile"], seed=trial_seed)
-    block = block_from_spec(point["block"], k)
-    block = BlockModel(block.tilde_p, rho=float(point["rho"]))
-    omega = build_population_matrix(pi, block)
-    graph = sample_adjacency(omega, trial_seed ^ STREAM_SPLIT)
-    results = run_methods(graph, k, list(methods), _resolve_tau(point["tau"], n))
-    return {m: mixed_hamming_error(result.pi_hat, pi).error for m, result in zip(methods, results)}
+def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) -> dict[str, float | _Failure]:
+    """Each method's error on one trial graph, or its failure. A failure in
+    a stage the methods share (model, laplacian, eigensolve) raises."""
+    with stage("model"):
+        n, k, n0 = int(point["n"]), int(point["k"]), int(point["n0"])
+        trial_seed = (int(base_seed) ^ trial) & 0xFFFFFFFFFFFFFFFF
+        pi = planted_memberships(n, k, n0, point["profile"], seed=trial_seed)
+        block = block_from_spec(point["block"], k)
+        block = BlockModel(block.tilde_p, rho=float(point["rho"]))
+        omega = build_population_matrix(pi, block)
+        graph = sample_adjacency(omega, trial_seed ^ STREAM_SPLIT)
+    with stage("laplacian"):
+        lap = regularized_laplacian(graph, _resolve_tau(point["tau"], n))
+    with stage("eigensolve"):
+        basis = leading_eigenpairs(lap, k)
+    errors: dict[str, float | _Failure] = {}
+    for method in methods:
+        try:
+            pi_hat = recover_from_basis(basis, lap, method).pi_hat
+        except _TRIAL_ERRORS as exc:
+            errors[method] = _Failure.of(exc)
+        else:
+            errors[method] = mixed_hamming_error(pi_hat, pi).error
+    return errors
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
@@ -253,60 +282,56 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
 
     ``workers`` > 1 runs trials in a thread pool. Results are keyed and
     reduced by (point, trial) index, so the outcome is identical for any
-    worker count. A grid point that fails validation or raises a
-    numerical error is recorded in ``failures`` and skipped; remaining
-    points still run.
+    worker count. A (point, method) pair with a failed trial gets no row
+    and one ``failures`` entry: the point, the method, the stage
+    (``validate``, ``model``, ``laplacian``, ``eigensolve``, ``corners``
+    or ``reconstruct``) and the error of its first failed trial. The
+    stages up to the eigensolve are shared, so their failure fails every
+    method at the point; a corner or reconstruction failure fails that
+    method only. Remaining pairs still run.
     """
     points = config.points()
-    failures: list[dict] = []
-    tasks: list[tuple[int, int]] = []
-    for idx, point in enumerate(points):
-        problem = _validate_point(point)
-        if problem is not None:
-            failures.append({"point": point, "error": problem})
-        else:
-            tasks.append(idx)
-
-    outcomes: dict[tuple[int, int], dict[str, float] | Exception] = {}
+    problems = [_validate_point(point) for point in points]
 
     def run_one(idx: int, trial: int):
         try:
             return _run_trial(points[idx], trial, config.base_seed, config.methods)
-        except (NumericalError, DataFormatError, ValueError, np.linalg.LinAlgError) as exc:
-            return exc
+        except _TRIAL_ERRORS as exc:
+            return _Failure.of(exc)
 
-    jobs = [(idx, trial) for idx in tasks for trial in range(config.reps)]
+    jobs = [(idx, trial) for idx, problem in enumerate(problems) if problem is None for trial in range(config.reps)]
     if workers is not None and workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for (idx, trial), outcome in zip(jobs, pool.map(lambda j: run_one(*j), jobs)):
-                outcomes[(idx, trial)] = outcome
+            outcomes = dict(zip(jobs, pool.map(lambda j: run_one(*j), jobs)))
     else:
-        for idx, trial in jobs:
-            outcomes[(idx, trial)] = run_one(idx, trial)
+        outcomes = {job: run_one(*job) for job in jobs}
 
     rows: list[SweepRow] = []
-    for idx in tasks:
-        point = points[idx]
-        trial_results = [outcomes[(idx, trial)] for trial in range(config.reps)]
-        failed = [r for r in trial_results if isinstance(r, Exception)]
-        if failed:
-            failures.append({"point": point, "error": str(failed[0])})
-            continue
-        tau = _resolve_tau(point["tau"], int(point["n"]))
+    failures: list[dict] = []
+    for idx, point in enumerate(points):
+        if problems[idx] is not None:
+            trials = [_Failure("validate", problems[idx])]
+        else:
+            trials = [outcomes[(idx, trial)] for trial in range(config.reps)]
         for method in config.methods:
-            values = np.array([r[method] for r in trial_results])
-            sd = float(values.std(ddof=1)) if values.size > 1 else 0.0
+            values = [t if isinstance(t, _Failure) else t[method] for t in trials]
+            failed = next((v for v in values if isinstance(v, _Failure)), None)
+            if failed is not None:
+                failures.append({"point": point, "method": method, "stage": failed.stage, "error": failed.error})
+                continue
+            errors = np.array(values)
+            sd = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
             rows.append(
                 SweepRow(
                     n=int(point["n"]),
                     k=int(point["k"]),
                     n0=int(point["n0"]),
                     rho=float(point["rho"]),
-                    tau=tau,
+                    tau=_resolve_tau(point["tau"], int(point["n"])),
                     profile=str(point["profile"]),
                     block=dict(point["block"]),
                     method=method,
-                    mean_err=float(values.mean()),
+                    mean_err=float(errors.mean()),
                     sd_err=sd,
                     reps=config.reps,
                 )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mmsbkit
+from mmsbkit import io_formats
 from mmsbkit.cli import run_cli
 
 
@@ -159,6 +160,29 @@ class TestClusterAndEvaluate:
             tmp_path / "one.crsc.summary.json"
         ).read_bytes() == (tmp_path / "two.crsc.summary.json").read_bytes()
 
+    def test_outputs_do_not_depend_on_the_parse_route(self, tmp_path, monkeypatch):
+        run_cli(["--quiet"] + generate_args(tmp_path / "net", n=150, n0=30))
+        by_line = []
+        read_by_line = io_formats._read_by_line
+
+        def spy(path, n):
+            by_line.append(path)
+            return read_by_line(path, n)
+
+        def refuse(data, n):
+            raise ValueError("forced line-by-line read")
+
+        monkeypatch.setattr(io_formats, "_read_by_line", spy)
+        for prefix in ("fast", "loop"):
+            if prefix == "loop":
+                monkeypatch.setattr(io_formats, "_read_plain", refuse)
+            argv = ["--quiet", "cluster", "--edges", str(tmp_path / "net.edgelist"), "--k", "3"]
+            argv += ["--method", "srsc", "--method", "crsc", "--seed", "5", "--out", str(tmp_path / prefix)]
+            assert run_cli(argv) == 0
+        assert len(by_line) == 1  # the second run only
+        for name in ("srsc.pihat.csv", "srsc.summary.json", "crsc.pihat.csv", "crsc.summary.json"):
+            assert (tmp_path / f"fast.{name}").read_bytes() == (tmp_path / f"loop.{name}").read_bytes()
+
     def test_one_run_of_all_methods_matches_single_method_runs(self, tmp_path):
         out = tmp_path / "net"
         run_cli(["--quiet"] + generate_args(out, n=100, n0=25))
@@ -302,6 +326,16 @@ class TestExitCodes:
         f = tmp_path / "bad.edgelist"
         f.write_text("0 0\n")
         assert run_cli(["--quiet", "stats", "--edges", str(f)]) == 2
+
+    @pytest.mark.parametrize("command", ["cluster", "stats"])
+    def test_id_beyond_int64_is_data_error(self, tmp_path, capsys, command):
+        f = tmp_path / "big.edgelist"
+        f.write_text("0 1\n0 99999999999999999999\n")
+        argv = ["--quiet", command, "--edges", str(f)]
+        if command == "cluster":
+            argv += ["--k", "2", "--method", "srsc", "--out", str(tmp_path / "run")]
+        assert run_cli(argv) == 2
+        assert f"{f}:2: node id does not fit in int64" in capsys.readouterr().err
 
     def test_isolated_node_with_tau_zero_is_numerical_error(self, tmp_path):
         f = tmp_path / "g.edgelist"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmsbkit import (
     DataFormatError,
@@ -12,6 +13,7 @@ from mmsbkit import (
     write_matrix_csv,
     write_memberships,
 )
+from mmsbkit import io_formats
 from conftest import three_block_setup
 
 
@@ -62,6 +64,29 @@ class TestReadEdgeList:
         f.write_text("# n=5\n0 1\n")
         assert read_edge_list(f, n=3).n == 3
 
+    def test_inline_comment_names_line(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_text("0 1\n1 2 # x\n")
+        with pytest.raises(DataFormatError, match=":2: expected two node ids"):
+            read_edge_list(f)
+
+    def test_last_n_comment_wins(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_text("# n=5\n0 1\n  # n=7\n")
+        assert read_edge_list(f).n == 7
+
+    def test_crlf_line_endings(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(b"# n=4\r\n0 1\r\n\r\n1\t2\r\n")
+        g = read_edge_list(f)
+        assert g.n == 4 and g.edge_count() == 2
+
+    def test_id_beyond_int64_names_line(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_text("0 1\n9223372036854775808 1\n")
+        with pytest.raises(DataFormatError, match=":2: node id does not fit in int64"):
+            read_edge_list(f)
+
     def test_line_order_does_not_matter(self, tmp_path):
         rng = np.random.default_rng(0)
         lines = ["0 3", "1 2", "2 4", "0 4", "3 4"]
@@ -87,6 +112,20 @@ class TestGraphRoundTrip:
         assert back.n == g.n
         assert (back.adjacency != g.adjacency).nnz == 0
 
+    def test_large_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(4)
+        pairs = rng.integers(0, 3000, size=(110_000, 2))
+        g = Graph.from_edges(3001, pairs[pairs[:, 0] != pairs[:, 1]])
+        assert g.edge_count() >= 100_000
+        f = tmp_path / "g.edgelist"
+        write_edge_list(g, f)
+        back = read_edge_list(f)
+        assert back.n == g.n
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(back.adjacency, name), getattr(g.adjacency, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert (io_formats._read_by_line(f, None).adjacency != back.adjacency).nnz == 0
+
     def test_writer_output_bytes(self, tmp_path):
         g = Graph.from_edges(12, np.array([[3, 1], [0, 10], [1, 0], [3, 11], [10, 2]]))
         f = tmp_path / "g.edgelist"
@@ -98,6 +137,117 @@ class TestGraphRoundTrip:
         f = tmp_path / "g.edgelist"
         write_edge_list(g, f)
         assert read_edge_list(f).n == 4
+
+
+_PLAIN_ID = st.integers(0, 11).map(str)
+_ODD_ID = st.sampled_from(
+    ["-0", "007", "-2", "+3", "1_0", "\uff15", "\u0663", "1.0", "x", "-", "1-2",
+     "9223372036854775808", "99999999999999999999", "-99999999999999999999"]
+)
+_SEP = st.sampled_from([" ", "\t", "  ", " \t"])
+_ODD_SEP = st.sampled_from(["\xa0", "\x0b", "\x0c", "\u3000"])
+_PAD = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def _edge_line(draw, plain):
+    """Two plain ids, or (odd) 1-3 ids of any kind, odd separators and an
+    inline comment."""
+    odd = not plain and draw(st.booleans())
+    count = draw(st.integers(1, 3)) if odd else 2
+    ids = [draw(st.one_of(_PLAIN_ID, _ODD_ID) if odd else _PLAIN_ID) for _ in range(count)]
+    line = ids[0]
+    for token in ids[1:]:
+        line += draw(st.one_of(_SEP, _ODD_SEP) if odd else _SEP) + token
+    if odd and draw(st.booleans()):
+        line += draw(st.sampled_from([" # x", "#", " #n=3"]))
+    return draw(_PAD) + line + draw(_PAD)
+
+
+_COMMENT_LINE = st.builds(
+    lambda pad, body: pad + "#" + body,
+    _PAD,
+    st.sampled_from([" n=5", "n=3", " n = 7 ", " n=12", " n=0", " a note", "# n=2", " n=\u0663", "n=", " n=5 # x"]),
+)
+_BLANK_LINE = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _edge_list_files(draw):
+    """Bytes of a random edge-list file and an explicit node count or None.
+    Half the files use only plain lines and LF or CR LF endings, the form
+    the fast path takes. Ids stay small or exceed int64, so no graph is
+    large."""
+    plain = draw(st.booleans())
+    line = st.one_of(_edge_line(plain), _edge_line(plain), _COMMENT_LINE, _BLANK_LINE)
+    lines = draw(st.lists(line, max_size=10))
+    eol = draw(st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    n = draw(st.one_of(st.none(), st.none(), st.integers(0, 12)))
+    return text.encode("utf-8"), n
+
+
+def _outcome(reader, path, n):
+    try:
+        g = reader(path, n)
+    except DataFormatError as exc:
+        return "error", str(exc)
+    return "graph", g.n, g.adjacency.indptr.tolist(), g.adjacency.indices.tolist()
+
+
+class TestParseRoutes:
+    """``read_edge_list`` parses a plain file whole and reads anything else
+    line by line; ``_read_by_line`` is the reference for both routes."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1\n1 2\n",
+            "0 1\r\n1 2\r\n",
+            "# n=9\n0\t1\n\n  \n2   3",
+            "  # note\n0 1\n\t# n=4\n",
+            "-0 1\n007 2\n",
+            "# only a comment\n",
+            "",
+        ],
+    )
+    def test_plain_files_take_the_fast_path(self, tmp_path, text):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(text.encode())
+        pairs, n = io_formats._read_plain(f.read_bytes(), None)
+        g = io_formats._read_by_line(f, None)
+        assert n == g.n
+        assert (Graph.from_edges(n, pairs).adjacency != g.adjacency).nnz == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1 # x\n",
+            "0 1#\n",
+            "+1 2\n",
+            "1_0 2\n",
+            "\uff11 2\n",
+            "0\xa01\n",
+            "0 1\r2 3\n",
+            "0 1 2\n",
+            "0\n",
+            "-1 2\n",
+            "2 2\n",
+            "0 9223372036854775808\n",
+            "# n=3\n0 3\n",
+        ],
+    )
+    def test_other_files_fall_back(self, text):
+        with pytest.raises(ValueError):
+            io_formats._read_plain(text.encode(), None)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(case=_edge_list_files())
+    def test_fast_path_agrees_with_line_loop(self, tmp_path_factory, case):
+        data, n = case
+        f = tmp_path_factory.getbasetemp() / "differential.edgelist"
+        f.write_bytes(data)
+        assert _outcome(io_formats.read_edge_list, f, n) == _outcome(io_formats._read_by_line, f, n)
 
 
 class TestMatrixCsv:

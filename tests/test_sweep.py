@@ -140,9 +140,17 @@ class TestRunSweep:
             reps=1,
         )
         result = run_sweep(config)
-        assert len(result.failures) == 1
-        assert "exceeds" in result.failures[0]["error"]
+        # one entry per method at the invalid point
+        assert [(f["method"], f["stage"]) for f in result.failures] == [("SRSC", "validate"), ("CRSC", "validate")]
+        assert all("exceeds" in f["error"] for f in result.failures)
         assert len(result.rows) == 2  # the valid point still ran
+
+    def test_bad_tau_fails_validation(self):
+        grid = dict(tiny_config().grid, tau=[-1.0])
+        result = run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
+        assert not result.rows
+        assert [(f["method"], f["stage"]) for f in result.failures] == [("SRSC", "validate")]
+        assert "nonnegative" in result.failures[0]["error"]
 
     def test_single_rep_sd_is_zero(self):
         result = run_sweep(tiny_config(reps=1))
@@ -167,19 +175,51 @@ class TestRunSweep:
         result = run_sweep(config)
         assert len(result.rows) == 0
         assert len(result.failures) == 1
+        assert result.failures[0]["stage"] == "corners"
         assert "zero norm" in result.failures[0]["error"]
 
+    def test_isolated_nodes_keep_the_simplex_rows(self):
+        # the same near-empty graphs: SRSC and its twin run, the cone
+        # methods fail at their corner stage
+        config = tiny_config(
+            reps=2,
+            methods=["srsc", "crsc", "srsc-eq", "crsc-eq"],
+            grid={
+                "n": [60],
+                "k": [3],
+                "n0": [12],
+                "rho": [0.01],
+                "tau": ["auto"],
+                "profile": ["uniform"],
+                "block": [{"diag": 1.0, "off": 0.5}],
+            },
+        )
+        result = run_sweep(config)
+        assert [r.method for r in result.rows] == ["SRSC", "SRSC-EQ"]
+        assert abs(result.rows[0].mean_err - result.rows[1].mean_err) <= 1e-10
+        assert [(f["method"], f["stage"]) for f in result.failures] == [("CRSC", "corners"), ("CRSC-EQ", "corners")]
+
     def test_eigensolver_failure_is_reported_not_raised(self, arpack_fails):
+        # a shared stage: every method at the point fails, and says so
         result = run_sweep(tiny_config(reps=1))
         assert len(result.rows) == 0
-        assert len(result.failures) == 1
-        assert "Lanczos" in result.failures[0]["error"]
+        assert [(f["method"], f["stage"]) for f in result.failures] == [("SRSC", "eigensolve"), ("CRSC", "eigensolve")]
+        assert all("Lanczos" in f["error"] for f in result.failures)
 
     def test_svm_solver_failure_is_reported_not_raised(self, nnls_fails):
         result = run_sweep(tiny_config(reps=1))
         assert "CRSC" not in [r.method for r in result.rows]
         assert len(result.failures) == 1
         assert "one-class svm failed to converge" in result.failures[0]["error"]
+
+    def test_svm_failure_keeps_the_other_methods_rows(self, nnls_fails):
+        config = tiny_config(methods=["srsc", "crsc", "srsc-eq"])
+        result = run_sweep(config)
+        assert [r.method for r in result.rows] == ["SRSC", "SRSC-EQ"]
+        assert result.rows == run_sweep(tiny_config(methods=["srsc", "srsc-eq"])).rows
+        (failure,) = result.failures
+        assert (failure["method"], failure["stage"]) == ("CRSC", "corners")
+        assert failure["point"] == config.points()[0]
 
     def test_eight_community_point_runs(self):
         # the community-count experiment reaches K=8; exercise one point
