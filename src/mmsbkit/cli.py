@@ -10,8 +10,9 @@ Data goes to files or standard output; human-readable progress goes to
 standard error (silenced by --quiet). Exit codes: 0 success, 1 usage
 error, 2 data/format error, 3 numerical failure. Identical arguments,
 files, and seeds produce byte-identical outputs. The environment
-variable ``MMSBKIT_THREADS`` caps sweep parallelism (default: logical
-core count).
+variable ``MMSBKIT_THREADS`` caps sweep parallelism (default: the number
+of cores this process may run on); each sweep trial runs on one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="output CSV path")
     sw.add_argument("--seed", type=int, default=None, help="override the config base seed")
     sw.add_argument("--reps", type=int, default=None, help="override the config repetition count")
-    sw.add_argument("--workers", type=int, default=None, help="trial parallelism (default: MMSBKIT_THREADS or cores)")
+    sw.add_argument("--workers", type=int, default=None, help="trial parallelism (default: MMSBKIT_THREADS or usable cores)")
 
     st = sub.add_parser("stats", help="summary statistics of a network")
     st.add_argument("--edges", required=True, help="edge-list file")
@@ -180,6 +181,14 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the logical core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_sweep(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -196,7 +205,7 @@ def _cmd_sweep(args) -> int:
     workers = args.workers
     if workers is None:
         env = os.environ.get("MMSBKIT_THREADS")
-        workers = int(env) if env else os.cpu_count() or 1
+        workers = int(env) if env else _usable_cores()
     if workers < 1:
         raise SystemExit2(f"worker count must be positive, got {workers}")
     result = run_sweep(config, workers=workers)

@@ -6,9 +6,10 @@ whose first non-blank character is ``#`` (leading spaces are fine); a
 ``#`` after an id is an error. The writer emits a ``# n=<count>``
 comment so isolated trailing nodes survive a round trip; the reader
 takes the last such comment unless an explicit node count is passed.
-Ids must fit in int64. Blank lines are skipped and CR LF line endings
-are accepted. Duplicate and reversed pairs collapse to one undirected
-edge; self-loops are rejected. A malformed file is diagnosed by line.
+Ids must fit in int64. The file is UTF-8 text, comments included. Blank
+lines are skipped and CR LF line endings are accepted. Duplicate and
+reversed pairs collapse to one undirected edge; self-loops are
+rejected. A malformed file is diagnosed by line.
 
 The reader parses a file with numpy's C reader when every line outside
 the comments holds only ASCII digits, ``-``, spaces and tabs, and checks
@@ -32,6 +33,8 @@ from .exceptions import DataFormatError
 from .model import Graph, MembershipMatrix
 
 _N_COMMENT = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+#: Where ``surrogateescape`` decoding puts each byte that is not UTF-8.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: Every byte the fast path parses outside comment lines.
 _PLAIN_BYTES = b"0123456789- \t\r\n"
@@ -103,8 +106,11 @@ def _read_by_line(path: Path, n: int | None) -> Graph:
     """Read an edge list one line at a time; every check names its line."""
     pairs: list[tuple[int, int]] = []
     declared = None
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
+            bad = _UNDECODED.search(raw)
+            if bad:
+                raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
             line = raw.strip()
             if not line:
                 continue

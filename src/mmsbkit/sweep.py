@@ -11,15 +11,19 @@ Reproducibility contract: trial ``t`` derives its seed as
 ``base_seed XOR t``. Within a trial the membership stream uses the trial
 seed directly and the edge stream uses ``trial_seed XOR STREAM_SPLIT``
 so the two draws are decoupled. Aggregation order is fixed by trial
-index, so results do not depend on execution order or worker count.
+index, and trials run on one BLAS thread each, so results do not depend
+on execution order, worker count or the BLAS thread setting.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Real
 
 import numpy as np
 
@@ -37,6 +41,16 @@ SWEEP_CSV_HEADER = "n,K,rho,tau,method,mean_err,sd_err,reps"
 
 #: Errors a trial may raise that the sweep records instead of raising.
 _TRIAL_ERRORS = (NumericalError, DataFormatError, ValueError, np.linalg.LinAlgError)
+
+#: OpenBLAS thread-count entry points in the order tried, ``{}`` standing
+#: for ``get`` or ``set``: the scipy-openblas wheels' 64- and 32-bit
+#: integer builds, then a system OpenBLAS of either kind.
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
 
 
 @dataclass(frozen=True)
@@ -225,14 +239,14 @@ class SweepResult:
 
 
 def _resolve_tau(tau_spec, n: int) -> float:
-    if isinstance(tau_spec, str):
-        if tau_spec != "auto":
-            raise DataFormatError(f"tau must be a number or 'auto', got {tau_spec!r}")
+    """The regularizer of a grid entry: a finite real number, or
+    ``"auto"`` for :func:`default_tau`. Anything else is a malformed
+    config and raises :class:`DataFormatError`."""
+    if tau_spec == "auto":
         return default_tau(n)
-    value = float(tau_spec)
-    if value < 0:
-        raise DataFormatError(f"tau must be nonnegative, got {value}")
-    return value
+    if isinstance(tau_spec, bool) or not isinstance(tau_spec, Real) or not math.isfinite(tau_spec):
+        raise DataFormatError(f"tau must be a finite number or 'auto', got {tau_spec!r}")
+    return float(tau_spec)
 
 
 def _validate_point(point: dict) -> str | None:
@@ -243,10 +257,9 @@ def _validate_point(point: dict) -> str | None:
         return f"K*n0 = {k * n0} exceeds n = {n}"
     if point["profile"] == "four-profiles" and k != 3:
         return "four-profiles requires K = 3"
-    try:
-        _resolve_tau(point["tau"], n)
-    except DataFormatError as exc:
-        return str(exc)
+    tau = _resolve_tau(point["tau"], n)
+    if tau < 0:
+        return f"tau must be nonnegative, got {tau}"
     return None
 
 
@@ -276,19 +289,66 @@ def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]
     return errors
 
 
+def _openblas_thread_controls() -> list[tuple]:
+    """The ``(get, set)`` thread-count functions of each OpenBLAS that
+    numpy and ``scipy.linalg`` link, resolved through their extension
+    modules; empty under another BLAS (MKL, Accelerate)."""
+    import ctypes
+    import importlib
+
+    controls = []
+    for module_name in ("numpy._core._multiarray_umath", "scipy.linalg._fblas"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module_name).__file__)
+        except ImportError:  # numpy < 2 has no numpy._core: its BLAS is left as set
+            continue
+        for name in _OPENBLAS_THREAD_SYMBOLS:
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then put
+    back the counts it had, also when the block raises. The count is
+    process-wide, so the threads of a trial pool each get one BLAS
+    thread, and results do not depend on the BLAS thread setting."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     """Execute the sweep and aggregate per-point, per-method error
     statistics (sample standard deviation; 0 when reps == 1).
 
-    ``workers`` > 1 runs trials in a thread pool. Results are keyed and
-    reduced by (point, trial) index, so the outcome is identical for any
-    worker count. A (point, method) pair with a failed trial gets no row
-    and one ``failures`` entry: the point, the method, the stage
+    ``workers`` > 1 runs trials in a thread pool, which supplies all of
+    the parallelism: every trial, serial or pooled, runs with each
+    loaded OpenBLAS set to one thread, and the previous counts come
+    back when the sweep returns or raises. Results are keyed and reduced
+    by (point, trial) index, so on OpenBLAS builds the outcome is
+    byte-identical for any worker count and any BLAS thread setting;
+    under another BLAS the threads are left as they are. A (point,
+    method) pair with a failed trial gets no row and one ``failures``
+    entry: the point, the method, the stage
     (``validate``, ``model``, ``laplacian``, ``eigensolve``, ``corners``
     or ``reconstruct``) and the error of its first failed trial. The
     stages up to the eigensolve are shared, so their failure fails every
     method at the point; a corner or reconstruction failure fails that
-    method only. Remaining pairs still run.
+    method only. Remaining pairs still run. A ``tau`` entry that is
+    neither a finite number nor ``"auto"`` raises
+    :class:`DataFormatError` before any trial runs.
     """
     points = config.points()
     problems = [_validate_point(point) for point in points]
@@ -300,11 +360,12 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
             return _Failure.of(exc)
 
     jobs = [(idx, trial) for idx, problem in enumerate(problems) if problem is None for trial in range(config.reps)]
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(zip(jobs, pool.map(lambda j: run_one(*j), jobs)))
-    else:
-        outcomes = {job: run_one(*job) for job in jobs}
+    with _one_blas_thread():
+        if workers is not None and workers > 1 and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                outcomes = dict(zip(jobs, pool.map(lambda j: run_one(*j), jobs)))
+        else:
+            outcomes = {job: run_one(*job) for job in jobs}
 
     rows: list[SweepRow] = []
     failures: list[dict] = []

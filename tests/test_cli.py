@@ -8,8 +8,25 @@ import numpy as np
 import pytest
 
 import mmsbkit
-from mmsbkit import io_formats
+from mmsbkit import cli, io_formats
 from mmsbkit.cli import run_cli
+from mmsbkit.sweep import SweepResult
+
+#: A one-point sweep that runs in a fraction of a second.
+TINY_SWEEP = {
+    "base_seed": 3,
+    "reps": 2,
+    "methods": ["srsc"],
+    "grid": {
+        "n": [60],
+        "k": [3],
+        "n0": [12],
+        "rho": [0.9],
+        "tau": [0.5],
+        "profile": ["uniform"],
+        "block": [{"diag": 1.0, "off": 0.5}],
+    },
+}
 
 
 def generate_args(out, n=120, n0=24, seed=7):
@@ -288,28 +305,74 @@ class TestSweepCommand:
         assert code == 2
 
     def test_thread_env_var_caps_workers(self, tmp_path, monkeypatch):
-        config = {
-            "base_seed": 3,
-            "reps": 2,
-            "methods": ["srsc"],
-            "grid": {
-                "n": [60],
-                "k": [3],
-                "n0": [12],
-                "rho": [0.9],
-                "tau": [0.5],
-                "profile": ["uniform"],
-                "block": [{"diag": 1.0, "off": 0.5}],
-            },
-        }
         cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(json.dumps(TINY_SWEEP))
         serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
         monkeypatch.setenv("MMSBKIT_THREADS", "1")
         assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(serial)]) == 0
         monkeypatch.setenv("MMSBKIT_THREADS", "4")
         assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(threaded)]) == 0
         assert serial.read_bytes() == threaded.read_bytes()
+
+    def test_csv_byte_identical_across_blas_threads_and_workers(self, tmp_path):
+        # about the smallest grid whose -EQ rows change in their last
+        # digits with the BLAS thread count when trials are not pinned
+        # to one BLAS thread
+        config = {
+            "base_seed": 7,
+            "reps": 2,
+            "methods": ["srsc-eq", "crsc-eq"],
+            "grid": {
+                "n": [430],
+                "k": [3],
+                "n0": [86],
+                "rho": [1.0],
+                "tau": ["auto"],
+                "profile": ["four-profiles"],
+                "block": [{"diag": 1.0, "off": 0.5}],
+            },
+        }
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        src = str(Path(mmsbkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            for workers in ("1", "2"):
+                out = tmp_path / f"blas{threads}-workers{workers}.csv"
+                argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]
+                subprocess.run([sys.executable, "-m", "mmsbkit.cli", "--quiet"] + argv, env=env, check=True)
+                outputs.add(out.read_bytes())
+        assert len(outputs) == 1
+
+    def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(TINY_SWEEP))
+        argv = ["--quiet", "sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda config, workers: seen.append(workers) or SweepResult(rows=()))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.delenv("MMSBKIT_THREADS", raising=False)
+        assert run_cli(argv) == 0
+        assert run_cli(argv + ["--workers", "5"]) == 0
+        monkeypatch.setenv("MMSBKIT_THREADS", "3")
+        assert run_cli(argv) == 0
+        monkeypatch.delenv("MMSBKIT_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert run_cli(argv) == 0
+        assert seen == [1, 5, 3, 8]
+
+    @pytest.mark.parametrize("tau", [[[1]], None, "fast", float("nan"), True])
+    def test_tau_that_is_not_a_number_is_data_error(self, tmp_path, capsys, tau):
+        config = dict(TINY_SWEEP, grid=dict(TINY_SWEEP["grid"], tau=[tau]))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "tau must be a finite number or 'auto'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -336,6 +399,16 @@ class TestExitCodes:
             argv += ["--k", "2", "--method", "srsc", "--out", str(tmp_path / "run")]
         assert run_cli(argv) == 2
         assert f"{f}:2: node id does not fit in int64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "stats"])
+    def test_non_utf8_edge_list_is_data_error(self, tmp_path, capsys, command):
+        f = tmp_path / "latin1.edgelist"
+        f.write_bytes(b"0 1\n# caf\xe9\n")
+        argv = ["--quiet", command, "--edges", str(f)]
+        if command == "cluster":
+            argv += ["--k", "2", "--method", "srsc", "--out", str(tmp_path / "run")]
+        assert run_cli(argv) == 2
+        assert f"{f}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
     def test_isolated_node_with_tau_zero_is_numerical_error(self, tmp_path):
         f = tmp_path / "g.edgelist"

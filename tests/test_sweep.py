@@ -10,6 +10,7 @@ from mmsbkit import (
     negative_eig_block,
     run_sweep,
 )
+from mmsbkit import sweep as sweep_module
 from mmsbkit.sweep import SWEEP_CSV_HEADER, block_from_spec
 
 
@@ -257,3 +258,63 @@ class TestRunSweep:
         )
         result = run_sweep(config)
         assert [r.rho for r in result.rows] == [0.4, 0.9]
+
+
+class TestNonNumberTau:
+    @pytest.mark.parametrize("tau", [[[1]], None, "fast", float("nan"), True])
+    def test_is_a_config_error(self, tau):
+        grid = dict(tiny_config().grid, tau=[tau])
+        with pytest.raises(DataFormatError, match="tau must be a finite number or 'auto'"):
+            run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count functions, each set to 2 threads for the
+    test and put back after it."""
+    controls = sweep_module._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy link no OpenBLAS")
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    yield [get for get, _ in controls]
+    for (_, put), count in zip(controls, saved):
+        put(count)
+
+
+class TestOneBlasThreadPerTrial:
+    def _record_counts(self, monkeypatch, getters, fail=False):
+        seen = []
+        run_trial = sweep_module._run_trial
+
+        def spy(*args):
+            seen.append([get() for get in getters])
+            if fail:
+                raise RuntimeError("a trial error the sweep does not catch")
+            return run_trial(*args)
+
+        monkeypatch.setattr(sweep_module, "_run_trial", spy)
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_run_on_one_thread_and_the_count_comes_back(self, monkeypatch, blas_threads, workers):
+        seen = self._record_counts(monkeypatch, blas_threads)
+        run_sweep(tiny_config(), workers=workers)
+        assert seen == [[1] * len(blas_threads)] * 2
+        assert [get() for get in blas_threads] == [2] * len(blas_threads)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_count_comes_back_when_a_trial_raises(self, monkeypatch, blas_threads, workers):
+        self._record_counts(monkeypatch, blas_threads, fail=True)
+        with pytest.raises(RuntimeError, match="does not catch"):
+            run_sweep(tiny_config(), workers=workers)
+        assert [get() for get in blas_threads] == [2] * len(blas_threads)
+
+    def test_without_the_entry_points_the_sweep_runs_as_before(self, monkeypatch, blas_threads):
+        pinned = run_sweep(tiny_config(), workers=2)
+        monkeypatch.setattr(sweep_module, "_OPENBLAS_THREAD_SYMBOLS", ("no_such_blas_{}_num_threads",))
+        assert sweep_module._openblas_thread_controls() == []
+        seen = self._record_counts(monkeypatch, blas_threads)
+        assert run_sweep(tiny_config(), workers=2).rows == pinned.rows
+        assert seen == [[2] * len(blas_threads)] * 2
