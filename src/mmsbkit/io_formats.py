@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import io
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -106,33 +107,26 @@ def _read_by_line(path: Path, n: int | None) -> Graph:
     """Read an edge list one line at a time; every check names its line."""
     pairs: list[tuple[int, int]] = []
     declared = None
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            bad = _UNDECODED.search(raw)
-            if bad:
-                raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                match = _N_COMMENT.match(line)
-                if match:
-                    declared = int(match.group(1))
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected two node ids, got {line!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
-            if i < 0 or j < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative node id in {line!r}")
-            if max(i, j) > _INT64_MAX:
-                raise DataFormatError(f"{path}:{lineno}: node id does not fit in int64 in {line!r}")
-            if i == j:
-                raise DataFormatError(f"{path}:{lineno}: self-loop on node {i}")
-            pairs.append((i, j))
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            match = _N_COMMENT.match(line)
+            if match:
+                declared = int(match.group(1))
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataFormatError(f"{path}:{lineno}: expected two node ids, got {line!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
+        if i < 0 or j < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative node id in {line!r}")
+        if max(i, j) > _INT64_MAX:
+            raise DataFormatError(f"{path}:{lineno}: node id does not fit in int64 in {line!r}")
+        if i == j:
+            raise DataFormatError(f"{path}:{lineno}: self-loop on node {i}")
+        pairs.append((i, j))
     if n is None:
         n = declared
     if n is None:
@@ -143,6 +137,19 @@ def _read_by_line(path: Path, n: int | None) -> Graph:
         if i >= n or j >= n:
             raise DataFormatError(f"{path}: edge ({i}, {j}) exceeds node count {n}")
     return Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """Number and stripped text of each nonblank line of a UTF-8 file. A
+    byte that is not UTF-8 raises :class:`DataFormatError` naming its line."""
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            bad = _UNDECODED.search(raw)
+            if bad:
+                raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
+            line = raw.strip()
+            if line:
+                yield lineno, line
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
@@ -156,27 +163,24 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Read a numeric CSV into a float matrix; an empty file gives a 0x0
-    array. Ragged or non-numeric rows raise :class:`DataFormatError`."""
+    """Read a UTF-8 numeric CSV into a float matrix; an empty file gives a
+    0x0 array. Ragged or non-numeric rows and bytes that are not UTF-8
+    raise :class:`DataFormatError` naming the line."""
     path = Path(path)
     rows: list[list[float]] = []
     width = None
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
-                )
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric cell in {line!r}") from exc
+    for lineno, line in _text_lines(path):
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataFormatError(
+                f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
+            )
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric cell in {line!r}") from exc
     if not rows:
         return np.empty((0, 0))
     return np.array(rows, dtype=np.float64)

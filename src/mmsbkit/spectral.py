@@ -163,15 +163,15 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     """The K eigenpairs of largest |eigenvalue|.
 
     A CSR Laplacian is solved by ARPACK's implicitly restarted Lanczos
-    method for K+1 pairs, so that a magnitude tie at the cut is seen; a
-    dense or all-zero Laplacian, or K+1 >= n (ARPACK needs fewer pairs
-    than rows), takes a full LAPACK eigendecomposition. Lanczos from one
-    start vector sees one vector per eigenspace, so it can report a
-    repeated eigenvalue once (with ``tau = 0`` every connected component
-    has eigenvalue 1). The found pairs are therefore deflated and a second
-    Lanczos run measures the largest |eigenvalue| left; if that reaches
-    the weakest selected one, or the run fails, the dense decomposition
-    is used instead.
+    method for the K pairs; a dense or all-zero Laplacian, or K+1 >= n
+    (where the Krylov space would be the whole space), takes a full
+    LAPACK eigendecomposition. The found pairs are deflated and a second
+    Lanczos run measures the largest |eigenvalue| left, which certifies
+    the cut. It sees an eigenvalue whose magnitude meets the K-th (such
+    as -lambda beside +lambda), and a repeated eigenvalue that Lanczos
+    from one start vector reported once (with ``tau = 0`` every connected
+    component has eigenvalue 1). If what is left reaches the K-th
+    magnitude, or the run fails, the dense decomposition is used instead.
 
     Magnitudes within 1e-12 of each other count as tied, because the
     solvers return an exact tie such as ``+-lambda`` only to rounding.
@@ -207,13 +207,15 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
 
 
 def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """K+1 eigenpairs of largest magnitude by Lanczos, or ``None`` when
-    they cannot be certified to contain the leading K.
+    """The K eigenpairs of largest magnitude by Lanczos, or ``None`` when
+    they cannot be certified to be the leading K.
 
     The found pairs are deflated and a second Lanczos run measures the
-    largest |eigenvalue| left. ``None`` means that it reaches the weakest
-    selected magnitude (an eigenvalue seen once that is repeated), or that
-    the run fails, which happens when the deflated operator vanishes.
+    largest |eigenvalue| left, to ``DEFLATION_TOL`` relative: the one
+    certificate of the cut. ``None`` means that it reaches the K-th
+    magnitude (a tie at the cut, or an eigenvalue seen once that is
+    repeated), or that the run fails, which happens when the deflated
+    operator vanishes.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -223,7 +225,7 @@ def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] |
     # is not orthogonal to the antisymmetric eigenvectors of a
     # mirror-symmetric graph such as a path.
     rng = np.random.default_rng(LANCZOS_SEED)
-    vals, vecs = eigsh(op, k=K + 1, which="LM", v0=rng.uniform(-1.0, 1.0, n), rng=rng)
+    vals, vecs = eigsh(op, k=K, which="LM", v0=rng.uniform(-1.0, 1.0, n), rng=rng)
     rest = LinearOperator(
         (n, n),
         matvec=lambda x: op @ x.ravel() - vecs @ (vals * (vecs.T @ x.ravel())),
@@ -237,8 +239,7 @@ def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] |
     except ArpackError:
         return None
     # the Ritz value is within DEFLATION_TOL (relative) of an eigenvalue
-    weakest = abs(vals[_leading_positions(vals, K)[-1]])
-    if abs(left[0]) * (1.0 + DEFLATION_TOL) >= weakest - TIE_TOL:
+    if abs(left[0]) * (1.0 + DEFLATION_TOL) >= np.abs(vals).min() - TIE_TOL:
         return None
     return vals, vecs
 

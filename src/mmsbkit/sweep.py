@@ -244,13 +244,30 @@ def _resolve_tau(tau_spec, n: int) -> float:
     config and raises :class:`DataFormatError`."""
     if tau_spec == "auto":
         return default_tau(n)
-    if isinstance(tau_spec, bool) or not isinstance(tau_spec, Real) or not math.isfinite(tau_spec):
+    if not _finite_number(tau_spec):
         raise DataFormatError(f"tau must be a finite number or 'auto', got {tau_spec!r}")
     return float(tau_spec)
 
 
+def _finite_number(value) -> bool:
+    """Whether a config value is a finite real number other than a ``bool``."""
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+
+
+def _grid_number(point: dict, key: str, whole: bool = False) -> float:
+    """A numeric grid entry: a finite number, a whole one when ``whole``
+    is set. Anything else is a malformed config and raises
+    :class:`DataFormatError`."""
+    value = point[key]
+    if not _finite_number(value) or (whole and value != int(value)):
+        kind = "an integer" if whole else "a finite number"
+        raise DataFormatError(f"{key} must be {kind}, got {value!r}")
+    return value
+
+
 def _validate_point(point: dict) -> str | None:
-    n, k, n0 = int(point["n"]), int(point["k"]), int(point["n0"])
+    n, k, n0 = (int(_grid_number(point, key, whole=True)) for key in ("n", "k", "n0"))
+    _grid_number(point, "rho")
     if k < 1 or n < 2 or n0 < 0:
         return f"invalid sizes n={n}, K={k}, n0={n0}"
     if k * n0 > n:
@@ -346,9 +363,10 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     or ``reconstruct``) and the error of its first failed trial. The
     stages up to the eigensolve are shared, so their failure fails every
     method at the point; a corner or reconstruction failure fails that
-    method only. Remaining pairs still run. A ``tau`` entry that is
-    neither a finite number nor ``"auto"`` raises
-    :class:`DataFormatError` before any trial runs.
+    method only. Remaining pairs still run. An ``n``, ``k`` or ``n0``
+    entry that is not an integer, a ``rho`` entry that is not a finite
+    number, and a ``tau`` entry that is neither a finite number nor
+    ``"auto"`` raise :class:`DataFormatError` before any trial runs.
     """
     points = config.points()
     problems = [_validate_point(point) for point in points]

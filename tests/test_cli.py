@@ -374,6 +374,17 @@ class TestSweepCommand:
         assert "tau must be a finite number or 'auto'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["n", "k", "n0", "rho"])
+    @pytest.mark.parametrize("value", [None, "abc", [60], True])
+    def test_size_or_rho_that_is_not_a_number_is_data_error(self, tmp_path, capsys, key, value):
+        config = dict(TINY_SWEEP, grid=dict(TINY_SWEEP["grid"], **{key: [value]}))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o.csv"
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
@@ -409,6 +420,15 @@ class TestExitCodes:
             argv += ["--k", "2", "--method", "srsc", "--out", str(tmp_path / "run")]
         assert run_cli(argv) == 2
         assert f"{f}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_membership_csv_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("1,0\n0,1\n")
+        estimate = tmp_path / "est.csv"
+        estimate.write_bytes(b"1,0\n0,1\xe9\n")
+        argv = ["--quiet", "evaluate", "--estimate", str(estimate), "--truth", str(truth)]
+        assert run_cli(argv) == 2
+        assert f"{estimate}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
     def test_isolated_node_with_tau_zero_is_numerical_error(self, tmp_path):
         f = tmp_path / "g.edgelist"

@@ -262,11 +262,56 @@ class TestSparseSolverMatchesDense:
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_even_cycle_tie_prefers_positive(self, n):
-        # eigenvalues +-0.8 tie in magnitude; only K+1 pairs reveal both
+        # eigenvalues +-0.8 tie in magnitude; Lanczos for one pair finds one
+        # of them and the deflation run sees the other
         ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
         lap = regularized_laplacian(Graph.from_edges(n, ring), 0.5)
         basis = leading_eigenpairs(lap, 1)
         assert basis.eigenvalues[0] == pytest.approx(0.8, abs=1e-12)
+
+    @pytest.mark.parametrize("K", [2, 4])
+    def test_exact_tie_at_cut_prefers_positive(self, K):
+        # a 10-clique puts 9/9.5 on top; a 20-node path is bipartite, so
+        # its simple eigenvalues come in exact +-mu pairs, and the pair
+        # K-1 of them meets at the cut
+        clique = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+        path = [(i, i + 1) for i in range(10, 29)]
+        lap = regularized_laplacian(Graph.from_edges(30, np.array(clique + path)), 0.5)
+        assert_matches_dense(lap, K)
+        basis = leading_eigenpairs(lap, K)
+        mu = basis.eigenvalues[-1]
+        assert mu > 0
+        assert np.abs(np.linalg.eigvalsh(lap.matrix) + mu).min() <= 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_tie_at_cut_matches_dense(self, sign):
+        # the 3rd and 4th magnitudes are 1e-5 apart relative: a tie the
+        # deflation run cannot resolve (DEFLATION_TOL) but the ranking
+        # still sees (TIE_TOL); either sign of the pair may lead
+        rng = np.random.default_rng(7)
+        n = 80
+        values = np.concatenate([[0.9, -0.7, 0.5, -0.5 * (1.0 - sign * 1e-5)], rng.uniform(-0.3, 0.3, n - 4)])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * values) @ q.T
+        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(n), matrix=sp.csr_matrix((m + m.T) / 2.0))
+        assert_matches_dense(lap, 3)
+        expected = 0.5 if sign > 0 else -0.5 * (1.0 + 1e-5)
+        assert leading_eigenpairs(lap, 3).eigenvalues[-1] == pytest.approx(expected, abs=1e-12)
+
+    def test_separated_graph_stays_on_lanczos(self, monkeypatch):
+        # the cluster-dense recipe at n=600: a clear gap after the 3rd
+        # magnitude, so the deflation run certifies the cut and the dense
+        # fallback is never reached
+        _, _, omega = three_block_setup(n=600, n0=120, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=5)
+        lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
+
+        def eigh(*args, **kwargs):
+            raise AssertionError("dense eigh reached")
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        basis = leading_eigenpairs(lap, 3)
+        residual = np.linalg.norm(lap.operator @ basis.vectors - basis.vectors * basis.eigenvalues, axis=0)
+        assert residual.max() <= 1e-8
 
     def test_arpack_failure_is_numerical_error(self, small_graph, arpack_fails):
         lap = regularized_laplacian(small_graph, 1.0)

@@ -268,6 +268,33 @@ class TestNonNumberTau:
             run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
 
 
+class TestNonNumberSizesAndRho:
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        def run_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sweep_module, "_run_trial", run_trial)
+
+    @pytest.mark.parametrize("key", ["n", "k", "n0", "rho"])
+    @pytest.mark.parametrize("value", [None, "abc", [90], True, float("inf")])
+    def test_is_a_config_error(self, no_trials, key, value):
+        grid = dict(tiny_config().grid, **{key: [value]})
+        with pytest.raises(DataFormatError, match=f"{key} must be"):
+            run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
+
+    def test_fractional_size_is_a_config_error(self, no_trials):
+        grid = dict(tiny_config().grid, n=[90.5])
+        with pytest.raises(DataFormatError, match="n must be an integer, got 90.5"):
+            run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
+
+    def test_whole_float_size_runs_as_the_integer(self):
+        grid = dict(tiny_config().grid, n=[90.0], k=[3.0], n0=[18.0])
+        floats = run_sweep(tiny_config(reps=1, grid=grid))
+        ints = run_sweep(tiny_config(reps=1))
+        assert floats.to_csv() == ints.to_csv()
+
+
 @pytest.fixture
 def blas_threads():
     """The OpenBLAS thread-count functions, each set to 2 threads for the
