@@ -40,7 +40,7 @@ from .model import (
     planted_memberships,
     sample_adjacency,
 )
-from .recovery import run_methods
+from .recovery import EMPIRICAL_METHODS, run_methods
 from .sweep import SweepConfig, diag_off_block, run_sweep
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ EXIT_NUMERICAL = 3
 
 #: ``cluster --method`` names; each is the lower-case form of the
 #: recovery method tag.
-_CLUSTER_METHODS = ("crsc", "crsc-eq", "srsc", "srsc-eq")
+_CLUSTER_METHODS = tuple(sorted(m.lower() for m in EMPIRICAL_METHODS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,6 +255,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -264,9 +267,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def main() -> None:

@@ -6,7 +6,7 @@ combination of K vertex rows and successive projection (greedy max-norm
 selection with orthogonal deflation) recovers them. In the cone case
 every row is a nonnegative scaled combination of K generator rows lying
 on a supporting hyperplane; a one-class SVM finds that hyperplane and
-k-means groups the rows sitting on it.
+``scipy.cluster.vq.kmeans`` groups the rows sitting on it.
 
 The one-class SVM ``max b s.t. w.S(i,:) >= b, ||w|| <= 1`` is solved
 through its dual, the minimum-norm point ``p`` of the convex hull of the
@@ -33,7 +33,6 @@ MARGIN_STEP = 0.05
 MARGIN_MAX_STEPS = 40
 
 KMEANS_RESTARTS = 10
-KMEANS_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -194,66 +193,22 @@ def cone_closed_form(corner_rows: np.ndarray) -> SvmSolution:
     return SvmSolution(w=w, b=b, weights=y / total, support=tuple(range(k)))
 
 
-def _kmeans_once(x: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-    """One seeded k-means++ run with Lloyd iterations. Clusters may come
-    out empty (fewer than k distinct values, or a center starved during
-    Lloyd); callers decide how to treat that."""
-    n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    d2 = ((x - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # every point coincides with a chosen center; duplicate one
-            centers[j] = x[int(rng.integers(n))]
-            continue
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-        idx = min(idx, n - 1)
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
-
-    labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(KMEANS_ITERS):
-        dists = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dists.argmin(axis=1)
-        for j in range(k):
-            members = new_labels == j
-            if members.any():
-                centers[j] = x[members].mean(axis=0)
-        if (new_labels == labels).all():
-            break
-        labels = new_labels
-    inertia = float(((x - centers[labels]) ** 2).sum())
-    return labels, centers, inertia
-
-
-def _kmeans(x: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best of KMEANS_RESTARTS seeded runs. Restarts that fill all k
-    clusters beat ones that do not; ties rank by (inertia, restart)."""
-    best = None
-    for restart in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, restart))
-        labels, centers, inertia = _kmeans_once(x, k, rng)
-        starved = int((np.bincount(labels, minlength=k) == 0).sum())
-        key = (starved, inertia, restart)
-        if best is None or key < best[0]:
-            best = (key, labels, centers)
-    return best[1], best[2], best[0][1]
-
-
 def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     """Pick K generator rows of a cone-shaped unit-row matrix.
 
     Runs the one-class SVM to locate the supporting hyperplane, then
     grows a margin ``gamma`` from 0 in steps of ``MARGIN_STEP * b`` until
     the rows within ``b + gamma`` of the hyperplane split into K
-    non-empty k-means clusters; the row nearest each cluster center is
-    returned. Raises :class:`NumericalError` when the margin schedule is
-    exhausted without finding K clusters.
+    non-empty clusters; the row nearest each cluster center is returned.
+    ``scipy.cluster.vq.kmeans`` keeps the best of ``KMEANS_RESTARTS``
+    runs started from rows drawn with ``seed``, and ``vq`` assigns the
+    rows; a codebook short of K centers or an empty cluster moves on to
+    the next margin step. Raises :class:`NumericalError` when the margin
+    schedule is exhausted without finding K clusters.
     """
+    # ~0.03 s once scipy.optimize is loaded; only the cone methods need it
+    from scipy.cluster.vq import kmeans, vq
+
     s = _check_unit_rows(s)
     n = s.shape[0]
     if not 1 <= K <= n:
@@ -268,14 +223,18 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
         candidates = np.nonzero(margins <= solution.b + gamma + slack)[0]
         if candidates.size < K:
             continue
-        labels, centers, _ = _kmeans(s[candidates], K, seed)
-        sizes = np.bincount(labels, minlength=K)
-        if (sizes == 0).any():
+        points = s[candidates]
+        rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+        centers, _ = kmeans(points, K, iter=KMEANS_RESTARTS, rng=rng)
+        if centers.shape[0] < K:
+            continue
+        labels, _ = vq(points, centers)
+        if (np.bincount(labels, minlength=K) == 0).any():
             continue
         picks = []
         for j in range(K):
             members = np.nonzero(labels == j)[0]
-            offsets = ((s[candidates[members]] - centers[j]) ** 2).sum(axis=1)
+            offsets = ((points[members] - centers[j]) ** 2).sum(axis=1)
             picks.append(int(candidates[members[int(offsets.argmin())]]))
         if len(set(picks)) == K:
             return CornerSet(indices=tuple(picks), method="svm-cone")

@@ -2,7 +2,8 @@
 
 The CLI maps these onto process exit codes: usage problems (plain
 ``ValueError``) exit 1, :class:`DataFormatError` exits 2, and
-:class:`NumericalError` exits 3.
+:class:`NumericalError` and ``numpy.linalg.LinAlgError`` (a
+``ValueError`` subclass) exit 3.
 """
 
 

@@ -35,6 +35,7 @@ from .corners import CornerSet, sp_select, svm_cone_select
 from .exceptions import MmsbkitError, NumericalError
 from .model import Graph, MembershipMatrix, PopulationMatrix, check_population_rank
 from .spectral import (
+    ZERO_ROW_TOL,
     RegularizedLaplacian,
     SpectralBasis,
     default_tau,
@@ -43,11 +44,11 @@ from .spectral import (
     regularized_laplacian,
 )
 
+#: Tags of the four pipelines that run on a sampled graph.
+EMPIRICAL_METHODS = ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ")
+
 METHODS = (
-    "SRSC",
-    "CRSC",
-    "SRSC-EQ",
-    "CRSC-EQ",
+    *EMPIRICAL_METHODS,
     "IDEAL-SRSC",
     "IDEAL-CRSC",
     # oracle runs of the equivalence routes, used for cross-checking
@@ -63,9 +64,11 @@ class RecoveryResult:
     """Output of one pipeline run.
 
     ``clipped_rows`` counts rows that contained negative entries before
-    the max(0, .) step; ``fallback_rows`` counts rows that clipped to all
-    zeros and were replaced by the uniform vector 1/K. ``z`` is the
-    reconstruction matrix right before row normalization.
+    the max(0, .) step; ``fallback_rows`` counts rows replaced by the
+    uniform vector 1/K: rows that clipped to all zeros, and rows of nodes
+    whose eigenvector row is numerically zero (norm at most
+    ``spectral.ZERO_ROW_TOL``). ``z`` is the reconstruction matrix right
+    before row normalization.
     """
 
     pi_hat: MembershipMatrix
@@ -160,9 +163,12 @@ def recover_from_basis(
     ``SRSC``, ``CRSC``, ``SRSC-EQ``, ``CRSC-EQ``: a geometry (simplex:
     ``sqrt(dtau)``-scaled rows and successive projection; cone: unit rows,
     the SVM cone selection and a rescale) run on the rows of ``V``, or of
-    ``V @ V.T`` for the ``-EQ`` twins.
+    ``V @ V.T`` for the ``-EQ`` twins. A node whose row of ``V`` has norm
+    at most ``ZERO_ROW_TOL`` (isolated, or off the giant component, where
+    the row is rounding noise) gets a zero reconstruction row, hence the
+    uniform fallback.
     """
-    if method not in ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"):
+    if method not in EMPIRICAL_METHODS:
         raise ValueError(f"unknown method {method!r}")
     v = basis.vectors
     rows = v @ v.T if method.endswith("-EQ") else v
@@ -180,6 +186,7 @@ def recover_from_basis(
         z = _solve_right_inverse(rows, points[idx])
         if not simplex:
             z = z * (factors[idx] / root_d[idx])[None, :]
+        z[np.linalg.norm(v, axis=1) <= ZERO_ROW_TOL] = 0.0
         pi_hat, z_final, clipped, fallback = _memberships_from_z(z, clip)
     tag = method if clip else f"IDEAL-{method}"
     return RecoveryResult(

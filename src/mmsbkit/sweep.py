@@ -30,7 +30,7 @@ import numpy as np
 from .evaluation import mixed_hamming_error
 from .exceptions import DataFormatError, NumericalError
 from .model import BlockModel, build_population_matrix, planted_memberships, sample_adjacency
-from .recovery import recover_from_basis, stage
+from .recovery import EMPIRICAL_METHODS, recover_from_basis, stage
 from .spectral import default_tau, leading_eigenpairs, regularized_laplacian
 
 #: 64-bit odd constant separating the edge-sampling stream from the
@@ -40,7 +40,7 @@ STREAM_SPLIT = 0x9E3779B97F4A7C15
 SWEEP_CSV_HEADER = "n,K,rho,tau,method,mean_err,sd_err,reps"
 
 #: Errors a trial may raise that the sweep records instead of raising.
-_TRIAL_ERRORS = (NumericalError, DataFormatError, ValueError, np.linalg.LinAlgError)
+_TRIAL_ERRORS = (NumericalError, DataFormatError, ValueError)  # LinAlgError is a ValueError
 
 #: OpenBLAS thread-count entry points in the order tried, ``{}`` standing
 #: for ``get`` or ``set``: the scipy-openblas wheels' 64- and 32-bit
@@ -65,12 +65,7 @@ class _Failure:
     def of(cls, exc: Exception) -> "_Failure":
         return cls(getattr(exc, "stage", None), str(exc))
 
-_METHOD_ALIASES = {
-    "srsc": "SRSC",
-    "crsc": "CRSC",
-    "srsc-eq": "SRSC-EQ",
-    "crsc-eq": "CRSC-EQ",
-}
+_METHOD_ALIASES = {m.lower(): m for m in EMPIRICAL_METHODS}
 
 _GRID_KEYS = ("n", "k", "n0", "rho", "tau", "profile", "block")
 
@@ -170,14 +165,15 @@ class SweepConfig:
         if extra:
             raise DataFormatError(f"unknown config keys: {sorted(extra)}")
         try:
-            return cls(
-                base_seed=int(payload["base_seed"]),
-                reps=int(payload["reps"]),
-                methods=tuple(payload["methods"]),
-                grid=dict(payload["grid"]),
-            )
+            base_seed, reps = (int(_grid_number(payload, key, whole=True)) for key in ("base_seed", "reps"))
+            methods, grid = payload["methods"], payload["grid"]
         except KeyError as exc:
             raise DataFormatError(f"missing config key: {exc.args[0]!r}") from exc
+        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+            raise DataFormatError(f"methods must be a list of strings, got {methods!r}")
+        if not isinstance(grid, dict):
+            raise DataFormatError(f"grid must be an object, got {grid!r}")
+        return cls(base_seed=base_seed, reps=reps, methods=tuple(methods), grid=dict(grid))
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -255,9 +251,9 @@ def _finite_number(value) -> bool:
 
 
 def _grid_number(point: dict, key: str, whole: bool = False) -> float:
-    """A numeric grid entry: a finite number, a whole one when ``whole``
-    is set. Anything else is a malformed config and raises
-    :class:`DataFormatError`."""
+    """A numeric entry of a grid point or of the config itself: a finite
+    number, a whole one when ``whole`` is set. Anything else is a
+    malformed config and raises :class:`DataFormatError`."""
     value = point[key]
     if not _finite_number(value) or (whole and value != int(value)):
         kind = "an integer" if whole else "a finite number"

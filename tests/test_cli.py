@@ -84,7 +84,7 @@ class TestGenerate:
             "import sys, mmsbkit\n"
             "from mmsbkit.cli import run_cli\n"
             f"assert run_cli({argv!r}) == 0\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))\n"
+            "print(sorted(m for m in ('scipy.cluster', 'scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
@@ -385,6 +385,26 @@ class TestSweepCommand:
         assert f"{key} must be" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("reps", None),
+            ("reps", 2.7),
+            ("reps", True),
+            ("base_seed", "x"),
+            ("methods", 5),
+            ("methods", ["srsc", 5]),
+            ("grid", [1]),
+        ],
+    )
+    def test_top_level_value_of_the_wrong_kind_is_data_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(dict(TINY_SWEEP, **{key: value})))
+        out = tmp_path / "o.csv"
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
@@ -490,6 +510,26 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+    def test_linalg_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError is a ValueError, so it must not be taken for a usage error
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        run_cli(["--quiet"] + generate_args(tmp_path / "net", n=100, n0=25))
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        code = run_cli(
+            [
+                "--quiet",
+                "cluster",
+                "--edges", str(tmp_path / "net.edgelist"),
+                "--k", "3",
+                "--method", "srsc",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
     def test_k_larger_than_n_is_usage_error(self, tmp_path):
         f = tmp_path / "g.edgelist"

@@ -21,8 +21,10 @@ from mmsbkit import (
     srsc,
     srsc_equivalence,
 )
+from mmsbkit import spectral
 from mmsbkit.recovery import _memberships_from_z, _solve_right_inverse
 from mmsbkit.spectral import SpectralBasis
+from mmsbkit.sweep import STREAM_SPLIT, diag_off_block
 from conftest import three_block_setup
 
 
@@ -290,3 +292,22 @@ class TestReconstructionHelpers:
         g = Graph.from_edges(7, pairs)  # node 6 is isolated
         with pytest.raises(NumericalError, match="zero norm"):
             crsc(g, 2, tau=0.5)
+
+    @pytest.mark.parametrize("method", ["SRSC", "SRSC-EQ"])
+    def test_near_zero_eigenvector_rows_fall_back_to_uniform(self, monkeypatch, method):
+        # sweep recipe at rho=0.01 (trial seed 9): nodes off the giant
+        # component have eigenvector rows of rounding size, which change
+        # with the Lanczos start vector; they carry no membership
+        pi = planted_memberships(500, 3, 100, "four-profiles", seed=9)
+        omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.01))
+        lap = regularized_laplacian(sample_adjacency(omega, 9 ^ STREAM_SPLIT), default_tau(500))
+        results = []
+        for seed in (0, 1):
+            monkeypatch.setattr(spectral, "LANCZOS_SEED", seed)
+            basis = leading_eigenpairs(lap, 3)
+            result = recover_from_basis(basis, lap, method)
+            zero = np.linalg.norm(basis.vectors, axis=1) <= spectral.ZERO_ROW_TOL
+            assert 0 < zero.sum() <= result.fallback_rows
+            np.testing.assert_array_equal(result.pi_hat.weights[zero], 1.0 / 3)
+            results.append(result.pi_hat.weights)
+        np.testing.assert_allclose(results[0], results[1], rtol=0, atol=1e-10)
