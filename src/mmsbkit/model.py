@@ -10,7 +10,9 @@ probabilities between communities. The expected adjacency is
 so generating a graph needs O(nK) memory rather than an n x n array.
 Observed graphs draw each upper-triangular entry independently as
 Bernoulli(Omega[i, j]): one uniform per pair i < j, in row-major order,
-drawn in blocks of rows.
+drawn in blocks of rows. A block first compares its uniforms with a bound
+on all of its rates, and computes ``Omega[i, j]`` only at the pairs whose
+uniform falls below that bound.
 
 All containers are frozen dataclasses over read-only numpy arrays, so
 instances can be shared freely across threads.
@@ -33,6 +35,10 @@ PURITY_TOL = 1e-12
 #: Most entries of ``Omega`` computed at once: per block of rows in
 #: :func:`sample_adjacency`, and when a factored ``Omega`` is densified.
 SAMPLE_BLOCK = 1 << 20
+
+#: Share of a sampler block's pairs above which the block computes all of
+#: its rates at once instead of gathering them at its candidate pairs.
+GATHER_SHARE = 0.25
 
 #: Mixed-row layouts understood by :func:`planted_memberships`.
 PROFILES = ("four-profiles", "uniform", "random-half")
@@ -151,9 +157,9 @@ class PopulationMatrix:
     ``PopulationMatrix(pi=..., b=...)`` is the factored form that
     :func:`build_population_matrix` returns: it keeps only the memberships
     ``pi`` and ``b = Pi @ P`` (n x K each), and :meth:`entries` computes
-    blocks of ``Omega`` from them. ``matrix`` is always a dense read-only
-    (n, n) array; a factored ``Omega`` builds it on first access, from the
-    same kernel as :meth:`entries`, and keeps it.
+    blocks or single entries of ``Omega`` from them. ``matrix`` is always a
+    dense read-only (n, n) array; a factored ``Omega`` builds it on first
+    access, from the same kernel as :meth:`entries`, and keeps it.
     """
 
     pi: np.ndarray | None  # (n, K) memberships of a factored Omega, else None
@@ -205,39 +211,66 @@ class PopulationMatrix:
             m = np.empty((n, n))
             step = max(1, SAMPLE_BLOCK // n)
             for r0 in range(0, n, step):
-                m[r0:r0 + step] = _factored_entries(self.pi, self.b, slice(r0, r0 + step), slice(None))
+                m[r0:r0 + step] = self.entries(slice(r0, r0 + step), slice(None))
             m.setflags(write=False)
             object.__setattr__(self, "_matrix", m)
         return self._matrix
 
-    def entries(self, rows: slice, cols: slice) -> np.ndarray:
-        """The block ``Omega[rows, cols]``: a view of a dense ``Omega``,
-        computed from the factors of a factored one."""
+    def entries(self, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+        """``Omega[rows, cols]`` as numpy indexes it: two slices give a
+        block (a view of a dense ``Omega``), two broadcastable integer
+        arrays give the entries at the pairs ``(rows, cols)``. A factored
+        ``Omega`` computes either from its factors with one kernel, so an
+        entry has the same value whichever way it is asked for."""
         if self._matrix is not None:
             return self._matrix[rows, cols]
+        if isinstance(rows, slice):
+            index = np.arange(self.n)
+            rows, cols = index[rows][:, None], index[cols][None, :]
         return _factored_entries(self.pi, self.b, rows, cols)
+
+    def bound(self, rows: slice, cols: slice) -> float:
+        """A number at least every entry of the block ``Omega[rows, cols]``
+        (1 for a dense ``Omega``).
+
+        For a factored ``Omega`` each factor column is replaced by its
+        maximum over the block's rows or columns, and the sums are taken as
+        in :func:`_factored_entries`. The factors are nonnegative and
+        rounding is monotone, so the bound holds exactly, not just up to
+        rounding.
+        """
+        if self._matrix is not None:
+            return 1.0
+        b_i, pi_j = self.b[rows].max(axis=0), self.pi[cols].max(axis=0)
+        pi_i, b_j = self.pi[rows].max(axis=0), self.b[cols].max(axis=0)
+        left, right = b_i[0] * pi_j[0], pi_i[0] * b_j[0]
+        for k in range(1, b_i.size):
+            left += b_i[k] * pi_j[k]
+            right += pi_i[k] * b_j[k]
+        return float(min((left + right) / 2.0, 1.0))
 
     def degrees(self) -> np.ndarray:
         """Expected degree vector (full row sums, diagonal included)."""
         return self.matrix.sum(axis=1)
 
 
-def _factored_entries(pi: np.ndarray, b: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """``Omega[rows, cols]`` from the factors ``Pi`` and ``B = Pi @ P``.
+def _factored_entries(pi: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``Omega[i, j]`` from the factors ``Pi`` and ``B = Pi @ P``, for
+    broadcastable integer index arrays ``i`` and ``j``: a block passes
+    ``rows[:, None]`` and ``cols[None, :]``, a list of pairs two 1-d arrays.
 
     Entry (i, j) is ``(sum_k B[i,k] Pi[j,k] + sum_k Pi[i,k] B[j,k]) / 2``
     clipped to [0, 1], each sum taken in increasing k with elementwise
     products and no BLAS. The value is therefore exactly symmetric in
-    (i, j), and does not depend on the block's shape, the BLAS build or
-    its thread count.
+    (i, j), and does not depend on the shape of the index arrays, the BLAS
+    build or its thread count.
     """
-    b_i, pi_j, pi_i, b_j = b[rows], pi[cols], pi[rows], b[cols]
-    left = np.multiply.outer(b_i[:, 0], pi_j[:, 0])
-    right = np.multiply.outer(pi_i[:, 0], b_j[:, 0])
+    left = b[i, 0] * pi[j, 0]
+    right = pi[i, 0] * b[j, 0]
     term = np.empty_like(left)
     for k in range(1, pi.shape[1]):
-        left += np.multiply.outer(b_i[:, k], pi_j[:, k], out=term)
-        right += np.multiply.outer(pi_i[:, k], b_j[:, k], out=term)
+        left += np.multiply(b[i, k], pi[j, k], out=term)
+        right += np.multiply(pi[i, k], b[j, k], out=term)
     left += right
     left /= 2.0
     return np.clip(left, 0.0, 1.0, out=left)
@@ -282,10 +315,12 @@ class Graph:
 
     def edges(self) -> np.ndarray:
         """Edges as a sorted (m, 2) array with i < j per row."""
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        pairs = np.column_stack([coo.row, coo.col]).astype(np.int64)
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return pairs[order]
+        # the adjacency is canonical CSR (sorted column indices, no
+        # duplicates), so its upper entries already come in row-major order
+        a = self.adjacency
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(a.indptr))
+        upper = a.indices > rows
+        return np.column_stack([rows[upper], a.indices[upper].astype(np.int64)])
 
     @classmethod
     def from_edges(cls, n: int, pairs: np.ndarray) -> "Graph":
@@ -339,9 +374,17 @@ def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
     i+1 .. n-1, rows in increasing order), and the pair is an edge when
     its uniform is below ``Omega[i, j]``. The uniforms are drawn in blocks
     of whole rows holding up to ``SAMPLE_BLOCK`` pairs; PCG64 draws
-    concatenate exactly, so the block size does not change the graph. Only
-    one block of rates exists at a time, so a factored ``Omega`` is never
-    built as an n x n array. The diagonal is never sampled and stays 0.
+    concatenate exactly, so the block size does not change the graph.
+
+    A block computes ``Omega[i, j]`` only at its candidate pairs, those
+    whose uniform is below :meth:`PopulationMatrix.bound` of the block;
+    no other pair can be an edge. When candidates exceed ``GATHER_SHARE``
+    of the block's pairs (dense graphs), the block computes all of its
+    rates at once instead. Both routes compare each uniform with the same
+    value of ``Omega[i, j]``, so the route does not change the graph.
+    Only one block of uniforms and rates exists at a time, so a factored
+    ``Omega`` is never built as an n x n array. The diagonal is never
+    sampled and stays 0.
     """
     n = omega.n
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
@@ -355,13 +398,34 @@ def _sample_rows(omega: PopulationMatrix, rng: np.random.Generator, r0: int, r1:
     pair in row-major order. A function of its own, so that one block's
     arrays are freed before the next block's are made."""
     n = omega.n
+    # pairs of row r0 + r start at flat position starts[r] of the block
+    lengths = np.arange(n - 1 - r0, n - 1 - r1, -1)
+    starts = np.cumsum(lengths) - lengths
+    u = rng.random(int(lengths.sum()))
+    below = u < omega.bound(slice(r0, r1), slice(r0 + 1, n))
+    if np.count_nonzero(below) > GATHER_SHARE * u.size:
+        hits = _block_hits(omega, u, r0, r1)
+    else:
+        cand = np.flatnonzero(below)
+        i, j = _pair_index(cand, starts, r0)
+        hits = cand[u[cand] < omega.entries(i, j)]
+    return np.column_stack(_pair_index(hits, starts, r0))
+
+
+def _pair_index(flat: np.ndarray, starts: np.ndarray, r0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (i, j) of the pairs at sorted flat positions ``flat`` of the
+    block of rows from ``r0`` whose row pairs start at ``starts``."""
+    r = np.searchsorted(starts, flat, side="right") - 1
+    return r + r0, flat - starts[r] + r + r0 + 1
+
+
+def _block_hits(omega: PopulationMatrix, u: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """Flat positions of the block's edges, from all of its rates at once."""
+    n = omega.n
     rates = omega.entries(slice(r0, r1), slice(r0 + 1, n))
     # block row r is node r0 + r; its pairs start at block column r
     upper = np.arange(n - r0 - 1) >= np.arange(r1 - r0)[:, None]
-    u = np.ones(upper.shape)  # 1 is never below a rate
-    u[upper] = rng.random(np.count_nonzero(upper))
-    i, j = np.nonzero(u < rates)
-    return np.column_stack([i + r0, j + r0 + 1])
+    return np.flatnonzero(u < rates[upper])
 
 
 def planted_memberships(n: int, K: int, n0: int, mixed_profile: str, seed: int = 0) -> MembershipMatrix:

@@ -58,17 +58,22 @@ METHODS = (
 
 CORNER_COND_LIMIT = 1e12
 
+#: A reconstruction entry counts as clipped only below ``-CLIP_TOL``;
+#: entries nearer zero are rounding noise that moves with the eigensolver.
+CLIP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class RecoveryResult:
     """Output of one pipeline run.
 
-    ``clipped_rows`` counts rows that contained negative entries before
-    the max(0, .) step; ``fallback_rows`` counts rows replaced by the
-    uniform vector 1/K: rows that clipped to all zeros, and rows of nodes
-    whose eigenvector row is numerically zero (norm at most
-    ``spectral.ZERO_ROW_TOL``). ``z`` is the reconstruction matrix right
-    before row normalization.
+    ``clipped_rows`` counts rows that contained an entry below
+    ``-CLIP_TOL`` before the max(0, .) step (smaller negatives are
+    rounding noise, still zeroed by that step but not counted);
+    ``fallback_rows`` counts rows replaced by the uniform vector 1/K:
+    rows that clipped to all zeros, and rows of nodes whose eigenvector
+    row is numerically zero (norm at most ``spectral.ZERO_ROW_TOL``).
+    ``z`` is the reconstruction matrix right before row normalization.
     """
 
     pi_hat: MembershipMatrix
@@ -120,8 +125,9 @@ def _solve_right_inverse(rows: np.ndarray, corner: np.ndarray) -> np.ndarray:
 def _memberships_from_z(z: np.ndarray, clip: bool) -> tuple[MembershipMatrix, np.ndarray, int, int]:
     """Row-l1-normalize the reconstruction matrix into memberships.
 
-    With ``clip`` set, negative entries are zeroed first; rows that clip
-    to all zeros fall back to the uniform vector (tracked by the second
+    With ``clip`` set, negative entries are zeroed first, and rows with an
+    entry below ``-CLIP_TOL`` are counted as clipped; rows that clip to
+    all zeros fall back to the uniform vector (tracked by the second
     counter). Without clipping (the ideal pipelines, where negativity is
     only floating-point dust) rows are normalized by their absolute sum
     and clamped into [0, 1].
@@ -129,7 +135,7 @@ def _memberships_from_z(z: np.ndarray, clip: bool) -> tuple[MembershipMatrix, np
     clipped = 0
     fallback = 0
     if clip:
-        clipped = int((z < 0.0).any(axis=1).sum())
+        clipped = int((z < -CLIP_TOL).any(axis=1).sum())
         z = np.maximum(z, 0.0)
         sums = z.sum(axis=1)
         dead = sums == 0.0

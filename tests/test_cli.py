@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,15 @@ class TestGenerate:
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
         assert done.stdout.strip() == "[]"
+
+    def test_sparse_recipe_edge_stream_is_pinned(self, tmp_path):
+        # the generate-sparse benchmark graph (121k edges); the sampler may
+        # skip rates, never change an edge
+        argv = generate_args(tmp_path / "net", n=6000, n0=1200, seed=5)
+        argv[argv.index("--rho") + 1] = "0.02"
+        assert run_cli(["--quiet"] + argv) == 0
+        digest = hashlib.sha256((tmp_path / "net.edgelist").read_bytes()).hexdigest()
+        assert digest == "ccfa05df910882d170461f304417e24dfd332222162ef3dc7848d75a435d7389"
 
 
 class TestStats:

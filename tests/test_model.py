@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mmsbkit.model as model
 from mmsbkit import (
@@ -349,3 +350,103 @@ class TestGraph:
         g = Graph.from_edges(3, np.array([[0, 1], [1, 0], [0, 1]]))
         assert g.edge_count() == 1
         assert g.adjacency.max() == 1.0
+
+
+def triu_edges(graph: Graph) -> np.ndarray:
+    """Reference edge list: upper triangle through COO, then sorted."""
+    coo = sp.triu(graph.adjacency, k=1).tocoo()
+    pairs = np.column_stack([coo.row, coo.col]).astype(np.int64)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+class TestGraphEdges:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sorted_upper_triangle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        graph = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        edges = graph.edges()
+        assert edges.dtype == np.int64 and edges.shape == (graph.edge_count(), 2)
+        assert np.array_equal(edges, triu_edges(graph))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_edgeless_graph_has_no_edges(self, n):
+        graph = Graph.from_edges(n, np.empty((0, 2)))
+        assert graph.edges().shape == (0, 2)
+        assert np.array_equal(graph.edges(), triu_edges(graph))
+
+
+def random_factored_omega(rng, n, K, rho):
+    """Factored Omega of random memberships and connectivity; ``rho`` near
+    1 drives entries to 1, so the clip in the kernel and the bound is hit."""
+    pi = rng.dirichlet(np.full(K, 0.5), size=n)
+    pi[rng.random(n) < 0.3] = np.eye(K)[rng.integers(0, K)]
+    p = rng.random((K, K))
+    p = (p + p.T) / 2
+    np.fill_diagonal(p, 1.0)
+    return PopulationMatrix(pi=pi, b=pi @ (rho * p) * (1.0 + 1e-15))
+
+
+class TestSamplerTileBound:
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("n", [2, 3, 90])
+    def test_bound_is_at_least_every_entry_of_its_tile(self, K, n):
+        rng = np.random.default_rng(100 * n + K)
+        clipped = False
+        for _ in range(60):
+            omega = random_factored_omega(rng, n, K, rho=rng.choice([0.01, rng.random(), 1.0]))
+            r0, r1 = np.sort(rng.choice(n + 1, 2, replace=False))
+            c0, c1 = np.sort(rng.choice(n + 1, 2, replace=False))
+            tile = omega.entries(slice(r0, r1), slice(c0, c1))
+            assert omega.bound(slice(r0, r1), slice(c0, c1)) >= tile.max()
+            clipped |= bool((tile == 1.0).any())
+        assert clipped
+
+    def test_dense_omega_reports_bound_one(self):
+        omega = PopulationMatrix(np.full((4, 4), 0.2))
+        assert omega.bound(slice(0, 2), slice(1, 4)) == 1.0
+
+    def test_pair_entries_equal_matrix_entries_bit_for_bit(self):
+        omega = factored_omega(70, seed=6)
+        rng = np.random.default_rng(6)
+        i, j = rng.integers(0, 70, 500), rng.integers(0, 70, 500)
+        pairs = omega.entries(i, j)
+        assert np.array_equal(pairs, omega.matrix[i, j])
+        assert np.array_equal(pairs, PopulationMatrix(omega.matrix).entries(i, j))
+
+    @pytest.mark.parametrize(
+        "share, rho, route",
+        [(1.0, 1.0, "pairs"), (1.0, 0.5, "pairs"), (0.0, 0.01, "block"), (0.0, 0.5, "block")],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 90, 400])
+    def test_either_route_matches_row_loop(self, monkeypatch, share, rho, route, n):
+        # a share of 1 never takes the whole-block route, 0 takes it at
+        # any candidate; a small block size gives many blocks
+        monkeypatch.setattr(model, "GATHER_SHARE", share)
+        monkeypatch.setattr(model, "SAMPLE_BLOCK", 1000)
+        calls = []
+        block_hits = model._block_hits
+        monkeypatch.setattr(model, "_block_hits", lambda *a: calls.append(1) or block_hits(*a))
+        K = 1 if n < 3 else 3
+        dense = PopulationMatrix(factored_omega(n, K=K, rho=rho, seed=n).matrix)
+        for seed in (0, 19):
+            omega = factored_omega(n, K=K, rho=rho, seed=n)
+            expected = row_loop_sample(dense, seed).edges()
+            assert np.array_equal(sample_adjacency(omega, seed).edges(), expected)
+            assert np.array_equal(sample_adjacency(dense, seed).edges(), expected)
+            assert omega._matrix is None
+        assert (len(calls) > 0) == (route == "block")
+
+    def test_factored_sampling_peak_memory(self):
+        # measured 23.4 MB, most of it building the Graph; computing every
+        # rate of each block of 2^20 pairs peaked at 27.1 MB
+        omega = factored_omega(4000, rho=0.05, seed=1)
+        tracemalloc.start()
+        try:
+            graph = sample_adjacency(omega, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count() > 0
+        assert peak < 25e6

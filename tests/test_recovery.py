@@ -22,7 +22,7 @@ from mmsbkit import (
     srsc_equivalence,
 )
 from mmsbkit import spectral
-from mmsbkit.recovery import _memberships_from_z, _solve_right_inverse
+from mmsbkit.recovery import CLIP_TOL, _memberships_from_z, _solve_right_inverse
 from mmsbkit.spectral import SpectralBasis
 from mmsbkit.sweep import STREAM_SPLIT, diag_off_block
 from conftest import three_block_setup
@@ -311,3 +311,22 @@ class TestReconstructionHelpers:
             np.testing.assert_array_equal(result.pi_hat.weights[zero], 1.0 / 3)
             results.append(result.pi_hat.weights)
         np.testing.assert_allclose(results[0], results[1], rtol=0, atol=1e-10)
+
+    def test_clipped_rows_ignore_rounding_noise_under_any_start_vector(self, monkeypatch):
+        # sweep recipe at rho=0.01 (trial seed 9): counting rows whose only
+        # negative entries are of order 1e-16 moved the count with the
+        # Lanczos start vector (203/202/203/200 under seeds 0-3)
+        pi = planted_memberships(500, 3, 100, "four-profiles", seed=9)
+        omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.01))
+        graph = sample_adjacency(omega, 9 ^ STREAM_SPLIT)
+        counts = []
+        for seed in range(4):
+            monkeypatch.setattr(spectral, "LANCZOS_SEED", seed)
+            counts.append(srsc(graph, 3).clipped_rows)
+        assert counts == [200] * 4
+
+    def test_clipped_rows_count_only_entries_below_tolerance(self):
+        z = np.array([[0.5, -0.1 * CLIP_TOL], [0.5, -10 * CLIP_TOL], [0.5, 0.5]])
+        pi, z_out, clipped, fallback = _memberships_from_z(z, clip=True)
+        assert clipped == 1 and fallback == 0
+        assert np.array_equal(pi.weights[:2], [[1.0, 0.0], [1.0, 0.0]])  # both still zeroed
