@@ -11,8 +11,8 @@ standard error (silenced by --quiet). Exit codes: 0 success, 1 usage
 error, 2 data/format error, 3 numerical failure. Identical arguments,
 files, and seeds produce byte-identical outputs. The environment
 variable ``MMSBKIT_THREADS`` caps sweep parallelism (default: the number
-of cores this process may run on); each sweep trial runs on one BLAS
-thread.
+of cores this process may run on); ``cluster`` and each sweep trial run
+on one BLAS thread.
 """
 
 from __future__ import annotations

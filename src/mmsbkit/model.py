@@ -333,9 +333,19 @@ class Graph:
         rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
         cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
         data = np.ones(rows.size, dtype=np.float64)
+        # the COO -> CSR conversion sums duplicates and sorts the indices
         a = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
         a.data[:] = 1.0  # collapse duplicate mentions of the same edge
-        return cls(a)
+        return cls._trusted(a)
+
+    @classmethod
+    def _trusted(cls, a: sp.csr_matrix) -> "Graph":
+        """Wrap a canonical float64 CSR matrix that is symmetric, 0/1 and
+        loop-free by construction, without the checks and copy of
+        ``Graph(a)``."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "adjacency", a)
+        return graph
 
 
 def build_population_matrix(pi: MembershipMatrix, block: BlockModel) -> PopulationMatrix:

@@ -20,8 +20,9 @@ order).
 shared eigendecomposition; the single-method functions are one-method
 calls of it.
 
-Pipeline runs are pure and hold no shared state; concurrent invocations
-on different graphs are safe.
+Pipeline runs are pure; the one state they share is the process-wide
+BLAS thread count, held at one while any run is in progress, so
+concurrent invocations on different graphs are safe.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .corners import CornerSet, sp_select, svm_cone_select
 from .exceptions import MmsbkitError, NumericalError
 from .model import Graph, MembershipMatrix, PopulationMatrix, check_population_rank
@@ -220,13 +222,16 @@ def run_methods(
     ``methods`` are tags accepted by :func:`recover_from_basis`; results
     come back in the same order. ``tau`` defaults to ``0.1 * ln(n)``;
     ``corner_seed`` feeds the k-means restarts of the cone methods.
+    The run holds each loaded OpenBLAS to one thread, so on OpenBLAS
+    builds the results do not depend on the BLAS thread setting.
     """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     resolved = default_tau(graph.n) if tau is None else float(tau)
-    lap = regularized_laplacian(graph, resolved)
-    basis = leading_eigenpairs(lap, K)
-    return [recover_from_basis(basis, lap, m, clip=True, corner_seed=corner_seed) for m in methods]
+    with one_blas_thread():
+        lap = regularized_laplacian(graph, resolved)
+        basis = leading_eigenpairs(lap, K)
+        return [recover_from_basis(basis, lap, m, clip=True, corner_seed=corner_seed) for m in methods]
 
 
 def srsc(graph: Graph, K: int, tau: float | None = None) -> RecoveryResult:

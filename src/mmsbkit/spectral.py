@@ -12,6 +12,7 @@ side of the spectrum.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ ZERO_ROW_TOL = 1e-14
 TIE_TOL = 1e-12
 LANCZOS_SEED = 0
 DEFLATION_TOL = 1e-4
+COARSE_DEFLATION_TOL = 1e-2
 
 
 @dataclass(frozen=True, init=False)
@@ -36,13 +38,17 @@ class RegularizedLaplacian:
     ``operator`` keeps the storage it was built with: CSR for a sampled
     graph, a dense array for an expected adjacency. ``matrix`` is always
     a dense read-only array; a CSR operator is densified on each access.
+    The matrix must be symmetric within 1e-12; ``_symmetric=True`` skips
+    that check for a matrix symmetric by construction.
     """
 
     tau: float
     dtau: np.ndarray  # regularized degrees D(i,i) + tau, shape (n,)
     operator: np.ndarray | sp.csr_matrix  # (n, n) symmetric
 
-    def __init__(self, tau: float, dtau: np.ndarray, matrix: np.ndarray | sp.spmatrix):
+    def __init__(
+        self, tau: float, dtau: np.ndarray, matrix: np.ndarray | sp.spmatrix, *, _symmetric: bool = False
+    ):
         if sp.issparse(matrix):
             m = sp.csr_matrix(matrix, dtype=np.float64)
             entries = m.data
@@ -54,7 +60,7 @@ class RegularizedLaplacian:
             raise ValueError("laplacian matrix must be square with one regularized degree per node")
         if not (np.isfinite(entries).all() and np.isfinite(d).all()):
             raise ValueError("laplacian contains non-finite entries")
-        if abs(m - m.T).max() > 1e-12:
+        if not _symmetric and abs(m - m.T).max() > 1e-12:
             raise ValueError("laplacian must be symmetric within 1e-12")
         if sp.issparse(m):
             for part in (m.data, m.indices, m.indptr):
@@ -153,9 +159,9 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
         # its arrays read-only and the graph's must stay as they are.
         data = scale[rows] * a.data * scale[a.indices]
         lap = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-    else:
-        lap = scale[:, None] * source.matrix * scale[None, :]
-        lap = (lap + lap.T) / 2.0
+        return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _symmetric=True)
+    lap = scale[:, None] * source.matrix * scale[None, :]
+    lap = (lap + lap.T) / 2.0
     return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap)
 
 
@@ -170,8 +176,14 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     the cut. It sees an eigenvalue whose magnitude meets the K-th (such
     as -lambda beside +lambda), and a repeated eigenvalue that Lanczos
     from one start vector reported once (with ``tau = 0`` every connected
-    component has eigenvalue 1). If what is left reaches the K-th
-    magnitude, or the run fails, the dense decomposition is used instead.
+    component has eigenvalue 1). The certificate comes in two stages: a
+    run to ``COARSE_DEFLATION_TOL`` (1e-2) relative clears a cut with a
+    clear gap, and only a cut it cannot clear is measured again to
+    ``DEFLATION_TOL`` (1e-4). If what is left reaches the K-th magnitude
+    at both stages, or the runs fail, the dense decomposition is used
+    instead. A CSR Laplacian whose n x n dense form (8 n^2 bytes) exceeds
+    the machine's physical memory raises :class:`NumericalError` naming
+    n and the bytes needed, before anything is allocated.
 
     Magnitudes within 1e-12 of each other count as tied, because the
     solvers return an exact tie such as ``+-lambda`` only to rounding.
@@ -192,6 +204,8 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
         # an all-zero operator leaves Lanczos no Krylov space to build
         if sp.issparse(op) and op.nnz and K + 1 < n:
             pairs = _lanczos_pairs(op, K)
+        if pairs is None and sp.issparse(op):
+            _check_dense_fits(n)
         vals, vecs = pairs if pairs is not None else np.linalg.eigh(lap.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
@@ -211,11 +225,15 @@ def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] |
     they cannot be certified to be the leading K.
 
     The found pairs are deflated and a second Lanczos run measures the
-    largest |eigenvalue| left, to ``DEFLATION_TOL`` relative: the one
-    certificate of the cut. ``None`` means that it reaches the K-th
-    magnitude (a tie at the cut, or an eigenvalue seen once that is
-    repeated), or that the run fails, which happens when the deflated
-    operator vanishes.
+    largest |eigenvalue| left: the one certificate of the cut. That value
+    sits at the edge of a random bulk with no gap, where tight convergence
+    is slow, so the run goes to ``COARSE_DEFLATION_TOL`` relative first,
+    and only a cut it cannot clear is measured again, from the same start,
+    to ``DEFLATION_TOL``. A stage clears the cut when its Ritz value,
+    grown by its tolerance, stays below the K-th magnitude. ``None`` means
+    that what is left reaches the K-th magnitude at both stages (a tie at
+    the cut, or an eigenvalue seen once that is repeated), or that the
+    runs fail, which happens when the deflated operator vanishes.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -231,17 +249,39 @@ def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] |
         matvec=lambda x: op @ x.ravel() - vecs @ (vals * (vecs.T @ x.ravel())),
         dtype=np.float64,
     )
+    v0 = rng.uniform(-1.0, 1.0, n)
+    restarts = rng.bit_generator.state  # each stage draws the same restart vectors
+    for tol in (COARSE_DEFLATION_TOL, DEFLATION_TOL):
+        rng.bit_generator.state = restarts
+        try:
+            left = eigsh(rest, k=1, which="LM", v0=v0, rng=rng, tol=tol, return_eigenvectors=False)
+        except ArpackError:
+            continue
+        # the Ritz value is within tol (relative) of an eigenvalue
+        if abs(left[0]) * (1.0 + tol) < np.abs(vals).min() - TIE_TOL:
+            return vals, vecs
+    return None
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or ``None`` where the platform does not
+    report it."""
     try:
-        left = eigsh(
-            rest, k=1, which="LM", v0=rng.uniform(-1.0, 1.0, n), rng=rng,
-            tol=DEFLATION_TOL, return_eigenvectors=False,
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_dense_fits(n: int) -> None:
+    """Raise :class:`NumericalError` when an n x n float64 array exceeds
+    the physical memory."""
+    need = 8 * n * n
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise NumericalError(
+            f"the dense eigensolver fallback for n={n} needs {need} bytes, "
+            f"more than the {have} bytes of physical memory"
         )
-    except ArpackError:
-        return None
-    # the Ritz value is within DEFLATION_TOL (relative) of an eigenvalue
-    if abs(left[0]) * (1.0 + DEFLATION_TOL) >= np.abs(vals).min() - TIE_TOL:
-        return None
-    return vals, vecs
 
 
 def _leading_positions(vals: np.ndarray, K: int) -> list[int]:

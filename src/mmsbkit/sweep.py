@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import product
 from numbers import Real
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .evaluation import mixed_hamming_error
 from .exceptions import DataFormatError, NumericalError
 from .model import BlockModel, build_population_matrix, planted_memberships, sample_adjacency
@@ -41,16 +41,6 @@ SWEEP_CSV_HEADER = "n,K,rho,tau,method,mean_err,sd_err,reps"
 
 #: Errors a trial may raise that the sweep records instead of raising.
 _TRIAL_ERRORS = (NumericalError, DataFormatError, ValueError)  # LinAlgError is a ValueError
-
-#: OpenBLAS thread-count entry points in the order tried, ``{}`` standing
-#: for ``get`` or ``set``: the scipy-openblas wheels' 64- and 32-bit
-#: integer builds, then a system OpenBLAS of either kind.
-_OPENBLAS_THREAD_SYMBOLS = (
-    "scipy_openblas_{}_num_threads64_",
-    "scipy_openblas_{}_num_threads",
-    "openblas_{}_num_threads64_",
-    "openblas_{}_num_threads",
-)
 
 
 @dataclass(frozen=True)
@@ -302,46 +292,6 @@ def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]
     return errors
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """The ``(get, set)`` thread-count functions of each OpenBLAS that
-    numpy and ``scipy.linalg`` link, resolved through their extension
-    modules; empty under another BLAS (MKL, Accelerate)."""
-    import ctypes
-    import importlib
-
-    controls = []
-    for module_name in ("numpy._core._multiarray_umath", "scipy.linalg._fblas"):
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module_name).__file__)
-        except ImportError:  # numpy < 2 has no numpy._core: its BLAS is left as set
-            continue
-        for name in _OPENBLAS_THREAD_SYMBOLS:
-            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS on one thread, then put
-    back the counts it had, also when the block raises. The count is
-    process-wide, so the threads of a trial pool each get one BLAS
-    thread, and results do not depend on the BLAS thread setting."""
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
-    try:
-        yield
-    finally:
-        for (_, put), count in zip(controls, saved):
-            put(count)
-
-
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     """Execute the sweep and aggregate per-point, per-method error
     statistics (sample standard deviation; 0 when reps == 1).
@@ -374,7 +324,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
             return _Failure.of(exc)
 
     jobs = [(idx, trial) for idx, problem in enumerate(problems) if problem is None for trial in range(config.reps)]
-    with _one_blas_thread():
+    with one_blas_thread():
         if workers is not None and workers > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = dict(zip(jobs, pool.map(lambda j: run_one(*j), jobs)))

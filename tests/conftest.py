@@ -11,6 +11,7 @@ from mmsbkit import (
     planted_memberships,
     sample_adjacency,
 )
+from mmsbkit._blas import openblas_thread_controls
 
 
 def three_block_setup(n=300, n0=60, diag=1.0, off=0.5, rho=0.5, profile="four-profiles", seed=0):
@@ -50,6 +51,21 @@ def arpack_fails(monkeypatch):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr("scipy.sparse.linalg.eigsh", eigsh)
+
+
+@pytest.fixture
+def blas_threads():
+    """The OpenBLAS thread-count functions, each set to 2 threads for the
+    test and put back after it."""
+    controls = openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy link no OpenBLAS")
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    yield [get for get, _ in controls]
+    for (_, put), count in zip(controls, saved):
+        put(count)
 
 
 @pytest.fixture

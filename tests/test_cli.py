@@ -187,6 +187,32 @@ class TestClusterAndEvaluate:
             tmp_path / "one.crsc.summary.json"
         ).read_bytes() == (tmp_path / "two.crsc.summary.json").read_bytes()
 
+    def test_cluster_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # the -EQ outputs of this graph change in their last digits with
+        # the BLAS thread count when cluster is not pinned to one thread
+        src = str(Path(mmsbkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = generate_args(tmp_path / "net", n=430, n0=86)
+        argv[argv.index("--profile") + 1] = "four-profiles"
+        argv[argv.index("--p-diag") + 1] = "1.0"
+        argv[argv.index("--p-off") + 1] = "0.5"
+        assert run_cli(["--quiet"] + argv) == 0
+        methods = [arg for m in cli._CLUSTER_METHODS for arg in ("--method", m)]
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            prefix = tmp_path / f"threads{threads}"
+            argv = ["cluster", "--edges", str(tmp_path / "net.edgelist"), "--k", "3", "--out", str(prefix)]
+            subprocess.run([sys.executable, "-m", "mmsbkit.cli", "--quiet"] + argv + methods, env=env, check=True)
+            outputs.append(
+                {
+                    (m, kind): Path(f"{prefix}.{m}.{kind}").read_bytes()
+                    for m in cli._CLUSTER_METHODS
+                    for kind in ("pihat.csv", "summary.json")
+                }
+            )
+        assert outputs[0] == outputs[1]
+
     def test_outputs_do_not_depend_on_the_parse_route(self, tmp_path, monkeypatch):
         run_cli(["--quiet"] + generate_args(tmp_path / "net", n=150, n0=30))
         by_line = []

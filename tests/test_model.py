@@ -351,6 +351,27 @@ class TestGraph:
         assert g.edge_count() == 1
         assert g.adjacency.max() == 1.0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_from_edges_equals_checked_constructor(self, seed):
+        # from_edges skips Graph's checks; its matrix must be the one the
+        # checked constructor makes from the same edges
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 50))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.vstack([pairs, pairs[: len(pairs) // 3, ::-1], pairs[: len(pairs) // 4]])
+        dense = np.zeros((n, n))
+        dense[pairs[:, 0], pairs[:, 1]] = dense[pairs[:, 1], pairs[:, 0]] = 1.0
+        fast, checked = Graph.from_edges(n, pairs).adjacency, Graph(sp.csr_matrix(dense)).adjacency
+        assert fast.shape == checked.shape and fast.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            mine, ref = getattr(fast, part), getattr(checked, part)
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
+
+    def test_checked_constructor_rejects_asymmetric(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            Graph(sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])))
+
 
 def triu_edges(graph: Graph) -> np.ndarray:
     """Reference edge list: upper triangle through COO, then sorted."""

@@ -16,7 +16,8 @@ from mmsbkit import (
     sample_adjacency,
     scale_rows_by_degree,
 )
-from mmsbkit.spectral import _leading_positions
+from mmsbkit import spectral
+from mmsbkit.spectral import COARSE_DEFLATION_TOL, DEFLATION_TOL, _leading_positions
 from conftest import pure_corner_indices, three_block_setup
 
 
@@ -68,6 +69,28 @@ class TestRegularizedLaplacian:
         g = Graph.from_edges(3, np.array([[0, 1]]))
         with pytest.raises(NumericalError, match="zero regularized degree"):
             regularized_laplacian(g, 0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graph_laplacian_is_symmetric_bit_for_bit(self, seed):
+        # the graph path skips the symmetry check, so it must hold exactly;
+        # the extra nodes are isolated, which tau = 0 does not admit
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        pairs = rng.integers(0, n, size=(int(rng.integers(n, 4 * n)), 2))
+        graph = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        isolated = Graph.from_edges(n + 3, graph.edges())
+        cases = [(isolated, tau) for tau in (0.1, default_tau(n + 3), 7.0)]
+        if graph.degrees().min() > 0:
+            cases.append((graph, 0.0))
+        for g, tau in cases:
+            op = regularized_laplacian(g, tau).operator
+            assert sp.issparse(op) and (op != op.T).nnz == 0
+
+    def test_constructor_rejects_asymmetric_matrix(self):
+        m = np.array([[0.0, 0.5], [0.4, 0.0]])
+        for matrix in (m, sp.csr_matrix(m)):
+            with pytest.raises(ValueError, match="symmetric"):
+                RegularizedLaplacian(tau=0.0, dtau=np.ones(2), matrix=matrix)
 
 
 class TestLeadingEigenpairs:
@@ -312,6 +335,60 @@ class TestSparseSolverMatchesDense:
         basis = leading_eigenpairs(lap, 3)
         residual = np.linalg.norm(lap.operator @ basis.vectors - basis.vectors * basis.eigenvalues, axis=0)
         assert residual.max() <= 1e-8
+
+    @pytest.fixture
+    def eigsh_tols(self, monkeypatch):
+        """The ``tol`` of every Lanczos run, in order (0 is ARPACK's
+        machine-precision default)."""
+        import scipy.sparse.linalg
+
+        seen, eigsh = [], scipy.sparse.linalg.eigsh
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol", 0))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+        return seen
+
+    def test_clear_gap_is_certified_at_the_coarse_stage(self, eigsh_tols):
+        _, _, omega = three_block_setup(n=600, n0=120, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=5)
+        lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
+        assert spectral._lanczos_pairs(lap.operator, 3) is not None
+        assert eigsh_tols == [0, COARSE_DEFLATION_TOL]
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5])
+    def test_near_tie_reaches_the_fine_stage_and_matches_dense(self, eigsh_tols, gap):
+        # a relative gap of 1e-3 at the cut is below what the coarse stage
+        # resolves; the fine stage clears it, and 1e-5 falls back to dense
+        rng = np.random.default_rng(7)
+        n = 80
+        values = np.concatenate([[0.9, -0.7, 0.5, -0.5 * (1.0 - gap)], rng.uniform(-0.3, 0.3, n - 4)])
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * values) @ q.T
+        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(n), matrix=sp.csr_matrix((m + m.T) / 2.0))
+        assert_matches_dense(lap, 3)
+        assert eigsh_tols == [0, COARSE_DEFLATION_TOL, DEFLATION_TOL]
+        eigsh_tols.clear()
+        assert (spectral._lanczos_pairs(lap.operator, 3) is None) == (gap < DEFLATION_TOL)
+
+    def test_dense_fallback_that_cannot_fit_is_numerical_error(self, small_graph, monkeypatch):
+        lap = regularized_laplacian(small_graph, 1.0)
+        monkeypatch.setattr(spectral, "_lanczos_pairs", lambda op, K: None)
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 120 * 120 - 1)
+
+        def toarray(*args, **kwargs):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", toarray)
+        with pytest.raises(NumericalError, match=f"n=120 needs {8 * 120 * 120} bytes"):
+            leading_eigenpairs(lap, 3)
+
+    def test_dense_fallback_that_fits_runs(self, small_graph, monkeypatch):
+        lap = regularized_laplacian(small_graph, 1.0)
+        monkeypatch.setattr(spectral, "_lanczos_pairs", lambda op, K: None)
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 120 * 120)
+        assert_matches_dense(lap, 3)
 
     def test_arpack_failure_is_numerical_error(self, small_graph, arpack_fails):
         lap = regularized_laplacian(small_graph, 1.0)

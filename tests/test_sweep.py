@@ -10,6 +10,7 @@ from mmsbkit import (
     negative_eig_block,
     run_sweep,
 )
+from mmsbkit import _blas
 from mmsbkit import sweep as sweep_module
 from mmsbkit.sweep import SWEEP_CSV_HEADER, block_from_spec
 
@@ -295,21 +296,6 @@ class TestNonNumberSizesAndRho:
         assert floats.to_csv() == ints.to_csv()
 
 
-@pytest.fixture
-def blas_threads():
-    """The OpenBLAS thread-count functions, each set to 2 threads for the
-    test and put back after it."""
-    controls = sweep_module._openblas_thread_controls()
-    if not controls:
-        pytest.skip("numpy and scipy link no OpenBLAS")
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(2)
-    yield [get for get, _ in controls]
-    for (_, put), count in zip(controls, saved):
-        put(count)
-
-
 class TestOneBlasThreadPerTrial:
     def _record_counts(self, monkeypatch, getters, fail=False):
         seen = []
@@ -340,8 +326,8 @@ class TestOneBlasThreadPerTrial:
 
     def test_without_the_entry_points_the_sweep_runs_as_before(self, monkeypatch, blas_threads):
         pinned = run_sweep(tiny_config(), workers=2)
-        monkeypatch.setattr(sweep_module, "_OPENBLAS_THREAD_SYMBOLS", ("no_such_blas_{}_num_threads",))
-        assert sweep_module._openblas_thread_controls() == []
+        monkeypatch.setattr(_blas, "OPENBLAS_THREAD_SYMBOLS", ("no_such_blas_{}_num_threads",))
+        assert _blas.openblas_thread_controls() == []
         seen = self._record_counts(monkeypatch, blas_threads)
         assert run_sweep(tiny_config(), workers=2).rows == pinned.rows
         assert seen == [[2] * len(blas_threads)] * 2
