@@ -26,6 +26,11 @@ from .exceptions import NumericalError
 UNIT_ROW_TOL = 1e-8
 KKT_TOL = 1e-8
 ORIGIN_TOL = 1e-10
+#: Share of the initial squared row norm below which :func:`sp_select`
+#: recomputes its downdated squared norms. Each downdate rounds by about
+#: eps times the initial value, so below sqrt(eps) of it the relative
+#: error exceeds sqrt(eps) and could reorder near-equal candidates.
+_DOWNDATE_FLOOR = float(np.sqrt(np.finfo(np.float64).eps))
 
 #: Margin schedule for :func:`svm_cone_select`: step size as a fraction of
 #: the SVM offset, and the number of enlargements attempted.
@@ -85,9 +90,20 @@ def sp_select(matrix: np.ndarray, K: int) -> CornerSet:
     """Successive projection: greedily take the row of largest norm, then
     project every row onto the orthogonal complement of the pick.
 
+    The residual rows are never formed. The squared row norms are
+    downdated by ``(M q)**2`` for each new unit vector ``q`` of an
+    orthonormal basis of the picks, and picked rows drop out of later
+    argmaxes. The products go through ``einsum``, which computes every
+    row alike wherever it sits, so exact duplicate rows keep exactly
+    equal norms. Once every remaining squared norm is below
+    ``_DOWNDATE_FLOOR`` of the initial one, where rounding could reorder
+    the candidates, the norms are recomputed against the basis before
+    each pick. The picked row's residual is always recomputed, with two
+    Gram-Schmidt passes, and that value carries the rank check.
+
     Ties on the row norm resolve to the lowest index. Raises
-    :class:`NumericalError` when the residual matrix is numerically zero
-    before K picks (the input has rank below K).
+    :class:`NumericalError` when the residual is numerically zero before
+    K picks (the input has rank below K).
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
@@ -95,20 +111,32 @@ def sp_select(matrix: np.ndarray, K: int) -> CornerSet:
     n, width = m.shape
     if not 1 <= K <= min(n, width):
         raise ValueError(f"need 1 <= K <= min(n, m) = {min(n, width)}, got K={K}")
-    residual = m.copy()
-    initial_scale = np.linalg.norm(residual, axis=1).max()
-    if initial_scale == 0.0:
+    sq = np.einsum("ij,ij->i", m, m)
+    initial_sq = sq.max()
+    if initial_sq == 0.0:
         raise NumericalError("cannot select corners from an all-zero matrix")
+    initial_scale = np.sqrt(initial_sq)
+    basis = np.empty((K, width))
     picks = []
-    for _ in range(K):
-        norms = np.linalg.norm(residual, axis=1)
-        pick = int(norms.argmax())  # argmax returns the first max: lowest index on ties
-        if norms[pick] <= 1e-12 * initial_scale:
+    for k in range(K):
+        q = basis[:k]
+        if k:
+            sq -= np.einsum("ij,j->i", m, q[-1]) ** 2
+            sq[picks] = -np.inf
+            if sq.max() < _DOWNDATE_FLOOR * initial_sq:
+                residual = m - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", m, q), q)
+                sq = np.einsum("ij,ij->i", residual, residual)
+                sq[picks] = -np.inf
+        pick = int(sq.argmax())  # argmax returns the first max: lowest index on ties
+        v = m[pick].copy()
+        for _ in range(2):
+            v -= q.T @ (q @ v)
+        norm = np.linalg.norm(v)
+        if norm <= 1e-12 * initial_scale:
             raise NumericalError(
                 f"residual vanished after {len(picks)} picks; matrix rank is below K={K}"
             )
-        u = residual[pick]
-        residual = residual - np.outer(residual @ u, u) / (u @ u)
+        basis[k] = v / norm
         picks.append(pick)
     return CornerSet(indices=tuple(picks), method="sp")
 

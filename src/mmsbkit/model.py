@@ -330,13 +330,16 @@ class Graph:
             raise ValueError("edge endpoint out of range")
         if pairs.size and (pairs[:, 0] == pairs[:, 1]).any():
             raise ValueError("self-loops are not allowed")
-        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        data = np.ones(rows.size, dtype=np.float64)
-        # the COO -> CSR conversion sums duplicates and sorts the indices
-        a = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        a.data[:] = 1.0  # collapse duplicate mentions of the same edge
-        return cls._trusted(a)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        # the COO -> CSR conversion sums duplicates and sorts the indices,
+        # a pass that finds row-major pairs (the writer's and the
+        # sampler's order) already canonical
+        upper = sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+        upper.data[:] = 1.0  # collapse duplicate mentions of the same edge
+        # strictly upper plus strictly lower: scipy merges the two sorted
+        # operands row by row, with no sort of the result
+        return cls._trusted(upper + upper.T)
 
     @classmethod
     def _trusted(cls, a: sp.csr_matrix) -> "Graph":

@@ -31,6 +31,42 @@ def residual_norms_by_projection(m, picked):
     return np.linalg.norm(m.T - basis @ coeffs, axis=0)
 
 
+def residual_copy_sp(m, K):
+    """Reference successive projection: project a full copy of the rows
+    off each pick in turn and take the largest residual norm."""
+    residual = np.array(m, dtype=np.float64)
+    initial_scale = np.linalg.norm(residual, axis=1).max()
+    if initial_scale == 0.0:
+        raise NumericalError("all-zero matrix")
+    picks = []
+    for _ in range(K):
+        norms = np.linalg.norm(residual, axis=1)
+        pick = int(norms.argmax())
+        if norms[pick] <= 1e-12 * initial_scale:
+            raise NumericalError("matrix rank is below K")
+        u = residual[pick]
+        residual = residual - np.outer(residual @ u, u) / (u @ u)
+        picks.append(pick)
+    return tuple(picks)
+
+
+@st.composite
+def sp_inputs(draw):
+    """A Gaussian matrix of a drawn rank (possibly below K), with some rows
+    copied exactly onto others, and a K."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 12))
+    K = draw(st.integers(1, min(n, width)))
+    rank = draw(st.integers(0, min(n, width)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, width))
+    m *= np.exp(rng.standard_normal((n, 1)))  # rows of unequal scale
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    for src, dst in copies:
+        m[dst] = m[src]
+    return m, K
+
+
 def ideal_simplex_matrix(n=150, n0=30):
     pi, _, omega = three_block_setup(n=n, n0=n0)
     lap = regularized_laplacian(omega, default_tau(n))
@@ -97,6 +133,42 @@ class TestSpSelect:
     def test_tie_breaks_to_lowest_index(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         assert sp_select(m, 2).indices[0] == 0  # all norms equal: first wins
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(case=sp_inputs())
+    def test_matches_residual_copy_oracle(self, case):
+        m, K = case
+        try:
+            expected = residual_copy_sp(m, K)
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                sp_select(m, K)
+            return
+        assert sp_select(m, K).indices == expected
+
+    def test_duplicate_rows_tie_to_the_lowest_index_after_a_pick(self):
+        # a BLAS matrix-vector product can round a row differently by its
+        # position; copies of the runner-up must stay exactly tied
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            width, copies = rng.integers(2, 12, size=2)
+            a, b = rng.standard_normal(width) * 3, rng.standard_normal(width)
+            if np.linalg.norm(a) > np.linalg.norm(b):
+                assert sp_select(np.vstack([a, np.tile(b, (copies, 1))]), 2).indices == (0, 1)
+
+    def test_tiny_residuals_are_ranked_by_recomputed_norms(self):
+        # after the first pick every residual is below sqrt(eps) of the
+        # initial scale: downdating 1 + d**2 by 1 cancels to 0 for each row
+        m = np.array([[2.0, 0.0], [1.0, 1e-9], [1.0, 3e-9], [1.0, 2e-9]])
+        assert residual_copy_sp(m, 2) == (0, 2)
+        assert sp_select(m, 2).indices == (0, 2)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_rank_deficient_wide_input_raises(self, rank):
+        rng = np.random.default_rng(rank)
+        m = rng.standard_normal((300, rank)) @ rng.standard_normal((rank, 300))
+        with pytest.raises(NumericalError, match="rank"):
+            sp_select(m, 3)
 
 
 class TestOneClassSvm:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +283,93 @@ class TestMatrixCsv:
         f = tmp_path / "m.csv"
         write_matrix_csv(np.eye(2), f)
         assert b"\r" not in f.read_bytes()
+
+
+def f_string_edge_list(graph: Graph) -> bytes:
+    """Reference edge-list bytes: one f-string per edge, joined."""
+    lines = [f"# n={graph.n}"]
+    lines += [f"{i} {j}" for i, j in graph.edges().tolist()]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def format_loop_csv(m: np.ndarray) -> bytes:
+    """Reference CSV bytes: ``format(v, ".17g")`` per cell, joined."""
+    lines = [",".join(format(v, ".17g") for v in row) for row in m]
+    text = "\n".join(lines)
+    if lines:
+        text += "\n"
+    return text.encode("utf-8")
+
+
+_SPECIAL_FLOATS = [
+    sign * v
+    for v in (0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308,
+              1.0 / 3.0, 0.1, 2.5, 1.0, 1.0000000000000002, 123456789012345678.0, 1e16, 1e-5)
+    for sign in (1.0, -1.0)
+]
+
+
+class TestBulkWriters:
+    """The writers format chunks of rows with one ``%`` each; their bytes
+    must equal the per-edge and per-cell loops they replaced."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(io_formats, "_CHUNK_ROWS", 7)
+
+    @pytest.mark.parametrize(
+        "n, pairs",
+        [
+            (0, []),
+            (1, []),
+            (5, []),
+            (12, [[0, 1]]),
+            (9, [[3, 1], [0, 8], [1, 0], [2, 3], [4, 5], [5, 6], [6, 7]]),
+            (30, [[i, i + 1] for i in range(14)]),
+        ],
+    )
+    def test_edge_list_bytes_match_f_string_join(self, tmp_path, small_chunks, n, pairs):
+        g = Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        f = tmp_path / "g.edgelist"
+        write_edge_list(g, f)
+        assert f.read_bytes() == f_string_edge_list(g)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), density=st.floats(0.0, 1.0))
+    def test_random_edge_list_bytes_match_f_string_join(self, tmp_path_factory, n, seed, density):
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(int(density * n * n), 2))
+        g = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        f = tmp_path_factory.getbasetemp() / "bulk.edgelist"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_formats, "_CHUNK_ROWS", 7)
+            write_edge_list(g, f)
+        assert f.read_bytes() == f_string_edge_list(g)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (6, 3), (7, 2), (8, 4), (15, 5), (22, 1)])
+    def test_csv_bytes_match_format_loop(self, tmp_path, small_chunks, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        m = rng.standard_normal(shape) * np.exp(rng.standard_normal(shape) * 20)
+        flat = m.reshape(-1)
+        flat[: len(_SPECIAL_FLOATS)] = _SPECIAL_FLOATS[: flat.size]
+        f = tmp_path / "m.csv"
+        write_matrix_csv(m, f)
+        assert f.read_bytes() == format_loop_csv(m)
+        if m.size:
+            assert np.array_equal(read_matrix_csv(f), m)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_csv_rejects_other_ranks_before_opening(self, tmp_path, shape):
+        f = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            write_matrix_csv(np.zeros(shape), f)
+        assert not f.exists()
+
+    def test_csv_rejects_non_finite_before_opening(self, tmp_path):
+        f = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_matrix_csv(np.array([[0.5, np.nan]]), f)
+        assert not f.exists()
 
 
 class TestMemberships:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import mmsbkit.model as model
 from mmsbkit import (
@@ -368,9 +369,50 @@ class TestGraph:
             mine, ref = getattr(fast, part), getattr(checked, part)
             assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
 
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_from_edges_equals_concatenated_coo_build(self, data):
+        # unsorted, reversed and repeated pairs; the reference is the build
+        # that appended the reversed half and sorted every row
+        n = data.draw(st.integers(0, 40))
+        ids = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=60 if n > 1 else 0))
+        pairs = np.array([p for p in pairs if p[0] != p[1]], dtype=np.int64).reshape(-1, 2)
+        self._assert_same_csr(Graph.from_edges(n, pairs).adjacency, concatenated_coo_adjacency(n, pairs))
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])
+    def test_from_edges_equals_concatenated_coo_build_at_scale(self, order):
+        rng = np.random.default_rng(7)
+        pairs = rng.integers(0, 70_000, size=(200_000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.vstack([pairs, pairs[:5000]])  # repeats
+        if order == "sorted":
+            pairs = np.sort(pairs, axis=1)
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        elif order == "reversed":
+            pairs = pairs[:, ::-1]
+        self._assert_same_csr(Graph.from_edges(70_000, pairs).adjacency, concatenated_coo_adjacency(70_000, pairs))
+
+    @staticmethod
+    def _assert_same_csr(mine, ref):
+        assert mine.shape == ref.shape and mine.has_canonical_format
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(mine, part), getattr(ref, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_checked_constructor_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             Graph(sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])))
+
+
+def concatenated_coo_adjacency(n: int, pairs: np.ndarray) -> sp.csr_matrix:
+    """Reference ``from_edges`` matrix: both orientations of every pair
+    through one COO -> CSR conversion, which sorts every row."""
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    a = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    a.data[:] = 1.0
+    return a
 
 
 def triu_edges(graph: Graph) -> np.ndarray:
