@@ -1,24 +1,23 @@
 """Membership recovery pipelines.
 
 Every pipeline walks the same three stages: build the regularized
-Laplacian and its leading K eigenvectors, hunt K corner rows in a scaled
-or normalized version of the eigenvector matrix, and reconstruct
-memberships by expressing all rows in the corner basis followed by a row
-l1 normalization.
-
-Four empirical variants are provided. ``srsc`` works on the
-degree-scaled eigenvectors whose rows form a simplex; ``crsc`` works on
-the row-normalized eigenvectors whose rows form a cone. The two
-``*_equivalence`` variants run the same geometry on the n x n projector
-``V @ V.T`` instead of ``V`` and must reproduce the plain variants
-exactly; they exist as an independent route for cross-checking. The two
-``ideal_*`` functions consume the expected adjacency instead of a
-sampled graph and recover the planted memberships exactly (up to column
-order).
+Laplacian and its leading K eigenvectors ``V``, hunt a set C of K corner
+rows, and reconstruct memberships. The methods differ only in the
+geometry that picks C. ``srsc`` runs successive projection on the
+degree-scaled rows ``Dtau^{1/2} V``, which form a simplex; ``crsc`` runs
+the SVM cone selection on the row-normalized ``N V``, which form a cone.
+Given C, every method reconstructs ``Z = V V_C^{-1} D_C^{-1/2}`` (the
+cone's ``N_C`` rescale cancels), clips it at zero and l1-normalizes its
+rows. The two ``*_equivalence`` variants run the same geometry on the
+n x n projector ``V @ V.T`` instead of ``V`` and must reproduce the plain
+variants exactly; they exist as an independent route for cross-checking.
+The two ``ideal_*`` functions run the plain pipelines on the expected
+adjacency instead of a sampled graph and recover the planted memberships
+exactly (up to column order).
 
 :func:`run_methods` runs any of the four empirical variants on one
-shared eigendecomposition; the single-method functions are one-method
-calls of it.
+shared eigendecomposition; the single-method functions and the oracles
+are one-method calls of it.
 
 Pipeline runs are pure; the one state they share is the process-wide
 BLAS thread count, held at one while any run is in progress, so
@@ -28,7 +27,7 @@ concurrent invocations on different graphs are safe.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,14 +48,7 @@ from .spectral import (
 #: Tags of the four pipelines that run on a sampled graph.
 EMPIRICAL_METHODS = ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ")
 
-METHODS = (
-    *EMPIRICAL_METHODS,
-    "IDEAL-SRSC",
-    "IDEAL-CRSC",
-    # oracle runs of the equivalence routes, used for cross-checking
-    "IDEAL-SRSC-EQ",
-    "IDEAL-CRSC-EQ",
-)
+METHODS = (*EMPIRICAL_METHODS, "IDEAL-SRSC", "IDEAL-CRSC")
 
 CORNER_COND_LIMIT = 1e12
 
@@ -112,11 +104,12 @@ def stage(name: str):
 def _solve_right_inverse(rows: np.ndarray, corner: np.ndarray) -> np.ndarray:
     """``rows @ pinv(corner)``, from the thin SVD of the corner.
 
-    A square corner gives ``rows @ inv(corner)``. The projector routes
-    pass the wide corner ``C @ V.T``, whose singular values are those of
-    the square corner ``C``, so both routes reject a corner at the same
-    conditioning. (``lstsq(corner.T, rows.T)`` gives the same result but
-    takes ~100x longer on the n right-hand sides of a projector route.)
+    The plain routes pass the square corner ``V_C`` and get
+    ``rows @ inv(V_C)``. The projector routes pass the wide corner
+    ``V_C @ V.T``, whose singular values are those of ``V_C``, so both
+    routes reject a corner at the same conditioning. (``lstsq(corner.T,
+    rows.T)`` gives the same result but takes ~100x longer on the n
+    right-hand sides of a projector route.)
     """
     u, sv, vt = np.linalg.svd(corner, full_matrices=False)
     if sv[-1] <= 0.0 or sv[0] / sv[-1] > CORNER_COND_LIMIT:
@@ -124,42 +117,29 @@ def _solve_right_inverse(rows: np.ndarray, corner: np.ndarray) -> np.ndarray:
     return (rows @ vt.T / sv) @ u.T
 
 
-def _memberships_from_z(z: np.ndarray, clip: bool) -> tuple[MembershipMatrix, np.ndarray, int, int]:
-    """Row-l1-normalize the reconstruction matrix into memberships.
+def _memberships_from_z(z: np.ndarray) -> tuple[MembershipMatrix, np.ndarray, int, int]:
+    """Clip the reconstruction matrix at zero and row-l1-normalize it.
 
-    With ``clip`` set, negative entries are zeroed first, and rows with an
-    entry below ``-CLIP_TOL`` are counted as clipped; rows that clip to
-    all zeros fall back to the uniform vector (tracked by the second
-    counter). Without clipping (the ideal pipelines, where negativity is
-    only floating-point dust) rows are normalized by their absolute sum
-    and clamped into [0, 1].
+    Rows with an entry below ``-CLIP_TOL`` are counted as clipped (on the
+    oracles' inputs every negative entry is rounding dust above it); rows
+    that clip to all zeros fall back to the uniform vector (tracked by
+    the second counter).
     """
-    clipped = 0
-    fallback = 0
-    if clip:
-        clipped = int((z < -CLIP_TOL).any(axis=1).sum())
-        z = np.maximum(z, 0.0)
+    clipped = int((z < -CLIP_TOL).any(axis=1).sum())
+    z = np.maximum(z, 0.0)
+    sums = z.sum(axis=1)
+    dead = sums == 0.0
+    fallback = int(dead.sum())
+    if fallback:
+        z[dead] = 1.0 / z.shape[1]
         sums = z.sum(axis=1)
-        dead = sums == 0.0
-        if dead.any():
-            fallback = int(dead.sum())
-            z = z.copy()
-            z[dead] = 1.0 / z.shape[1]
-            sums = z.sum(axis=1)
-        pi = z / sums[:, None]
-    else:
-        sums = np.abs(z).sum(axis=1)
-        if sums.min() <= 0.0:
-            raise NumericalError("reconstruction produced an all-zero row")
-        pi = np.clip(z / sums[:, None], 0.0, 1.0)
-    return MembershipMatrix(pi), z, clipped, fallback
+    return MembershipMatrix(z / sums[:, None]), z, clipped, fallback
 
 
 def recover_from_basis(
     basis: SpectralBasis,
     lap: RegularizedLaplacian,
     method: str,
-    clip: bool = True,
     corner_seed: int = 0,
 ) -> RecoveryResult:
     """Run the corner-hunting and reconstruction stages of one pipeline on
@@ -168,41 +148,37 @@ def recover_from_basis(
     This is the entry point for callers that reuse one eigendecomposition
     across several methods (the sweep harness) or that need to perturb
     the basis, e.g. to check sign-flip invariance. ``method`` is one of
-    ``SRSC``, ``CRSC``, ``SRSC-EQ``, ``CRSC-EQ``: a geometry (simplex:
-    ``sqrt(dtau)``-scaled rows and successive projection; cone: unit rows,
-    the SVM cone selection and a rescale) run on the rows of ``V``, or of
-    ``V @ V.T`` for the ``-EQ`` twins. A node whose row of ``V`` has norm
-    at most ``ZERO_ROW_TOL`` (isolated, or off the giant component, where
-    the row is rounding noise) gets a zero reconstruction row, hence the
-    uniform fallback.
+    ``SRSC``, ``CRSC``, ``SRSC-EQ``, ``CRSC-EQ``: a geometry run on the
+    rows of ``V``, or of ``V @ V.T`` for the ``-EQ`` twins, that only
+    picks the corner set C (simplex: successive projection on the
+    ``sqrt(dtau)``-scaled rows; cone: the SVM cone selection on the unit
+    rows). Every method then reconstructs ``Z = rows @ pinv(rows_C) /
+    sqrt(dtau_C)``. A node whose row of ``V`` has norm at most
+    ``ZERO_ROW_TOL`` (isolated, or off the giant component, where the row
+    is rounding noise) gets a zero reconstruction row, hence the uniform
+    fallback.
     """
     if method not in EMPIRICAL_METHODS:
         raise ValueError(f"unknown method {method!r}")
     v = basis.vectors
     rows = v @ v.T if method.endswith("-EQ") else v
     root_d = np.sqrt(lap.dtau)
-    simplex = method.startswith("SRSC")
     with stage("corners"):
-        if simplex:
-            points = root_d[:, None] * rows
-            corners = sp_select(points, basis.K)
+        if method.startswith("SRSC"):
+            corners = sp_select(root_d[:, None] * rows, basis.K)
         else:
-            points, factors = normalize_rows(rows)
-            corners = svm_cone_select(points, basis.K, seed=corner_seed)
+            corners = svm_cone_select(normalize_rows(rows)[0], basis.K, seed=corner_seed)
     idx = list(corners.indices)
     with stage("reconstruct"):
-        z = _solve_right_inverse(rows, points[idx])
-        if not simplex:
-            z = z * (factors[idx] / root_d[idx])[None, :]
+        z = _solve_right_inverse(rows, rows[idx]) / root_d[idx]
         z[np.linalg.norm(v, axis=1) <= ZERO_ROW_TOL] = 0.0
-        pi_hat, z_final, clipped, fallback = _memberships_from_z(z, clip)
-    tag = method if clip else f"IDEAL-{method}"
+        pi_hat, z_final, clipped, fallback = _memberships_from_z(z)
     return RecoveryResult(
         pi_hat=pi_hat,
         corners=corners,
         basis=basis,
         tau=lap.tau,
-        method=tag,
+        method=method,
         clipped_rows=clipped,
         fallback_rows=fallback,
         z=z_final,
@@ -210,7 +186,7 @@ def recover_from_basis(
 
 
 def run_methods(
-    graph: Graph,
+    graph: Graph | PopulationMatrix,
     K: int,
     methods: list[str],
     tau: float | None = None,
@@ -219,11 +195,13 @@ def run_methods(
     """Run several empirical pipelines on one regularized Laplacian and
     one eigendecomposition of it.
 
-    ``methods`` are tags accepted by :func:`recover_from_basis`; results
-    come back in the same order. ``tau`` defaults to ``0.1 * ln(n)``;
-    ``corner_seed`` feeds the k-means restarts of the cone methods.
-    The run holds each loaded OpenBLAS to one thread, so on OpenBLAS
-    builds the results do not depend on the BLAS thread setting.
+    ``graph`` is a sampled graph or, for the oracles, the expected
+    adjacency. ``methods`` are tags accepted by
+    :func:`recover_from_basis`; results come back in the same order.
+    ``tau`` defaults to ``0.1 * ln(n)``; ``corner_seed`` feeds the
+    k-means restarts of the cone methods. The run holds each loaded
+    OpenBLAS to one thread, so on OpenBLAS builds the results do not
+    depend on the BLAS thread setting.
     """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
@@ -231,15 +209,15 @@ def run_methods(
     with one_blas_thread():
         lap = regularized_laplacian(graph, resolved)
         basis = leading_eigenpairs(lap, K)
-        return [recover_from_basis(basis, lap, m, clip=True, corner_seed=corner_seed) for m in methods]
+        return [recover_from_basis(basis, lap, m, corner_seed=corner_seed) for m in methods]
 
 
 def srsc(graph: Graph, K: int, tau: float | None = None) -> RecoveryResult:
     """Simplex pipeline on a sampled graph.
 
-    ``tau`` defaults to ``0.1 * ln(n)``. Eigenvectors are scaled by
-    ``sqrt(tau + degree)``, corners come from successive projection, and
-    ``Z = V @ inv(corner)`` is clipped at zero and row-normalized.
+    ``tau`` defaults to ``0.1 * ln(n)``. Corners come from successive
+    projection on the eigenvectors scaled by ``sqrt(tau + degree)``, and
+    ``Z = V V_C^{-1} D_C^{-1/2}`` is clipped at zero and row-normalized.
     """
     return run_methods(graph, K, ["SRSC"], tau)[0]
 
@@ -247,11 +225,10 @@ def srsc(graph: Graph, K: int, tau: float | None = None) -> RecoveryResult:
 def crsc(graph: Graph, K: int, tau: float | None = None, corner_seed: int = 0) -> RecoveryResult:
     """Cone pipeline on a sampled graph.
 
-    Eigenvector rows are normalized to unit length, corners come from the
-    one-class SVM plus k-means selection, and the reconstruction is
-    rescaled by the stored row norms and degrees before clipping and
-    normalization. ``corner_seed`` feeds the k-means restarts and fixes
-    the run deterministically.
+    Corners come from the one-class SVM plus k-means selection on the
+    eigenvector rows normalized to unit length; the reconstruction is the
+    one :func:`srsc` uses, from these corners. ``corner_seed`` feeds the
+    k-means restarts and fixes the run deterministically.
     """
     return run_methods(graph, K, ["CRSC"], tau, corner_seed)[0]
 
@@ -272,10 +249,8 @@ def _run_ideal(omega: PopulationMatrix, K: int, tau: float | None, method: str) 
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     check_population_rank(omega, K)
-    resolved = default_tau(omega.n) if tau is None else float(tau)
-    lap = regularized_laplacian(omega, resolved)
-    basis = leading_eigenpairs(lap, K)
-    return recover_from_basis(basis, lap, method, clip=False)
+    result = run_methods(omega, K, [method], tau)[0]
+    return replace(result, method=f"IDEAL-{method}")
 
 
 def ideal_srsc(omega: PopulationMatrix, K: int, tau: float | None = None) -> RecoveryResult:

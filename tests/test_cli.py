@@ -274,6 +274,20 @@ class TestEvaluateNormalization:
         error = float(capsys.readouterr().out.strip().splitlines()[1].split(",")[0])
         assert error == 0.0
 
+    def test_twelve_communities_are_scored(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        raw = rng.random((30, 12)) + 0.01
+        weights = raw / raw.sum(axis=1, keepdims=True)
+        sigma = rng.permutation(12)
+        np.savetxt(tmp_path / "truth.csv", weights, delimiter=",", fmt="%.17g")
+        np.savetxt(tmp_path / "est.csv", weights[:, sigma], delimiter=",", fmt="%.17g")
+        capsys.readouterr()
+        argv = ["evaluate", "--estimate", str(tmp_path / "est.csv"), "--truth", str(tmp_path / "truth.csv")]
+        assert run_cli(["--quiet"] + argv) == 0
+        error, permutation = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert float(error) == 0.0
+        assert [int(k) for k in permutation.split()] == np.argsort(sigma).tolist()
+
     def test_unnormalized_multi_label_truth_is_data_error(self, tmp_path):
         truth = tmp_path / "truth.csv"
         truth.write_text("1,0,1\n")

@@ -69,10 +69,14 @@ class TestMixedHammingError:
         b = MembershipMatrix(not_quite / not_quite.sum(axis=1, keepdims=True))
         assert mixed_hamming_error(a, b).error > 1e-3
 
-    def test_k_guard(self):
-        big = MembershipMatrix(np.eye(11))
-        with pytest.raises(ValueError, match="K <= 10"):
-            mixed_hamming_error(big, big)
+    def test_k_above_ten_is_scored_exactly(self):
+        rng = np.random.default_rng(3)
+        raw = rng.random((40, 12)) + 0.01
+        truth = MembershipMatrix(raw / raw.sum(axis=1, keepdims=True))
+        sigma = rng.permutation(12)
+        report = mixed_hamming_error(MembershipMatrix(truth.weights[:, sigma]), truth)
+        assert report.error == 0.0
+        assert report.permutation == tuple(np.argsort(sigma))
 
     def test_shape_mismatch(self):
         a = MembershipMatrix(np.eye(2))

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mmsbkit
 
 from mmsbkit import (
     BlockModel,
@@ -22,8 +29,9 @@ from mmsbkit import (
     srsc_equivalence,
 )
 from mmsbkit import spectral
+from mmsbkit.corners import sp_select, svm_cone_select
 from mmsbkit.recovery import CLIP_TOL, _memberships_from_z, _solve_right_inverse
-from mmsbkit.spectral import SpectralBasis
+from mmsbkit.spectral import ZERO_ROW_TOL, SpectralBasis, normalize_rows
 from mmsbkit.sweep import STREAM_SPLIT, diag_off_block
 from conftest import three_block_setup
 
@@ -93,6 +101,34 @@ class TestIdealPipelines:
         for fn in (ideal_srsc, ideal_crsc):
             result = fn(omega, k)
             assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
+
+    def test_zero_k_is_rejected_before_the_rank_check(self):
+        _, _, omega = three_block_setup(n=60, n0=12)
+        for fn in (ideal_srsc, ideal_crsc):
+            with pytest.raises(ValueError, match="K must be at least 1"):
+                fn(omega, 0)
+
+    def test_byte_identical_across_blas_thread_counts(self):
+        # the oracles run on one BLAS thread through run_methods, as the
+        # empirical pipelines do
+        src = str(Path(mmsbkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = (
+            "import hashlib\n"
+            "from mmsbkit import BlockModel, build_population_matrix, diag_off_block, "
+            "ideal_crsc, ideal_srsc, planted_memberships\n"
+            "pi = planted_memberships(430, 3, 86, 'four-profiles', seed=0)\n"
+            "omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.5))\n"
+            "for fn in (ideal_srsc, ideal_crsc):\n"
+            "    r = fn(omega, 3)\n"
+            "    print(r.corners.indices, hashlib.sha256(r.pi_hat.weights.tobytes() + r.z.tobytes()).hexdigest())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_rank_violation_detected(self):
         # duplicate community columns: connectivity full rank but the
@@ -195,8 +231,7 @@ class TestEquivalences:
         lap = regularized_laplacian(omega, default_tau(120))
         basis = leading_eigenpairs(lap, 3)
         for method in ("SRSC-EQ", "CRSC-EQ"):
-            result = recover_from_basis(basis, lap, method, clip=False)
-            assert result.method == f"IDEAL-{method}"
+            result = recover_from_basis(basis, lap, method)
             assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
 
     def test_corner_gram_matrices_match_across_routes(self):
@@ -224,6 +259,53 @@ class TestEquivalences:
             assert np.abs(narrow @ narrow.T - wide @ wide.T).max() <= 1e-10
 
 
+def per_geometry_recovery(basis, lap, method):
+    """The reconstruction each geometry carried before the routes were
+    merged: the simplex solves against its scaled corner rows, the cone
+    against its unit corner rows followed by the rescale by the stored
+    row-norm factors over sqrt(dtau). Returns corners, z and memberships."""
+    v = basis.vectors
+    rows = v @ v.T if method.endswith("-EQ") else v
+    root_d = np.sqrt(lap.dtau)
+    if method.startswith("SRSC"):
+        points = root_d[:, None] * rows
+        corners = sp_select(points, basis.K)
+    else:
+        points, factors = normalize_rows(rows)
+        corners = svm_cone_select(points, basis.K)
+    idx = list(corners.indices)
+    z = _solve_right_inverse(rows, points[idx])
+    if not method.startswith("SRSC"):
+        z = z * (factors[idx] / root_d[idx])[None, :]
+    z[np.linalg.norm(v, axis=1) <= ZERO_ROW_TOL] = 0.0
+    pi_hat, z, _, _ = _memberships_from_z(z)
+    return corners.indices, z, pi_hat.weights
+
+
+class TestOneReconstruction:
+    @pytest.mark.parametrize(
+        "seed, recipe",
+        [
+            # the sweep recipe (n=500, four-profiles, 1.0/0.5) at three densities
+            (1, dict(n=500, n0=100, rho=0.2)),
+            (2, dict(n=500, n0=100, rho=0.5)),
+            (3, dict(n=500, n0=100, rho=1.0)),
+            # the cluster recipe (random-half, 0.8/0.1, rho=1) at n=600
+            (5, dict(n=600, n0=120, diag=0.8, off=0.1, rho=1.0, profile="random-half")),
+        ],
+    )
+    def test_matches_the_per_geometry_reconstructions(self, seed, recipe):
+        _, _, omega = three_block_setup(seed=seed, **recipe)
+        lap = regularized_laplacian(sample_adjacency(omega, seed ^ STREAM_SPLIT), default_tau(omega.n))
+        basis = leading_eigenpairs(lap, 3)
+        for method in ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"):
+            result = recover_from_basis(basis, lap, method)
+            corners, z, weights = per_geometry_recovery(basis, lap, method)
+            assert result.corners.indices == corners
+            assert np.abs(result.z - z).max() <= 1e-12
+            assert np.abs(result.pi_hat.weights - weights).max() <= 1e-12
+
+
 class TestSignFlipInvariance:
     def test_column_negation_leaves_memberships_unchanged(self):
         _, _, omega = three_block_setup(n=100, n0=20)
@@ -243,7 +325,7 @@ class TestSignFlipInvariance:
 class TestReconstructionHelpers:
     def test_clipping_counts_rows_and_falls_back_to_uniform(self):
         z = np.array([[-1.0, -2.0], [0.5, -0.1], [1.0, 1.0]])
-        pi, z_out, clipped, fallback = _memberships_from_z(z, clip=True)
+        pi, z_out, clipped, fallback = _memberships_from_z(z)
         assert clipped == 2  # two rows carried negative entries
         assert fallback == 1  # the all-negative row clipped to zero
         assert np.allclose(pi.weights[0], [0.5, 0.5])
@@ -276,10 +358,6 @@ class TestReconstructionHelpers:
         q, _ = np.linalg.qr(np.random.default_rng(13).standard_normal((5, 2)))
         with pytest.raises(NumericalError, match="singular"):
             _solve_right_inverse(q.T, np.ones((2, 2)) @ q.T)
-
-    def test_unclipped_route_rejects_zero_rows(self):
-        with pytest.raises(NumericalError, match="zero row"):
-            _memberships_from_z(np.array([[0.0, 0.0]]), clip=False)
 
     def test_k_must_be_positive(self, small_graph):
         with pytest.raises(ValueError):
@@ -327,6 +405,6 @@ class TestReconstructionHelpers:
 
     def test_clipped_rows_count_only_entries_below_tolerance(self):
         z = np.array([[0.5, -0.1 * CLIP_TOL], [0.5, -10 * CLIP_TOL], [0.5, 0.5]])
-        pi, z_out, clipped, fallback = _memberships_from_z(z, clip=True)
+        pi, z_out, clipped, fallback = _memberships_from_z(z)
         assert clipped == 1 and fallback == 0
         assert np.array_equal(pi.weights[:2], [[1.0, 0.0], [1.0, 0.0]])  # both still zeroed

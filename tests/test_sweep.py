@@ -243,6 +243,26 @@ class TestRunSweep:
         assert len(result.rows) == 1
         assert 0.0 <= result.rows[0].mean_err <= 2.0
 
+    def test_eleven_community_point_is_scored(self):
+        # 11! column orders, too many to score one by one
+        config = tiny_config(
+            reps=1,
+            methods=["srsc"],
+            grid={
+                "n": [550],
+                "k": [11],
+                "n0": [30],
+                "rho": [0.8],
+                "tau": ["auto"],
+                "profile": ["uniform"],
+                "block": [{"diag": 1.0, "off": 0.5}],
+            },
+        )
+        result = run_sweep(config)
+        assert not result.failures
+        assert len(result.rows) == 1
+        assert 0.0 <= result.rows[0].mean_err <= 2.0
+
     def test_rho_axis_orders_points(self):
         config = tiny_config(
             reps=1,
