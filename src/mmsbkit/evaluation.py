@@ -62,11 +62,19 @@ def mixed_hamming_error(pi_hat: MembershipMatrix, pi: MembershipMatrix) -> Error
         )
     a = pi_hat.weights
     b = pi.weights
-    # pair_cost[j, k] = sum_i |a[i, j] - b[i, k]|
-    pair_cost = np.abs(a.T[:, None, :] - b.T[None, :, :]).sum(axis=2)
+    # pair_cost[j, k] = sum_i |a[i, j] - b[i, k]|, one estimate column at a
+    # time in O(nK) scratch. Each sum runs over i in the order numpy reduces
+    # the K x K x n broadcast (whose i axis it lays out outermost), so the
+    # table is the same to the bit
+    pair_cost = np.empty((pi.K, pi.K))
+    diff = np.empty_like(b)
+    for j in range(pi.K):
+        np.subtract(a[:, j:j + 1], b, out=diff)
+        pair_cost[j] = np.abs(diff, out=diff).sum(axis=0)
     truth_cols, perm = linear_sum_assignment(pair_cost.T)
     best_cost = pair_cost[perm, truth_cols].sum()
-    per_node = np.abs(a[:, perm] - b).sum(axis=1)
+    np.subtract(a[:, perm], b, out=diff)
+    per_node = np.abs(diff, out=diff).sum(axis=1)
     return ErrorReport(error=float(best_cost / pi.n), permutation=perm, per_node=per_node)
 
 

@@ -58,13 +58,13 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     """
     path = Path(path)
     try:
-        pairs, n = _read_plain(path.read_bytes(), n)
+        pairs, n = _read_plain(path, n)
     except ValueError:
         return _read_by_line(path, n)
     return Graph.from_edges(n, pairs)
 
 
-def _read_plain(data: bytes, n: int | None) -> tuple[np.ndarray, int]:
+def _read_plain(path: Path, n: int | None) -> tuple[np.ndarray, int]:
     """Pairs and node count of a well-formed edge list, parsed whole.
 
     Raises ``ValueError`` on anything :func:`_read_by_line` might read
@@ -72,7 +72,12 @@ def _read_plain(data: bytes, n: int | None) -> tuple[np.ndarray, int]:
     followed by LF, any byte outside ``_PLAIN_BYTES`` in the edge
     lines, a line without exactly two ids, an id outside int64, a
     negative id, a self-loop, or an id at or above the node count.
+    Once the bytes pass these checks, numpy parses a regular file itself,
+    which it reads in chunks (its comments are whole lines of UTF-8, its
+    other lines plain ids); a pipe, which can be read only once, is
+    parsed from the bytes already read, line by line.
     """
+    data = path.read_bytes()
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         raise ValueError("a lone CR ends a line in text mode")
     declared = None
@@ -96,7 +101,8 @@ def _read_plain(data: bytes, n: int | None) -> tuple[np.ndarray, int]:
     if body.translate(None, _PLAIN_BYTES):
         raise ValueError("bytes outside the plain format")
     if body.strip():
-        pairs = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=np.int64, ndmin=2)
+        source = path if path.is_file() else io.StringIO(body.decode("ascii"))
+        pairs = np.loadtxt(source, dtype=np.int64, ndmin=2, comments="#", encoding="utf-8")
     else:
         pairs = np.empty((0, 2), dtype=np.int64)
     if pairs.shape[1] != 2:

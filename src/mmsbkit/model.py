@@ -9,10 +9,12 @@ probabilities between communities. The expected adjacency is
 ``B = Pi @ P``, and its entries are computed a block of rows at a time,
 so generating a graph needs O(nK) memory rather than an n x n array.
 Observed graphs draw each upper-triangular entry independently as
-Bernoulli(Omega[i, j]): one uniform per pair i < j, in row-major order,
-drawn in blocks of rows. A block first compares its uniforms with a bound
-on all of its rates, and computes ``Omega[i, j]`` only at the pairs whose
-uniform falls below that bound.
+Bernoulli(Omega[i, j]), in blocks of rows. A block first bounds all of
+its rates by ``r``. When ``r`` is small (sparse graphs) it draws only
+candidate pairs, one Bernoulli(r) process over its pairs by geometric
+skips, and keeps a candidate with probability ``Omega[i, j] / r``; so it
+costs time in the number of candidates, not of pairs. Otherwise it draws
+one uniform per pair.
 
 All containers are frozen dataclasses over read-only numpy arrays, so
 instances can be shared freely across threads.
@@ -36,8 +38,9 @@ PURITY_TOL = 1e-12
 #: :func:`sample_adjacency`, and when a factored ``Omega`` is densified.
 SAMPLE_BLOCK = 1 << 20
 
-#: Share of a sampler block's pairs above which the block computes all of
-#: its rates at once instead of gathering them at its candidate pairs.
+#: Rate bound above which a sampler block draws one uniform per pair and
+#: computes all of its rates at once; a block at or below it draws only
+#: its candidate pairs, by geometric skips.
 GATHER_SHARE = 0.25
 
 #: Mixed-row layouts understood by :func:`planted_memberships`.
@@ -241,17 +244,25 @@ class PopulationMatrix:
         """
         if self._matrix is not None:
             return 1.0
-        b_i, pi_j = self.b[rows].max(axis=0), self.pi[cols].max(axis=0)
-        pi_i, b_j = self.pi[rows].max(axis=0), self.b[cols].max(axis=0)
-        left, right = b_i[0] * pi_j[0], pi_i[0] * b_j[0]
-        for k in range(1, b_i.size):
-            left += b_i[k] * pi_j[k]
-            right += pi_i[k] * b_j[k]
-        return float(min((left + right) / 2.0, 1.0))
+        return _bound_from_maxima(
+            self.b[rows].max(axis=0), self.pi[cols].max(axis=0),
+            self.pi[rows].max(axis=0), self.b[cols].max(axis=0),
+        )
 
     def degrees(self) -> np.ndarray:
         """Expected degree vector (full row sums, diagonal included)."""
         return self.matrix.sum(axis=1)
+
+
+def _bound_from_maxima(b_i: np.ndarray, pi_j: np.ndarray, pi_i: np.ndarray, b_j: np.ndarray) -> float:
+    """:meth:`PopulationMatrix.bound` from the column maxima of the factors
+    over a block's rows (``b_i``, ``pi_i``) and columns (``pi_j``, ``b_j``),
+    summed in increasing k as :func:`_factored_entries` sums an entry."""
+    left, right = b_i[0] * pi_j[0], pi_i[0] * b_j[0]
+    for k in range(1, b_i.size):
+        left += b_i[k] * pi_j[k]
+        right += pi_i[k] * b_j[k]
+    return float(min((left + right) / 2.0, 1.0))
 
 
 def _factored_entries(pi: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -382,47 +393,99 @@ def _row_blocks(n: int):
 def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
     """Draw a graph with independent Bernoulli(Omega[i, j]) edges for i < j.
 
-    Sampling is deterministic given ``seed``: a PCG64 generator draws one
-    uniform per pair i < j, in row-major order (row i covers columns
-    i+1 .. n-1, rows in increasing order), and the pair is an edge when
-    its uniform is below ``Omega[i, j]``. The uniforms are drawn in blocks
-    of whole rows holding up to ``SAMPLE_BLOCK`` pairs; PCG64 draws
-    concatenate exactly, so the block size does not change the graph.
+    Sampling is deterministic given ``seed``: one PCG64 generator serves
+    the blocks of whole rows (up to ``SAMPLE_BLOCK`` pairs each, rows in
+    increasing order) in turn. A block's pairs are numbered in row-major
+    order (row i covers columns i+1 .. n-1), and its rates are bounded by
+    ``r``, :meth:`PopulationMatrix.bound` of the block (1 for a dense
+    ``Omega``). Then the block takes one of two routes:
 
-    A block computes ``Omega[i, j]`` only at its candidate pairs, those
-    whose uniform is below :meth:`PopulationMatrix.bound` of the block;
-    no other pair can be an edge. When candidates exceed ``GATHER_SHARE``
-    of the block's pairs (dense graphs), the block computes all of its
-    rates at once instead. Both routes compare each uniform with the same
-    value of ``Omega[i, j]``, so the route does not change the graph.
-    Only one block of uniforms and rates exists at a time, so a factored
-    ``Omega`` is never built as an n x n array. The diagonal is never
-    sampled and stays 0.
+    - ``r > GATHER_SHARE``: one uniform per pair, in pair order; the pair
+      is an edge when its uniform is below ``Omega[i, j]``.
+    - otherwise: candidate pairs by geometric skips, the gap to the next
+      candidate being ``floor(log1p(-u) / log1p(-r)) + 1`` for a uniform
+      ``u``, so each pair is a candidate with probability ``r``,
+      independently. Then one uniform ``u`` per candidate, and the
+      candidate is an edge when ``u * r < Omega[i, j]``.
+
+    Either way each pair is an edge with probability ``Omega[i, j]``,
+    independently of every other pair. The skip route draws as many
+    gaps as its candidates need, plus a batch margin, so the graph
+    depends on the block partition (through ``r``) but its law does not.
+    The bounds of all blocks take O(nK) work per call: the factor maxima
+    over each block's columns ``r0+1 .. n-1`` are suffix maxima, computed
+    once. Only one block of uniforms and rates exists at a time, so a
+    factored ``Omega`` is never built as an n x n array. The diagonal is
+    never sampled and stays 0.
     """
     n = omega.n
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    blocks = list(_row_blocks(n))
     pairs = [np.empty((0, 2), dtype=np.int64)]
-    pairs += [_sample_rows(omega, rng, r0, r1) for r0, r1 in _row_blocks(n)]
+    pairs += [
+        _sample_rows(omega, rng, r0, r1, bound)
+        for (r0, r1), bound in zip(blocks, _block_bounds(omega, blocks))
+    ]
     return Graph.from_edges(n, np.concatenate(pairs))
 
 
-def _sample_rows(omega: PopulationMatrix, rng: np.random.Generator, r0: int, r1: int) -> np.ndarray:
-    """Edges (i, j), i < j, drawn for rows ``r0 .. r1-1``; one uniform per
-    pair in row-major order. A function of its own, so that one block's
-    arrays are freed before the next block's are made."""
+def _block_bounds(omega: PopulationMatrix, blocks: list[tuple[int, int]]) -> list[float]:
+    """:meth:`PopulationMatrix.bound` of each block's rates
+    ``Omega[r0:r1, r0+1:]``, bit for bit, in O(nK) work for all blocks:
+    the column maxima of every suffix of rows are computed once."""
+    if omega.pi is None:
+        return [1.0] * len(blocks)
+    pi, b = omega.pi, omega.b
+    pi_tail = np.maximum.accumulate(pi[::-1], axis=0)[::-1]
+    b_tail = np.maximum.accumulate(b[::-1], axis=0)[::-1]
+    return [
+        _bound_from_maxima(b[r0:r1].max(axis=0), pi_tail[r0 + 1], pi[r0:r1].max(axis=0), b_tail[r0 + 1])
+        for r0, r1 in blocks
+    ]
+
+
+def _sample_rows(omega: PopulationMatrix, rng: np.random.Generator, r0: int, r1: int, bound: float) -> np.ndarray:
+    """Edges (i, j), i < j, drawn for rows ``r0 .. r1-1`` whose rates are
+    at most ``bound``, by the route :func:`sample_adjacency` describes. A
+    function of its own, so that one block's arrays are freed before the
+    next block's are made."""
     n = omega.n
     # pairs of row r0 + r start at flat position starts[r] of the block
     lengths = np.arange(n - 1 - r0, n - 1 - r1, -1)
     starts = np.cumsum(lengths) - lengths
-    u = rng.random(int(lengths.sum()))
-    below = u < omega.bound(slice(r0, r1), slice(r0 + 1, n))
-    if np.count_nonzero(below) > GATHER_SHARE * u.size:
-        hits = _block_hits(omega, u, r0, r1)
-    else:
-        cand = np.flatnonzero(below)
-        i, j = _pair_index(cand, starts, r0)
-        hits = cand[u[cand] < omega.entries(i, j)]
-    return np.column_stack(_pair_index(hits, starts, r0))
+    m = int(lengths.sum())
+    if bound > GATHER_SHARE:
+        hits = _block_hits(omega, rng.random(m), r0, r1)
+        return np.column_stack(_pair_index(hits, starts, r0))
+    i, j = _pair_index(_skip_candidates(rng, m, bound), starts, r0)
+    keep = rng.random(i.size) * bound < omega.entries(i, j)
+    return np.column_stack([i[keep], j[keep]])
+
+
+def _skip_candidates(rng: np.random.Generator, m: int, r: float) -> np.ndarray:
+    """Sorted positions in ``[0, m)`` of a Bernoulli(r) process, from
+    geometric gaps drawn by inversion. The gaps come in batches of the
+    expected count of the pairs still ahead plus 4 standard deviations
+    plus 16, and another batch is drawn only while pairs remain after the
+    last position."""
+    if r <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-r)  # -inf at r = 1, where every gap is 1
+    found = []
+    last = -1
+    while last < m - 1:
+        ahead = m - 1 - last
+        mean = ahead * r
+        batch = int(mean + 4.0 * np.sqrt(mean * (1.0 - r))) + 16
+        gaps = np.floor(np.log1p(-rng.random(batch)) / log_q)
+        # a gap of `ahead` already leaves the block; the cap keeps int64 exact
+        np.minimum(gaps, ahead, out=gaps)
+        positions = np.cumsum(gaps.astype(np.int64) + 1) + last
+        found.append(positions)
+        last = int(positions[-1])
+    positions = np.concatenate(found)
+    return positions[:np.searchsorted(positions, m)]
 
 
 def _pair_index(flat: np.ndarray, starts: np.ndarray, r0: int) -> tuple[np.ndarray, np.ndarray]:

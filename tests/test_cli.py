@@ -45,6 +45,23 @@ def generate_args(out, n=120, n0=24, seed=7):
     ]
 
 
+def assert_generate_ignores_blas_threads(tmp_path, rho):
+    """`mmsbkit generate` writes the same bytes under 1 and 2 OpenBLAS threads."""
+    src = str(Path(mmsbkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        argv = generate_args(out, n=1200, n0=240, seed=5)
+        argv[argv.index("--rho") + 1] = rho
+        subprocess.run([sys.executable, "-m", "mmsbkit.cli", "--quiet"] + argv, env=env, check=True)
+        outputs.append(
+            [Path(f"{out}.{suffix}").read_bytes() for suffix in ("edgelist", "memberships.csv")]
+        )
+    assert outputs[0] == outputs[1]
+
+
 class TestGenerate:
     def test_writes_edge_list_and_memberships(self, tmp_path, capsys):
         out = tmp_path / "net"
@@ -62,18 +79,11 @@ class TestGenerate:
         ).read_bytes() == (tmp_path / "b.memberships.csv").read_bytes()
 
     def test_byte_identical_across_blas_thread_counts(self, tmp_path):
-        src = str(Path(mmsbkit.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            argv = generate_args(out, n=1200, n0=240, seed=5)
-            subprocess.run([sys.executable, "-m", "mmsbkit.cli", "--quiet"] + argv, env=env, check=True)
-            outputs.append(
-                [Path(f"{out}.{suffix}").read_bytes() for suffix in ("edgelist", "memberships.csv")]
-            )
-        assert outputs[0] == outputs[1]
+        assert_generate_ignores_blas_threads(tmp_path, "1.0")
+
+    def test_sparse_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # rho=0.02 draws by geometric skips, rho=1 one uniform per pair
+        assert_generate_ignores_blas_threads(tmp_path, "0.02")
 
     def test_loads_no_solver_modules(self, tmp_path):
         # the solvers are imported where they run: importing them costs
@@ -92,13 +102,21 @@ class TestGenerate:
         assert done.stdout.strip() == "[]"
 
     def test_sparse_recipe_edge_stream_is_pinned(self, tmp_path):
-        # the generate-sparse benchmark graph (121k edges); the sampler may
-        # skip rates, never change an edge
+        # the generate-sparse benchmark graph (121k edges), drawn by
+        # geometric skips: its blocks' rate bounds are 0.017 to 0.033
         argv = generate_args(tmp_path / "net", n=6000, n0=1200, seed=5)
         argv[argv.index("--rho") + 1] = "0.02"
         assert run_cli(["--quiet"] + argv) == 0
         digest = hashlib.sha256((tmp_path / "net.edgelist").read_bytes()).hexdigest()
-        assert digest == "ccfa05df910882d170461f304417e24dfd332222162ef3dc7848d75a435d7389"
+        assert digest == "e4a97c22e084e20551a0a3550e5ac1f674306911c86d2b8472803285dafa3a5c"
+
+    def test_dense_recipe_edge_stream_is_pinned(self, tmp_path):
+        # the cluster-dense benchmark graph (674k edges): its blocks draw
+        # one uniform per pair, the stream the sampler has always had
+        argv = generate_args(tmp_path / "net", n=2000, n0=400, seed=5)
+        assert run_cli(["--quiet"] + argv) == 0
+        digest = hashlib.sha256((tmp_path / "net.edgelist").read_bytes()).hexdigest()
+        assert digest == "e953ecf46f012caaa7c2d4018c3ecfe0cc9e1b1682500eb6a03d26d38e5374bb"
 
 
 class TestStats:
@@ -222,7 +240,7 @@ class TestClusterAndEvaluate:
             by_line.append(path)
             return read_by_line(path, n)
 
-        def refuse(data, n):
+        def refuse(path, n):
             raise ValueError("forced line-by-line read")
 
         monkeypatch.setattr(io_formats, "_read_by_line", spy)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,33 @@ class TestMixedHammingError:
         report = mixed_hamming_error(MembershipMatrix(truth.weights[:, sigma]), truth)
         assert report.error == 0.0
         assert report.permutation == tuple(np.argsort(sigma))
+
+    @pytest.mark.parametrize("n, K", [(1, 1), (7, 2), (632, 2), (5000, 1), (3000, 5), (400, 12)])
+    def test_matches_the_broadcast_table_bit_for_bit(self, n, K):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(n + K)
+        a, b = rng.dirichlet(np.ones(K), n), rng.dirichlet(np.ones(K), n)
+        report = mixed_hamming_error(MembershipMatrix(a), MembershipMatrix(b))
+        # the K x K x n formula the column loop replaced
+        pair_cost = np.abs(a.T[:, None, :] - b.T[None, :, :]).sum(axis=2)
+        truth_cols, perm = linear_sum_assignment(pair_cost.T)
+        assert report.permutation == tuple(perm)
+        assert report.error == pair_cost[perm, truth_cols].sum() / n
+        assert np.array_equal(report.per_node, np.abs(a[:, perm] - b).sum(axis=1))
+
+    def test_peak_memory_is_order_nk(self):
+        # the K x K x n broadcast peaked at 230 MB here; two n x K arrays are 19 MB
+        rng = np.random.default_rng(4)
+        a = MembershipMatrix(rng.dirichlet(np.ones(12), 100_000))
+        b = MembershipMatrix(rng.dirichlet(np.ones(12), 100_000))
+        tracemalloc.start()
+        try:
+            mixed_hamming_error(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_shape_mismatch(self):
         a = MembershipMatrix(np.eye(2))

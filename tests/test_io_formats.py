@@ -1,4 +1,6 @@
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,7 +218,7 @@ class TestParseRoutes:
     def test_plain_files_take_the_fast_path(self, tmp_path, text):
         f = tmp_path / "g.edgelist"
         f.write_bytes(text.encode())
-        pairs, n = io_formats._read_plain(f.read_bytes(), None)
+        pairs, n = io_formats._read_plain(f, None)
         g = io_formats._read_by_line(f, None)
         assert n == g.n
         assert (Graph.from_edges(n, pairs).adjacency != g.adjacency).nnz == 0
@@ -239,9 +241,23 @@ class TestParseRoutes:
             "# n=3\n0 3\n",
         ],
     )
-    def test_other_files_fall_back(self, text):
+    def test_other_files_fall_back(self, tmp_path, text):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(text.encode())
         with pytest.raises(ValueError):
-            io_formats._read_plain(text.encode(), None)
+            io_formats._read_plain(f, None)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_parsed_from_the_bytes_read_once(self):
+        # a regular file is parsed by opening it again; a pipe would then read empty
+        r, w = os.pipe()
+        try:
+            os.write(w, b"# n=6\n0 1\n1 2\n4 2\n")
+            os.close(w)
+            pairs, n = io_formats._read_plain(Path(f"/dev/fd/{r}"), None)
+        finally:
+            os.close(r)
+        assert n == 6 and pairs.tolist() == [[0, 1], [1, 2], [4, 2]]
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(case=_edge_list_files())

@@ -172,14 +172,44 @@ class TestSampleAdjacency:
 
 
 def row_loop_sample(omega: PopulationMatrix, seed: int) -> Graph:
-    """Reference sampler: one uniform draw per row i over the dense Omega,
-    covering columns i+1 .. n-1, rows in increasing order."""
-    w, n = omega.matrix, omega.n
+    """Reference sampler, one row or one candidate at a time.
+
+    Within each block of rows, a block whose rate bound exceeds
+    ``GATHER_SHARE`` (every block of a dense Omega) draws one uniform per
+    row i over columns i+1 .. n-1. Any other block walks its pairs in
+    row-major order by geometric gaps, one batch at a time, then draws one
+    thinning uniform per candidate."""
+    n = omega.n
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     pairs = [np.empty((0, 2), dtype=np.int64)]
-    for i in range(n - 1):
-        hits = np.nonzero(rng.random(n - 1 - i) < w[i, i + 1:])[0]
-        pairs.append(np.column_stack([np.full(hits.size, i), hits + i + 1]))
+    for r0, r1 in model._row_blocks(n):
+        bound = omega.bound(slice(r0, r1), slice(r0 + 1, n))
+        if bound > model.GATHER_SHARE:
+            for i in range(r0, r1):
+                rates = omega.entries(slice(i, i + 1), slice(i + 1, n))[0]
+                hits = np.nonzero(rng.random(n - 1 - i) < rates)[0]
+                pairs.append(np.column_stack([np.full(hits.size, i), hits + i + 1]))
+            continue
+        m = sum(n - 1 - i for i in range(r0, r1))
+        flat, at = [], -1
+        while at < m - 1:
+            mean = (m - 1 - at) * bound
+            batch = int(mean + 4.0 * np.sqrt(mean * (1.0 - bound))) + 16
+            with np.errstate(divide="ignore"):
+                gaps = np.floor(np.log1p(-rng.random(batch)) / np.log1p(-bound))
+            for gap in gaps:
+                at += int(min(gap, m)) + 1
+                if at < m:
+                    flat.append(at)
+        i, row_start, row_end, cand = r0, 0, n - 1 - r0, []
+        for at in flat:
+            while at >= row_end:
+                i += 1
+                row_start, row_end = row_end, row_end + n - 1 - i
+            cand.append((i, i + 1 + at - row_start))
+        cand = np.array(cand, dtype=np.int64).reshape(-1, 2)
+        keep = rng.random(len(cand)) * bound < omega.entries(cand[:, 0], cand[:, 1])
+        pairs.append(cand[keep])
     return Graph.from_edges(n, np.concatenate(pairs))
 
 
@@ -197,8 +227,21 @@ class TestBlockSampler:
             monkeypatch.setattr(model, "SAMPLE_BLOCK", n if block == "n" else block)
         dense = PopulationMatrix(factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n).matrix)
         for seed in (0, 19):
-            # a fresh factored Omega: reading .matrix would make the sampler slice the cache
+            # a fresh factored Omega: reading .matrix would make the sampler slice the cache;
+            # its blocks bounded by at most GATHER_SHARE skip, the dense ones (bound 1) never do
             omega = factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n)
+            assert np.array_equal(sample_adjacency(omega, seed).edges(), row_loop_sample(omega, seed).edges())
+            assert np.array_equal(sample_adjacency(dense, seed).edges(), row_loop_sample(dense, seed).edges())
+            assert omega._matrix is None
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_factored_blocks_above_the_share_draw_every_pair_as_dense(self, rho):
+        # one uniform per pair: the same graph as the dense Omega, whose bound is 1
+        omega = factored_omega(90, rho=rho, seed=90)
+        blocks = list(model._row_blocks(90))
+        assert min(model._block_bounds(omega, blocks)) > model.GATHER_SHARE
+        dense = PopulationMatrix(factored_omega(90, rho=rho, seed=90).matrix)
+        for seed in (0, 19):
             expected = row_loop_sample(dense, seed).edges()
             assert np.array_equal(sample_adjacency(omega, seed).edges(), expected)
             assert np.array_equal(sample_adjacency(dense, seed).edges(), expected)
@@ -484,8 +527,9 @@ class TestSamplerTileBound:
     )
     @pytest.mark.parametrize("n", [2, 3, 90, 400])
     def test_either_route_matches_row_loop(self, monkeypatch, share, rho, route, n):
-        # a share of 1 never takes the whole-block route, 0 takes it at
-        # any candidate; a small block size gives many blocks
+        # a share of 1 sends every block down the skip route, 0 sends every
+        # block with a nonzero bound through all of its pairs; a small
+        # block size gives many blocks
         monkeypatch.setattr(model, "GATHER_SHARE", share)
         monkeypatch.setattr(model, "SAMPLE_BLOCK", 1000)
         calls = []
@@ -495,9 +539,8 @@ class TestSamplerTileBound:
         dense = PopulationMatrix(factored_omega(n, K=K, rho=rho, seed=n).matrix)
         for seed in (0, 19):
             omega = factored_omega(n, K=K, rho=rho, seed=n)
-            expected = row_loop_sample(dense, seed).edges()
-            assert np.array_equal(sample_adjacency(omega, seed).edges(), expected)
-            assert np.array_equal(sample_adjacency(dense, seed).edges(), expected)
+            assert np.array_equal(sample_adjacency(omega, seed).edges(), row_loop_sample(omega, seed).edges())
+            assert np.array_equal(sample_adjacency(dense, seed).edges(), row_loop_sample(dense, seed).edges())
             assert omega._matrix is None
         assert (len(calls) > 0) == (route == "block")
 
@@ -513,3 +556,74 @@ class TestSamplerTileBound:
             tracemalloc.stop()
         assert graph.edge_count() > 0
         assert peak < 25e6
+
+
+def law_omega() -> PopulationMatrix:
+    """Twelve nodes, half of them mixed, entries from 0.01 to 0.08 and a
+    bound of at most 0.24 on any block: every block of the sampler takes
+    the skip route, and most candidates are thinned."""
+    pi = planted_memberships(12, 3, 2, "random-half", seed=3)
+    return build_population_matrix(pi, BlockModel(diag_off_block(3, 0.8, 0.1), rho=0.1))
+
+
+def edge_indicators(omega: PopulationMatrix, seeds: int) -> np.ndarray:
+    """(seeds, pairs) 0/1 array: row s flags the edges, in row-major pair
+    order, of the graph drawn with seed s."""
+    upper = np.triu_indices(omega.n, 1)
+    return np.array([sample_adjacency(omega, seed).dense()[upper] for seed in range(seeds)], dtype=np.int64)
+
+
+class TestSamplerLaw:
+    """The skip route draws each pair independently as Bernoulli(Omega_ij),
+    at any block size; its stream depends on the block partition through
+    the bounds, so these tests check the law, not bytes."""
+
+    SEEDS = 2000
+    ALPHA = 1e-6  # chance of a false failure, split over the pairs tested
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_pair_frequencies_follow_omega(self, monkeypatch, block):
+        from scipy.stats import binom
+
+        if block is not None:
+            monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
+        omega = law_omega()
+        assert max(model._block_bounds(omega, list(model._row_blocks(omega.n)))) <= model.GATHER_SHARE
+        counts = edge_indicators(omega, self.SEEDS).sum(axis=0)
+        rates = omega.matrix[np.triu_indices(omega.n, 1)]
+        lo, hi = binom.interval(1.0 - self.ALPHA / rates.size, self.SEEDS, rates)
+        assert ((lo <= counts) & (counts <= hi)).all()
+        # all pairs at once: a rate a few percent off everywhere shows here
+        mean, sd = self.SEEDS * rates.sum(), np.sqrt(self.SEEDS * (rates * (1.0 - rates)).sum())
+        assert abs(counts.sum() - mean) <= 5.0 * sd
+
+    def test_neighbouring_pairs_co_occur_independently(self):
+        # consecutive pairs of the row-major order share a gap draw or a
+        # thinning batch; their joint frequency is the product of rates
+        from scipy.stats import binom
+
+        omega = law_omega()
+        assert len(list(model._row_blocks(omega.n))) == 1
+        x = edge_indicators(omega, self.SEEDS)
+        rates = omega.matrix[np.triu_indices(omega.n, 1)]
+        both = (x[:, 1:] & x[:, :-1]).sum(axis=0)
+        joint = rates[1:] * rates[:-1]
+        lo, hi = binom.interval(1.0 - self.ALPHA / joint.size, self.SEEDS, joint)
+        assert ((lo <= both) & (both <= hi)).all()
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_suffix_maxima_give_each_block_its_bound(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 90, 400):
+            for K in (1, 3):
+                omega = random_factored_omega(rng, n, K, rho=rng.choice([0.01, rng.random(), 1.0]))
+                blocks = list(model._row_blocks(n))
+                expected = [omega.bound(slice(r0, r1), slice(r0 + 1, n)) for r0, r1 in blocks]
+                assert model._block_bounds(omega, blocks) == expected
+
+    def test_zero_bound_draws_nothing(self):
+        pi = np.full((30, 2), 0.5)
+        omega = PopulationMatrix(pi=pi, b=np.zeros_like(pi))
+        assert sample_adjacency(omega, 4).edge_count() == 0
