@@ -11,17 +11,23 @@ lines are skipped and CR LF line endings are accepted. Duplicate and
 reversed pairs collapse to one undirected edge; self-loops are
 rejected. A malformed file is diagnosed by line.
 
-The reader parses a file with numpy's C reader when every line outside
-the comments holds only ASCII digits, ``-``, spaces and tabs, and checks
-the ids as whole arrays. Any other file, and any file that fails a
-check, is read again line by line, which names the offending line.
+The reader reads the file's bytes once. It parses them with numpy's C
+reader when every line outside the comments holds only ASCII digits,
+``-``, spaces and tabs, and checks the ids as whole arrays. Any other
+file, and any file that fails a check, is parsed again line by line from
+the same bytes, which names the offending line; so a pipe is diagnosed
+as the same bytes on disk are. Pairs in the writer's row-major order
+become the graph's CSR without a sort (see :meth:`Graph.from_edges`).
 
 Numeric matrices are CSV with 17-significant-digit decimal values, which
 reproduce IEEE doubles bit-exactly on read-back. Every writer emits
 UTF-8 with LF line endings and locale-independent number formatting.
-The writers format a chunk of rows at a time with one ``%`` over a
-repeated row template (``%d`` for ids, ``%.17g`` for values, the same
-bytes as ``format(v, ".17g")``), so no Python loop runs per edge or cell.
+The edge-list writer formats each node id that occurs in an edge once,
+as ``b"%d "`` and as ``b"%d\\n"``, and writes each chunk of
+``_CHUNK_ROWS`` edges as one join of the pieces looked up by id, so no
+number is formatted per edge. The CSV writer formats a chunk of rows
+with one ``%`` over a repeated row template (``%.17g`` per value, the
+same bytes as ``format(v, ".17g")``), so no Python loop runs per cell.
 """
 
 from __future__ import annotations
@@ -42,8 +48,10 @@ _UNDECODED = re.compile("[\udc80-\udcff]")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: Every byte the fast path parses outside comment lines.
 _PLAIN_BYTES = b"0123456789- \t\r\n"
-#: Rows that one ``%`` formats in :func:`_write_rows`.
-_CHUNK_ROWS = 1 << 16
+#: A byte of a plain edge line that is not blank.
+_NONBLANK = re.compile(rb"[^ \t\r\n]")
+#: Rows written at once by :func:`write_edge_list` and :func:`write_matrix_csv`.
+_CHUNK_ROWS = 1 << 14
 
 
 def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
@@ -54,34 +62,40 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     beyond int64, and ids at or above the declared count raise
     :class:`DataFormatError` naming the offending line or edge. The result
     does not depend on line order, nor on whether the file was parsed
-    whole or line by line.
+    whole or line by line. The file is read once, so a pipe gets the
+    same diagnosis as the same bytes on disk.
     """
     path = Path(path)
+    data = path.read_bytes()
     try:
-        pairs, n = _read_plain(path, n)
+        pairs, n = _read_plain(path, data, n)
     except ValueError:
-        return _read_by_line(path, n)
-    return Graph.from_edges(n, pairs)
+        pairs, n = _read_by_line(path, data, n)
+    del data  # free the file's bytes before the graph is built
+    return Graph.from_edges(n, pairs, _checked=True)
 
 
-def _read_plain(path: Path, n: int | None) -> tuple[np.ndarray, int]:
-    """Pairs and node count of a well-formed edge list, parsed whole.
+def _read_plain(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int]:
+    """Pairs and node count of a well-formed edge list, parsed whole from
+    ``data``, the bytes of ``path``.
 
     Raises ``ValueError`` on anything :func:`_read_by_line` might read
     differently or reject: a ``#`` that does not start a line, a CR not
     followed by LF, any byte outside ``_PLAIN_BYTES`` in the edge
     lines, a line without exactly two ids, an id outside int64, a
     negative id, a self-loop, or an id at or above the node count.
-    Once the bytes pass these checks, numpy parses a regular file itself,
-    which it reads in chunks (its comments are whole lines of UTF-8, its
-    other lines plain ids); a pipe, which can be read only once, is
-    parsed from the bytes already read, line by line.
+    The edge lines are checked in place, without copying them out: the
+    bytes outside ``_PLAIN_BYTES`` in the whole file must all lie in the
+    comments. Once the bytes pass these checks, numpy parses a regular
+    file itself, which it reads in chunks (its comments are whole lines
+    of UTF-8, its other lines plain ids); a pipe, which can be read only
+    once, is parsed from ``data``.
     """
-    data = path.read_bytes()
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         raise ValueError("a lone CR ends a line in text mode")
     declared = None
-    kept = []
+    spans = []  # [start, end) of each run of edge lines
+    other = 0  # bytes outside _PLAIN_BYTES in the comments
     start = 0
     at = data.find(b"#")
     while at != -1:
@@ -90,18 +104,19 @@ def _read_plain(path: Path, n: int | None) -> tuple[np.ndarray, int]:
             raise ValueError("inline comment")
         end = data.find(b"\n", at)
         end = len(data) if end == -1 else end
-        match = _N_COMMENT.match(data[at:end].decode("utf-8").strip())
+        comment = data[at:end]
+        match = _N_COMMENT.match(comment.decode("utf-8").strip())
         if match:
             declared = int(match.group(1))
-        kept.append(data[start:head])
+        other += len(comment.translate(None, _PLAIN_BYTES))
+        spans.append((start, head))
         start = end
         at = data.find(b"#", end)
-    kept.append(data[start:])
-    body = b"".join(kept)
-    if body.translate(None, _PLAIN_BYTES):
+    spans.append((start, len(data)))
+    if len(data.translate(None, _PLAIN_BYTES)) != other:
         raise ValueError("bytes outside the plain format")
-    if body.strip():
-        source = path if path.is_file() else io.StringIO(body.decode("ascii"))
+    if any(_NONBLANK.search(data, a, b) for a, b in spans):
+        source = path if path.is_file() else io.StringIO(data.decode("utf-8"))
         pairs = np.loadtxt(source, dtype=np.int64, ndmin=2, comments="#", encoding="utf-8")
     else:
         pairs = np.empty((0, 2), dtype=np.int64)
@@ -114,11 +129,12 @@ def _read_plain(path: Path, n: int | None) -> tuple[np.ndarray, int]:
     return pairs, n
 
 
-def _read_by_line(path: Path, n: int | None) -> Graph:
-    """Read an edge list one line at a time; every check names its line."""
+def _read_by_line(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int]:
+    """Pairs and node count of the edge list ``data``, the bytes of
+    ``path``, read one line at a time; every check names its line."""
     pairs: list[tuple[int, int]] = []
     declared = None
-    for lineno, line in _text_lines(path):
+    for lineno, line in _text_lines(path, data):
         if line.startswith("#"):
             match = _N_COMMENT.match(line)
             if match:
@@ -147,41 +163,46 @@ def _read_by_line(path: Path, n: int | None) -> Graph:
     for i, j in pairs:
         if i >= n or j >= n:
             raise DataFormatError(f"{path}: edge ({i}, {j}) exceeds node count {n}")
-    return Graph.from_edges(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), n
 
 
-def _text_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """Number and stripped text of each nonblank line of a UTF-8 file. A
-    byte that is not UTF-8 raises :class:`DataFormatError` naming its line."""
-    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            bad = _UNDECODED.search(raw)
-            if bad:
-                raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
-            line = raw.strip()
-            if line:
-                yield lineno, line
+def _text_lines(path: Path, data: bytes) -> Iterator[tuple[int, str]]:
+    """Number and stripped text of each nonblank line of ``data``, the
+    UTF-8 bytes of ``path``, split as text mode splits a file. A byte
+    that is not UTF-8 raises :class:`DataFormatError` naming its line."""
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    for lineno, raw in enumerate(handle, start=1):
+        bad = _UNDECODED.search(raw)
+        if bad:
+            raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
+        line = raw.strip()
+        if line:
+            yield lineno, line
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
     """Write a graph in canonical order: ``# n=<count>`` then edges
-    sorted with i < j."""
-    _write_rows(path, f"# n={graph.n}\n", "%d %d\n", graph.edges())
+    sorted with i < j.
 
-
-def _write_rows(path: str | Path, header: str, row_fmt: str, rows: np.ndarray) -> None:
-    """Write ``header``, then each row of the 2-d array ``rows`` through the
-    %-template ``row_fmt``, as UTF-8 with LF line endings.
-
-    Each chunk of ``_CHUNK_ROWS`` rows is formatted by one ``%`` over the
-    repeated template, so the per-value work runs in C; Python ints and
-    floats from ``tolist`` format faster than numpy scalars.
-    """
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header)
-        for start in range(0, len(rows), _CHUNK_ROWS):
-            chunk = rows[start:start + _CHUNK_ROWS]
-            handle.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    Each id that occurs in an edge is formatted once, as ``b"%d "`` for
+    the first column and ``b"%d\\n"`` for the second, into an object
+    array; a chunk of ``_CHUNK_ROWS`` edges is then one join of the
+    pieces that one fancy index of that array looks up. Memory stays
+    O(n + m)."""
+    edges = graph.edges()
+    present = np.zeros(graph.n, dtype=bool)
+    present[edges.ravel()] = True
+    ids = np.flatnonzero(present).tolist()
+    pieces = np.array([b"%d " % v for v in ids] + [b"%d\n" % v for v in ids], dtype=object)
+    # position of each present id in `ids`; the second column reads the
+    # newline half of `pieces`
+    rank = np.cumsum(present) - 1
+    half = np.array([0, len(ids)])
+    with Path(path).open("wb") as handle:
+        handle.write(b"# n=%d\n" % graph.n)
+        for start in range(0, len(edges), _CHUNK_ROWS):
+            keys = rank[edges[start:start + _CHUNK_ROWS]] + half
+            handle.write(b"".join(pieces[keys.ravel()].tolist()))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -191,7 +212,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
     rows: list[list[float]] = []
     width = None
-    for lineno, line in _text_lines(path):
+    for lineno, line in _text_lines(path, path.read_bytes()):
         cells = line.split(",")
         if width is None:
             width = len(cells)
@@ -219,7 +240,13 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
         raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
     if m.size and not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
-    _write_rows(path, "", ",".join(["%.17g"] * m.shape[1]) + "\n", m)
+    # one % per chunk over the repeated row template runs the per-value
+    # work in C; Python floats from tolist format faster than numpy scalars
+    row_fmt = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
+        for start in range(0, len(m), _CHUNK_ROWS):
+            chunk = m[start:start + _CHUNK_ROWS]
+            handle.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def read_memberships(path: str | Path, normalize: bool = False) -> MembershipMatrix:

@@ -160,9 +160,10 @@ class PopulationMatrix:
     ``PopulationMatrix(pi=..., b=...)`` is the factored form that
     :func:`build_population_matrix` returns: it keeps only the memberships
     ``pi`` and ``b = Pi @ P`` (n x K each), and :meth:`entries` computes
-    blocks or single entries of ``Omega`` from them. ``matrix`` is always a
-    dense read-only (n, n) array; a factored ``Omega`` builds it on first
-    access, from the same kernel as :meth:`entries`, and keeps it.
+    blocks or single entries of ``Omega`` from them, reading each factor
+    column from a contiguous (K, n) copy made once here. ``matrix`` is
+    always a dense read-only (n, n) array; a factored ``Omega`` builds it
+    on first access, from the same kernel as :meth:`entries`, and keeps it.
     """
 
     pi: np.ndarray | None  # (n, K) memberships of a factored Omega, else None
@@ -200,6 +201,7 @@ class PopulationMatrix:
                 raise ValueError("expected adjacency factors must be nonnegative")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_columns", None if pi is None else (_readonly(pi.T), _readonly(b.T)))
         object.__setattr__(self, "_matrix", m)
 
     @property
@@ -230,7 +232,7 @@ class PopulationMatrix:
         if isinstance(rows, slice):
             index = np.arange(self.n)
             rows, cols = index[rows][:, None], index[cols][None, :]
-        return _factored_entries(self.pi, self.b, rows, cols)
+        return _factored_entries(*self._columns, rows, cols)
 
     def bound(self, rows: slice, cols: slice) -> float:
         """A number at least every entry of the block ``Omega[rows, cols]``
@@ -265,8 +267,9 @@ def _bound_from_maxima(b_i: np.ndarray, pi_j: np.ndarray, pi_i: np.ndarray, b_j:
     return float(min((left + right) / 2.0, 1.0))
 
 
-def _factored_entries(pi: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``Omega[i, j]`` from the factors ``Pi`` and ``B = Pi @ P``, for
+def _factored_entries(pi_cols: np.ndarray, b_cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``Omega[i, j]`` from the factors ``Pi`` and ``B = Pi @ P``, given as
+    their transposes ``pi_cols`` and ``b_cols`` (K x n, C order), for
     broadcastable integer index arrays ``i`` and ``j``: a block passes
     ``rows[:, None]`` and ``cols[None, :]``, a list of pairs two 1-d arrays.
 
@@ -274,14 +277,16 @@ def _factored_entries(pi: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarra
     clipped to [0, 1], each sum taken in increasing k with elementwise
     products and no BLAS. The value is therefore exactly symmetric in
     (i, j), and does not depend on the shape of the index arrays, the BLAS
-    build or its thread count.
+    build or its thread count. Each factor value is a ``take`` from one
+    contiguous column, which for a list of pairs is a plain 1-d gather
+    rather than a strided 2-d fancy index.
     """
-    left = b[i, 0] * pi[j, 0]
-    right = pi[i, 0] * b[j, 0]
+    left = b_cols[0].take(i) * pi_cols[0].take(j)
+    right = pi_cols[0].take(i) * b_cols[0].take(j)
     term = np.empty_like(left)
-    for k in range(1, pi.shape[1]):
-        left += np.multiply(b[i, k], pi[j, k], out=term)
-        right += np.multiply(pi[i, k], b[j, k], out=term)
+    for k in range(1, pi_cols.shape[0]):
+        left += np.multiply(b_cols[k].take(i), pi_cols[k].take(j), out=term)
+        right += np.multiply(pi_cols[k].take(i), b_cols[k].take(j), out=term)
     left += right
     left /= 2.0
     return np.clip(left, 0.0, 1.0, out=left)
@@ -316,7 +321,8 @@ class Graph:
         return self.adjacency.shape[0]
 
     def degrees(self) -> np.ndarray:
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        """Row counts of the adjacency as floats: its entries are all 1."""
+        return np.diff(self.adjacency.indptr).astype(np.float64)
 
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2
@@ -334,20 +340,33 @@ class Graph:
         return np.column_stack([rows[upper], a.indices[upper].astype(np.int64)])
 
     @classmethod
-    def from_edges(cls, n: int, pairs: np.ndarray) -> "Graph":
-        """Build from an (m, 2) array of undirected edges (either order)."""
+    def from_edges(cls, n: int, pairs: np.ndarray, *, _checked: bool = False) -> "Graph":
+        """Build from an (m, 2) array of undirected edges (either order).
+
+        The pairs are folded to i < j. When the folded pairs strictly
+        increase in row-major order, as the sampler's and the writer's do,
+        they already are the upper triangle in canonical CSR: ``indptr``
+        comes from the row counts and ``indices`` is the j column. Pairs in
+        any other order go through scipy's COO -> CSR conversion, which
+        sorts them and collapses duplicates. Either way the graph is the
+        upper triangle plus its transpose, with the index dtypes scipy
+        picks. ``_checked=True`` skips the range and self-loop scan, for
+        callers whose pairs have passed it already.
+        """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            raise ValueError("edge endpoint out of range")
-        if pairs.size and (pairs[:, 0] == pairs[:, 1]).any():
-            raise ValueError("self-loops are not allowed")
+        if not _checked and pairs.size:
+            if pairs.min() < 0 or pairs.max() >= n:
+                raise ValueError("edge endpoint out of range")
+            if (pairs[:, 0] == pairs[:, 1]).any():
+                raise ValueError("self-loops are not allowed")
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
         hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        # the COO -> CSR conversion sums duplicates and sorts the indices,
-        # a pass that finds row-major pairs (the writer's and the
-        # sampler's order) already canonical
-        upper = sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
-        upper.data[:] = 1.0  # collapse duplicate mentions of the same edge
+        if _row_major(lo, hi):
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(lo, minlength=n))))
+            upper = sp.csr_matrix((np.ones(lo.size), hi, indptr), shape=(n, n))
+        else:
+            upper = sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+            upper.data[:] = 1.0  # collapse duplicate mentions of the same edge
         # strictly upper plus strictly lower: scipy merges the two sorted
         # operands row by row, with no sort of the result
         return cls._trusted(upper + upper.T)
@@ -360,6 +379,15 @@ class Graph:
         graph = object.__new__(cls)
         object.__setattr__(graph, "adjacency", a)
         return graph
+
+
+def _row_major(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """True when the pairs ``(lo[k], hi[k])`` strictly increase in
+    lexicographic order. The columns are compared one after the other,
+    never as keys ``lo * n + hi``, which overflow int64 once n passes
+    about 3.04e9."""
+    step = np.diff(lo)
+    return bool((step >= 0).all() and ((step > 0) | (np.diff(hi) > 0)).all())
 
 
 def build_population_matrix(pi: MembershipMatrix, block: BlockModel) -> PopulationMatrix:
@@ -426,7 +454,7 @@ def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
         _sample_rows(omega, rng, r0, r1, bound)
         for (r0, r1), bound in zip(blocks, _block_bounds(omega, blocks))
     ]
-    return Graph.from_edges(n, np.concatenate(pairs))
+    return Graph.from_edges(n, np.concatenate(pairs), _checked=True)
 
 
 def _block_bounds(omega: PopulationMatrix, blocks: list[tuple[int, int]]) -> list[float]:
@@ -458,7 +486,9 @@ def _sample_rows(omega: PopulationMatrix, rng: np.random.Generator, r0: int, r1:
         hits = _block_hits(omega, rng.random(m), r0, r1)
         return np.column_stack(_pair_index(hits, starts, r0))
     i, j = _pair_index(_skip_candidates(rng, m, bound), starts, r0)
-    keep = rng.random(i.size) * bound < omega.entries(i, j)
+    # kept by index, not by mask: a mask whose bits fall at random
+    # compresses several times slower
+    keep = np.flatnonzero(rng.random(i.size) * bound < omega.entries(i, j))
     return np.column_stack([i[keep], j[keep]])
 
 
@@ -490,9 +520,13 @@ def _skip_candidates(rng: np.random.Generator, m: int, r: float) -> np.ndarray:
 
 def _pair_index(flat: np.ndarray, starts: np.ndarray, r0: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (i, j) of the pairs at sorted flat positions ``flat`` of the
-    block of rows from ``r0`` whose row pairs start at ``starts``."""
-    r = np.searchsorted(starts, flat, side="right") - 1
-    return r + r0, flat - starts[r] + r + r0 + 1
+    block of rows from ``r0`` whose row pairs start at ``starts``. The
+    positions are sorted, so one search per row finds the row's run of
+    them, rather than one search per position."""
+    counts = np.diff(np.searchsorted(flat, starts), append=flat.size)
+    rows = np.arange(r0, r0 + starts.size)
+    # row i's pairs start at column i + 1
+    return np.repeat(rows, counts), flat - np.repeat(starts - rows - 1, counts)
 
 
 def _block_hits(omega: PopulationMatrix, u: np.ndarray, r0: int, r1: int) -> np.ndarray:

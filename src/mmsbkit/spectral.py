@@ -136,7 +136,10 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
     """Build ``Dtau^{-1/2} M Dtau^{-1/2}`` from a graph or expected adjacency.
 
     A sampled graph gives a CSR Laplacian with the graph's sparsity
-    pattern; the expected adjacency gives a dense one. ``tau`` must be
+    pattern: its degrees are the row counts ``np.diff(indptr)`` and entry
+    (i, j) is ``scale_i * scale_j`` with ``scale = Dtau^{-1/2}``, the same
+    bits as scaling the adjacency, whose entries are exactly 1. The
+    expected adjacency gives a dense Laplacian. ``tau`` must be
     nonnegative; with ``tau = 0`` every node needs a strictly positive
     degree, otherwise a :class:`NumericalError` is raised (an isolated
     node makes the unregularized scaling undefined).
@@ -153,11 +156,10 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
     scale = 1.0 / np.sqrt(dtau)
     if isinstance(source, Graph):
         a = source.adjacency
-        rows = np.repeat(np.arange(source.n), np.diff(a.indptr))
-        # scale_i * a_ij * scale_j is symmetric bit for bit: no averaging
-        # needed. The index arrays are copied because the Laplacian makes
-        # its arrays read-only and the graph's must stay as they are.
-        data = scale[rows] * a.data * scale[a.indices]
+        # scale_i * scale_j is symmetric bit for bit: no averaging needed.
+        # The index arrays are copied because the Laplacian makes its
+        # arrays read-only and the graph's must stay as they are.
+        data = np.repeat(scale, np.diff(a.indptr)) * scale[a.indices]
         lap = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
         return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _symmetric=True)
     lap = scale[:, None] * source.matrix * scale[None, :]

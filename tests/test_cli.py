@@ -236,11 +236,11 @@ class TestClusterAndEvaluate:
         by_line = []
         read_by_line = io_formats._read_by_line
 
-        def spy(path, n):
+        def spy(path, data, n):
             by_line.append(path)
-            return read_by_line(path, n)
+            return read_by_line(path, data, n)
 
-        def refuse(path, n):
+        def refuse(path, data, n):
             raise ValueError("forced line-by-line read")
 
         monkeypatch.setattr(io_formats, "_read_by_line", spy)

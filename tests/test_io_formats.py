@@ -18,6 +18,7 @@ from mmsbkit import (
     write_memberships,
 )
 from mmsbkit import io_formats
+from mmsbkit.cli import run_cli
 from conftest import three_block_setup
 
 
@@ -128,7 +129,7 @@ class TestGraphRoundTrip:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(back.adjacency, name), getattr(g.adjacency, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert (io_formats._read_by_line(f, None).adjacency != back.adjacency).nnz == 0
+        assert (by_line_graph(f, None).adjacency != back.adjacency).nnz == 0
 
     def test_writer_output_bytes(self, tmp_path):
         g = Graph.from_edges(12, np.array([[3, 1], [0, 10], [1, 0], [3, 11], [10, 2]]))
@@ -191,6 +192,12 @@ def _edge_list_files(draw):
     return text.encode("utf-8"), n
 
 
+def by_line_graph(path: Path, n: int | None) -> Graph:
+    """The graph of the file at ``path`` read by the line loop alone."""
+    pairs, n = io_formats._read_by_line(path, path.read_bytes(), n)
+    return Graph.from_edges(n, pairs)
+
+
 def _outcome(reader, path, n):
     try:
         g = reader(path, n)
@@ -218,8 +225,8 @@ class TestParseRoutes:
     def test_plain_files_take_the_fast_path(self, tmp_path, text):
         f = tmp_path / "g.edgelist"
         f.write_bytes(text.encode())
-        pairs, n = io_formats._read_plain(f, None)
-        g = io_formats._read_by_line(f, None)
+        pairs, n = io_formats._read_plain(f, f.read_bytes(), None)
+        g = by_line_graph(f, None)
         assert n == g.n
         assert (Graph.from_edges(n, pairs).adjacency != g.adjacency).nnz == 0
 
@@ -245,7 +252,7 @@ class TestParseRoutes:
         f = tmp_path / "g.edgelist"
         f.write_bytes(text.encode())
         with pytest.raises(ValueError):
-            io_formats._read_plain(f, None)
+            io_formats._read_plain(f, f.read_bytes(), None)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_parsed_from_the_bytes_read_once(self):
@@ -254,7 +261,8 @@ class TestParseRoutes:
         try:
             os.write(w, b"# n=6\n0 1\n1 2\n4 2\n")
             os.close(w)
-            pairs, n = io_formats._read_plain(Path(f"/dev/fd/{r}"), None)
+            path = Path(f"/dev/fd/{r}")
+            pairs, n = io_formats._read_plain(path, path.read_bytes(), None)
         finally:
             os.close(r)
         assert n == 6 and pairs.tolist() == [[0, 1], [1, 2], [4, 2]]
@@ -265,7 +273,72 @@ class TestParseRoutes:
         data, n = case
         f = tmp_path_factory.getbasetemp() / "differential.edgelist"
         f.write_bytes(data)
-        assert _outcome(io_formats.read_edge_list, f, n) == _outcome(io_formats._read_by_line, f, n)
+        assert _outcome(io_formats.read_edge_list, f, n) == _outcome(by_line_graph, f, n)
+
+
+#: Edge lists the reader rejects, each with the node count passed to it.
+MALFORMED_EDGE_LISTS = [
+    (b"0 0\n", None),
+    (b"1 1\n", None),
+    (b"0 1\n2 three\n", None),
+    (b"0 5\n", 3),
+    (b"0 1\n1 2 # x\n", None),
+    (b"0 1 # x\n", None),
+    (b"0 1#\n", None),
+    (b"0 1\n9223372036854775808 1\n", None),
+    (b"0 1 2\n", None),
+    (b"0\n", None),
+    (b"-1 2\n", None),
+    (b"# n=3\n0 3\n", None),
+    (b"0 1\n\xff 2\n", None),
+]
+
+
+def through_pipe(data: bytes, read):
+    """``read(path)`` of a ``/dev/fd`` path whose pipe holds ``data``."""
+    r, w = os.pipe()
+    try:
+        os.write(w, data)
+        os.close(w)
+        return read(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+class TestPipedEdgeLists:
+    """A pipe can be read only once; the reader must diagnose its bytes
+    exactly as it diagnoses the same bytes on disk."""
+
+    @staticmethod
+    def _error(read, path, n):
+        with pytest.raises(DataFormatError) as exc:
+            read(path, n)
+        return str(exc.value).replace(str(path), "<path>")
+
+    @pytest.mark.parametrize("data, n", MALFORMED_EDGE_LISTS)
+    def test_pipe_gets_the_error_of_the_file(self, tmp_path, data, n):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(data)
+        on_disk = self._error(read_edge_list, f, n)
+        assert through_pipe(data, lambda path: self._error(read_edge_list, path, n)) == on_disk
+
+    @pytest.mark.parametrize("data, n", MALFORMED_EDGE_LISTS)
+    def test_cli_exits_2_on_a_malformed_pipe(self, tmp_path, capsys, data, n):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(data)
+        on_disk = self._error(read_edge_list, f, n)
+        count = [] if n is None else ["--n", str(n)]
+        code, path = through_pipe(data, lambda path: (run_cli(["--quiet", "stats", "--edges", path] + count), path))
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {on_disk.replace('<path>', path)}\n"
+
+    def test_well_formed_pipe_reads_like_the_file(self, tmp_path):
+        data = b"# n=7\n0 1\n  # note\n4 2\r\n1 2\n"
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(data)
+        piped = through_pipe(data, read_edge_list)
+        assert piped.n == 7 and (piped.adjacency != read_edge_list(f).adjacency).nnz == 0
 
 
 class TestMatrixCsv:
@@ -326,8 +399,9 @@ _SPECIAL_FLOATS = [
 
 
 class TestBulkWriters:
-    """The writers format chunks of rows with one ``%`` each; their bytes
-    must equal the per-edge and per-cell loops they replaced."""
+    """The writers emit a chunk of rows at a time, the edge list from ids
+    formatted once, the CSV with one ``%`` per chunk; their bytes must
+    equal the per-edge and per-cell loops they replaced."""
 
     @pytest.fixture
     def small_chunks(self, monkeypatch):
@@ -360,6 +434,40 @@ class TestBulkWriters:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io_formats, "_CHUNK_ROWS", 7)
             write_edge_list(g, f)
+        assert f.read_bytes() == f_string_edge_list(g)
+
+    @pytest.mark.parametrize("n", [10, 11, 1_000_001, 2_345_678])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    def test_edge_list_bytes_for_every_id_width(self, tmp_path, monkeypatch, n, chunk):
+        # ids of 1 .. 7 digits, each width's first and last, and n - 1
+        monkeypatch.setattr(io_formats, "_CHUNK_ROWS", chunk)
+        ids = sorted({v for w in range(7) for v in (10**w - 1, 10**w, 10**w + 1) if v < n} | {n - 1})
+        pairs = [(a, b) for a, b in zip(ids, ids[1:])] + [(0, n - 1), (ids[len(ids) // 2], n - 1)]
+        g = Graph.from_edges(n, np.array(pairs, dtype=np.int64))
+        f = tmp_path / "g.edgelist"
+        write_edge_list(g, f)
+        assert f.read_bytes() == f_string_edge_list(g)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 14])
+    def test_edge_list_bytes_for_sparse_ids_over_large_n(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(io_formats, "_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(11)
+        n = 3_000_017
+        ids = rng.choice(n, size=40, replace=False)
+        pairs = rng.choice(ids, size=(90, 2))
+        g = Graph.from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        f = tmp_path / "g.edgelist"
+        write_edge_list(g, f)
+        assert f.read_bytes() == f_string_edge_list(g)
+        assert (read_edge_list(f).adjacency != g.adjacency).nnz == 0
+
+    @pytest.mark.parametrize("rows", [13, 14, 15, 27, 28, 29])
+    def test_edge_list_bytes_at_chunk_boundaries(self, tmp_path, monkeypatch, rows):
+        # a path of `rows` edges around multiples of a 14-row chunk
+        monkeypatch.setattr(io_formats, "_CHUNK_ROWS", 14)
+        g = Graph.from_edges(rows + 3, np.array([[i, i + 1] for i in range(rows)], dtype=np.int64))
+        f = tmp_path / "g.edgelist"
+        write_edge_list(g, f)
         assert f.read_bytes() == f_string_edge_list(g)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (6, 3), (7, 2), (8, 4), (15, 5), (22, 1)])

@@ -261,6 +261,20 @@ class TestBlockSampler:
             assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
             assert all((r1 - r0) * (49 - r0) <= max(block, 49 - r0) for r0, r1 in runs)
 
+    @pytest.mark.parametrize("n, r0, r1", [(2, 0, 1), (9, 0, 8), (9, 3, 5), (12, 10, 11), (30, 4, 20)])
+    def test_pair_index_numbers_pairs_in_row_major_order(self, n, r0, r1):
+        # flat position k of the block is its k-th pair (i, j), i < j, in
+        # row-major order; rows may hold no position, or all of theirs
+        block = [(i, j) for i in range(r0, r1) for j in range(i + 1, n)]
+        lengths = np.arange(n - 1 - r0, n - 1 - r1, -1)
+        starts = np.cumsum(lengths) - lengths
+        rng = np.random.default_rng(n + r0)
+        for flat in (np.arange(len(block)), np.array([], dtype=np.int64), starts, starts + lengths - 1,
+                     np.flatnonzero(rng.random(len(block)) < 0.3)):
+            i, j = model._pair_index(flat, starts, r0)
+            assert i.dtype == j.dtype == np.int64
+            assert list(zip(i.tolist(), j.tolist())) == [block[k] for k in flat]
+
     def test_factored_sampling_never_builds_omega(self):
         n = 4000
         omega = factored_omega(n, rho=0.05, seed=1)
@@ -436,6 +450,48 @@ class TestGraph:
             pairs = pairs[:, ::-1]
         self._assert_same_csr(Graph.from_edges(70_000, pairs).adjacency, concatenated_coo_adjacency(70_000, pairs))
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_direct_build_equals_coo_route(self, data):
+        # row-major and reversed pairs fold to the direct build, shuffled
+        # and repeated ones take the COO route; nodes past m are isolated
+        m = data.draw(st.integers(1, 40))
+        n = m + data.draw(st.integers(0, 5))
+        ids = st.integers(0, m - 1)
+        drawn = data.draw(st.lists(st.tuples(ids, ids), max_size=60 if m > 1 else 0))
+        pairs = np.array([p for p in drawn if p[0] != p[1]], dtype=np.int64).reshape(-1, 2)
+        order = data.draw(st.sampled_from(["row-major", "reversed", "shuffled", "repeated"]))
+        folded = np.unique(np.sort(pairs, axis=1), axis=0)  # row-major, distinct
+        if order == "row-major":
+            pairs = folded
+        elif order == "reversed":
+            pairs = folded[:, ::-1]
+        elif order == "repeated":
+            pairs = np.repeat(folded, 2, axis=0)
+        else:
+            pairs = pairs[data.draw(st.permutations(range(len(pairs))))]
+        if order != "shuffled":
+            lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+            assert model._row_major(lo, hi) == (order != "repeated" or len(pairs) == 0)
+        mine = Graph.from_edges(n, pairs).adjacency
+        self._assert_same_csr(mine, coo_route_adjacency(n, pairs))
+        assert (mine.data == 1.0).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_edgeless_direct_build_equals_coo_route(self, n):
+        pairs = np.empty((0, 2), dtype=np.int64)
+        self._assert_same_csr(Graph.from_edges(n, pairs).adjacency, coo_route_adjacency(n, pairs))
+
+    def test_row_major_order_holds_for_ids_beyond_key_range(self):
+        # keys i * n + j overflow int64 once n passes about 3.04e9: for
+        # n = 3.1e9 the key of (3e9, 3e9 + 1) wraps below that of (0, 1)
+        n, big = 3_100_000_000, 3_000_000_000
+        lo, hi = np.array([big, 0]), np.array([big + 1, 1])
+        assert (lo * n + hi)[0] < (lo * n + hi)[1]  # the keys misjudge it
+        assert not model._row_major(lo, hi)
+        assert model._row_major(lo[::-1], hi[::-1])
+        assert not model._row_major(np.array([big, big]), np.array([big + 1, big + 1]))
+
     @staticmethod
     def _assert_same_csr(mine, ref):
         assert mine.shape == ref.shape and mine.has_canonical_format
@@ -456,6 +512,25 @@ def concatenated_coo_adjacency(n: int, pairs: np.ndarray) -> sp.csr_matrix:
     a = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     a.data[:] = 1.0
     return a
+
+
+def coo_route_adjacency(n: int, pairs: np.ndarray) -> sp.csr_matrix:
+    """Reference ``from_edges`` matrix by the COO route alone: the pairs
+    folded to i < j, converted COO -> CSR, plus the transpose."""
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    upper = sp.csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+    upper.data[:] = 1.0
+    return upper + upper.T
+
+
+def fancy_index_entries(pi: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Reference pair entries: the same products and increasing-k sums,
+    read from the (n, K) factors by 2-d fancy indexing."""
+    left, right = b[i, 0] * pi[j, 0], pi[i, 0] * b[j, 0]
+    for k in range(1, pi.shape[1]):
+        left += b[i, k] * pi[j, k]
+        right += pi[i, k] * b[j, k]
+    return np.clip((left + right) / 2.0, 0.0, 1.0)
 
 
 def triu_edges(graph: Graph) -> np.ndarray:
@@ -520,6 +595,22 @@ class TestSamplerTileBound:
         pairs = omega.entries(i, j)
         assert np.array_equal(pairs, omega.matrix[i, j])
         assert np.array_equal(pairs, PopulationMatrix(omega.matrix).entries(i, j))
+
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    def test_pair_gathers_equal_the_block_path_bit_for_bit(self, K):
+        # strided and unsorted index arrays; the block path reads the same
+        # factors through 2-d broadcast indices
+        rng = np.random.default_rng(K)
+        n = 90
+        omega = random_factored_omega(rng, n, K, rho=1.0)
+        full = omega.entries(slice(None), slice(None))
+        i, j = rng.integers(0, n, (2, 3000))[:, ::3]
+        assert not (i.flags.c_contiguous or np.all(np.diff(i) >= 0))
+        for rows, cols in ((i, j), (j, i), (i[::-1], j[::-1])):
+            pairs = omega.entries(rows, cols)
+            assert np.array_equal(pairs, full[rows, cols])
+            assert np.array_equal(pairs, fancy_index_entries(omega.pi, omega.b, rows, cols))
+        assert np.array_equal(full, full.T)
 
     @pytest.mark.parametrize(
         "share, rho, route",
