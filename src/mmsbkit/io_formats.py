@@ -11,12 +11,14 @@ lines are skipped and CR LF line endings are accepted. Duplicate and
 reversed pairs collapse to one undirected edge; self-loops are
 rejected. A malformed file is diagnosed by line.
 
-The reader reads the file's bytes once. It parses them with numpy's C
-reader when every line outside the comments holds only ASCII digits,
-``-``, spaces and tabs, and checks the ids as whole arrays. Any other
-file, and any file that fails a check, is parsed again line by line from
-the same bytes, which names the offending line; so a pipe is diagnosed
-as the same bytes on disk are. Pairs in the writer's row-major order
+The reader reads the file's bytes once and checks them. When every line
+outside the comments holds only ASCII digits, ``-``, spaces and tabs,
+numpy's C reader parses the file and the ids are checked as whole
+arrays; numpy reads a regular file again from disk, and parses a pipe,
+which can be read only once, from the bytes in hand. Any other file, and
+any file that fails a check, is parsed line by line from the bytes in
+hand, which names the offending line; so a pipe is diagnosed as the
+same bytes on disk are. Pairs in the writer's row-major order
 become the graph's CSR without a sort (see :meth:`Graph.from_edges`).
 
 Numeric matrices are CSV with 17-significant-digit decimal values, which
@@ -36,6 +38,7 @@ import io
 import re
 from collections.abc import Iterator
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -62,8 +65,9 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     beyond int64, and ids at or above the declared count raise
     :class:`DataFormatError` naming the offending line or edge. The result
     does not depend on line order, nor on whether the file was parsed
-    whole or line by line. The file is read once, so a pipe gets the
-    same diagnosis as the same bytes on disk.
+    whole or line by line. The checks and the line-by-line parse read
+    the file's bytes once, so a pipe gets the same diagnosis as the same
+    bytes on disk; numpy's whole-file parse reads a regular file again.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -72,7 +76,7 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     except ValueError:
         pairs, n = _read_by_line(path, data, n)
     del data  # free the file's bytes before the graph is built
-    return Graph.from_edges(n, pairs, _checked=True)
+    return Graph.from_edges(n, pairs)
 
 
 def _read_plain(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int]:
@@ -134,7 +138,7 @@ def _read_by_line(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, i
     ``path``, read one line at a time; every check names its line."""
     pairs: list[tuple[int, int]] = []
     declared = None
-    for lineno, line in _text_lines(path, data):
+    for lineno, line in _text_lines(path, io.BytesIO(data)):
         if line.startswith("#"):
             match = _N_COMMENT.match(line)
             if match:
@@ -166,18 +170,19 @@ def _read_by_line(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, i
     return np.array(pairs, dtype=np.int64).reshape(-1, 2), n
 
 
-def _text_lines(path: Path, data: bytes) -> Iterator[tuple[int, str]]:
-    """Number and stripped text of each nonblank line of ``data``, the
-    UTF-8 bytes of ``path``, split as text mode splits a file. A byte
-    that is not UTF-8 raises :class:`DataFormatError` naming its line."""
-    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
-    for lineno, raw in enumerate(handle, start=1):
-        bad = _UNDECODED.search(raw)
-        if bad:
-            raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
-        line = raw.strip()
-        if line:
-            yield lineno, line
+def _text_lines(path: Path, stream: BinaryIO) -> Iterator[tuple[int, str]]:
+    """Number and stripped text of each nonblank line of ``stream``, the
+    UTF-8 bytes of ``path``, split as text mode splits a file and read
+    one line at a time. A byte that is not UTF-8 raises
+    :class:`DataFormatError` naming its line."""
+    with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            bad = _UNDECODED.search(raw)
+            if bad:
+                raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
+            line = raw.strip()
+            if line:
+                yield lineno, line
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
@@ -212,7 +217,7 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     path = Path(path)
     rows: list[list[float]] = []
     width = None
-    for lineno, line in _text_lines(path, path.read_bytes()):
+    for lineno, line in _text_lines(path, path.open("rb")):
         cells = line.split(",")
         if width is None:
             width = len(cells)

@@ -160,14 +160,15 @@ class PopulationMatrix:
     ``PopulationMatrix(pi=..., b=...)`` is the factored form that
     :func:`build_population_matrix` returns: it keeps only the memberships
     ``pi`` and ``b = Pi @ P`` (n x K each), and :meth:`entries` computes
-    blocks or single entries of ``Omega`` from them, reading each factor
-    column from a contiguous (K, n) copy made once here. ``matrix`` is
+    blocks or single entries of ``Omega`` from them. Each factor is stored
+    once, as a contiguous (K, n) copy of its columns; ``pi`` and ``b`` are
+    (n, K) views of those copies. ``matrix`` is
     always a dense read-only (n, n) array; a factored ``Omega`` builds it
     on first access, from the same kernel as :meth:`entries`, and keeps it.
     """
 
-    pi: np.ndarray | None  # (n, K) memberships of a factored Omega, else None
-    b: np.ndarray | None  # (n, K) Pi @ P of a factored Omega, else None
+    _pi_cols: np.ndarray | None  # (K, n) memberships of a factored Omega, else None
+    _b_cols: np.ndarray | None  # (K, n) Pi @ P of a factored Omega, else None
 
     def __init__(
         self,
@@ -192,21 +193,31 @@ class PopulationMatrix:
             m = _readonly(m)
         else:
             m = None
-            pi, b = _readonly(pi), _readonly(b)
+            pi, b = np.asarray(pi), np.asarray(b)
             if pi.ndim != 2 or pi.shape != b.shape or pi.shape[0] < 1:
                 raise ValueError(f"factors must share one (n, K) shape, got {pi.shape} and {b.shape}")
+            pi, b = _readonly(pi.T), _readonly(b.T)
             if not (np.isfinite(pi).all() and np.isfinite(b).all()):
                 raise ValueError("expected adjacency factors contain non-finite entries")
             if pi.min() < 0.0 or b.min() < 0.0:
                 raise ValueError("expected adjacency factors must be nonnegative")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_columns", None if pi is None else (_readonly(pi.T), _readonly(b.T)))
+        object.__setattr__(self, "_pi_cols", pi)
+        object.__setattr__(self, "_b_cols", b)
         object.__setattr__(self, "_matrix", m)
 
     @property
+    def pi(self) -> np.ndarray | None:
+        """(n, K) memberships of a factored ``Omega``, else None."""
+        return None if self._pi_cols is None else self._pi_cols.T
+
+    @property
+    def b(self) -> np.ndarray | None:
+        """(n, K) ``Pi @ P`` of a factored ``Omega``, else None."""
+        return None if self._b_cols is None else self._b_cols.T
+
+    @property
     def n(self) -> int:
-        return (self.pi if self.pi is not None else self._matrix).shape[0]
+        return self._pi_cols.shape[1] if self._pi_cols is not None else self._matrix.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -232,7 +243,7 @@ class PopulationMatrix:
         if isinstance(rows, slice):
             index = np.arange(self.n)
             rows, cols = index[rows][:, None], index[cols][None, :]
-        return _factored_entries(*self._columns, rows, cols)
+        return _factored_entries(self._pi_cols, self._b_cols, rows, cols)
 
     def bound(self, rows: slice, cols: slice) -> float:
         """A number at least every entry of the block ``Omega[rows, cols]``
@@ -246,9 +257,10 @@ class PopulationMatrix:
         """
         if self._matrix is not None:
             return 1.0
+        pi, b = self._pi_cols, self._b_cols
         return _bound_from_maxima(
-            self.b[rows].max(axis=0), self.pi[cols].max(axis=0),
-            self.pi[rows].max(axis=0), self.b[cols].max(axis=0),
+            b[:, rows].max(axis=1), pi[:, cols].max(axis=1),
+            pi[:, rows].max(axis=1), b[:, cols].max(axis=1),
         )
 
     def degrees(self) -> np.ndarray:
@@ -340,7 +352,7 @@ class Graph:
         return np.column_stack([rows[upper], a.indices[upper].astype(np.int64)])
 
     @classmethod
-    def from_edges(cls, n: int, pairs: np.ndarray, *, _checked: bool = False) -> "Graph":
+    def from_edges(cls, n: int, pairs: np.ndarray) -> "Graph":
         """Build from an (m, 2) array of undirected edges (either order).
 
         The pairs are folded to i < j. When the folded pairs strictly
@@ -350,11 +362,10 @@ class Graph:
         any other order go through scipy's COO -> CSR conversion, which
         sorts them and collapses duplicates. Either way the graph is the
         upper triangle plus its transpose, with the index dtypes scipy
-        picks. ``_checked=True`` skips the range and self-loop scan, for
-        callers whose pairs have passed it already.
+        picks.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if not _checked and pairs.size:
+        if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n:
                 raise ValueError("edge endpoint out of range")
             if (pairs[:, 0] == pairs[:, 1]).any():
@@ -454,7 +465,7 @@ def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
         _sample_rows(omega, rng, r0, r1, bound)
         for (r0, r1), bound in zip(blocks, _block_bounds(omega, blocks))
     ]
-    return Graph.from_edges(n, np.concatenate(pairs), _checked=True)
+    return Graph.from_edges(n, np.concatenate(pairs))
 
 
 def _block_bounds(omega: PopulationMatrix, blocks: list[tuple[int, int]]) -> list[float]:
@@ -463,11 +474,11 @@ def _block_bounds(omega: PopulationMatrix, blocks: list[tuple[int, int]]) -> lis
     the column maxima of every suffix of rows are computed once."""
     if omega.pi is None:
         return [1.0] * len(blocks)
-    pi, b = omega.pi, omega.b
-    pi_tail = np.maximum.accumulate(pi[::-1], axis=0)[::-1]
-    b_tail = np.maximum.accumulate(b[::-1], axis=0)[::-1]
+    pi, b = omega._pi_cols, omega._b_cols
+    pi_tail = np.maximum.accumulate(pi[:, ::-1], axis=1)[:, ::-1]
+    b_tail = np.maximum.accumulate(b[:, ::-1], axis=1)[:, ::-1]
     return [
-        _bound_from_maxima(b[r0:r1].max(axis=0), pi_tail[r0 + 1], pi[r0:r1].max(axis=0), b_tail[r0 + 1])
+        _bound_from_maxima(b[:, r0:r1].max(axis=1), pi_tail[:, r0 + 1], pi[:, r0:r1].max(axis=1), b_tail[:, r0 + 1])
         for r0, r1 in blocks
     ]
 
