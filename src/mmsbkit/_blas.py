@@ -5,7 +5,9 @@ can change in the last digits with the thread count (the projector
 solve of the -EQ twins does). So :func:`recovery.run_methods` and every
 sweep trial run with each loaded OpenBLAS set to one thread: outputs do
 not depend on the BLAS thread setting, and the BLAS threads do not
-compete with a sweep's trial threads for the cores.
+compete with a sweep's trial workers for the cores. A sweep forks its
+worker processes inside :func:`one_blas_thread`, so each inherits one
+thread.
 """
 
 from __future__ import annotations

@@ -8,11 +8,12 @@ parameter sweep), and ``stats`` (summary statistics of a network).
 
 Data goes to files or standard output; human-readable progress goes to
 standard error (silenced by --quiet). Exit codes: 0 success, 1 usage
-error, 2 data/format error, 3 numerical failure. Identical arguments,
-files, and seeds produce byte-identical outputs. The environment
-variable ``MMSBKIT_THREADS`` caps sweep parallelism (default: the number
-of cores this process may run on); ``cluster`` and each sweep trial run
-on one BLAS thread.
+error, 2 data/format error, 3 numerical failure or a sweep trial process
+that died. Identical arguments, files, and seeds produce byte-identical
+outputs. The environment variable ``MMSBKIT_THREADS`` sets how many
+sweep trials run at once, each in its own worker process (default: the
+number of cores this process may run on); ``cluster`` and each sweep
+trial run on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except BrokenProcessPool as exc:  # killed for memory, say
+        print(f"a sweep trial process died: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,10 @@ MARGIN_STEP = 0.05
 MARGIN_MAX_STEPS = 40
 
 KMEANS_RESTARTS = 10
+#: Cluster members whose squared distance to the centre is within this
+#: much of the smallest tie, and the lowest index is picked: equidistant
+#: rows differ only by rounding, which changes with the basis.
+CORNER_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -231,8 +235,10 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     ``scipy.cluster.vq.kmeans`` keeps the best of ``KMEANS_RESTARTS``
     runs started from rows drawn with ``seed``, and ``vq`` assigns the
     rows; a codebook short of K centers or an empty cluster moves on to
-    the next margin step. Raises :class:`NumericalError` when the margin
-    schedule is exhausted without finding K clusters.
+    the next margin step. Rows within ``CORNER_TIE_TOL`` of the nearest
+    squared distance to a center tie, and the lowest index wins. Raises
+    :class:`NumericalError` when the margin schedule is exhausted without
+    finding K clusters.
     """
     # ~0.03 s once scipy.optimize is loaded; only the cone methods need it
     from scipy.cluster.vq import kmeans, vq
@@ -263,7 +269,8 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
         for j in range(K):
             members = np.nonzero(labels == j)[0]
             offsets = ((points[members] - centers[j]) ** 2).sum(axis=1)
-            picks.append(int(candidates[members[int(offsets.argmin())]]))
+            nearest = members[offsets <= offsets.min() + CORNER_TIE_TOL][0]
+            picks.append(int(candidates[nearest]))
         if len(set(picks)) == K:
             return CornerSet(indices=tuple(picks), method="svm-cone")
     raise NumericalError(

@@ -13,13 +13,22 @@ seed directly and the edge stream uses ``trial_seed XOR STREAM_SPLIT``
 so the two draws are decoupled. Aggregation order is fixed by trial
 index, and trials run on one BLAS thread each, so results do not depend
 on execution order, worker count or the BLAS thread setting.
+
+Parallel trials run in worker processes forked from the caller, each with
+its own interpreter, so the Python-level loops of ARPACK's reverse
+communication, k-means and NNLS do not contend for one interpreter lock.
+Where ``fork`` is missing (Windows) or unsafe (macOS), they run on a
+thread pool instead.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from numbers import Real
@@ -41,6 +50,11 @@ SWEEP_CSV_HEADER = "n,K,rho,tau,method,mean_err,sd_err,reps"
 
 #: Errors a trial may raise that the sweep records instead of raising.
 _TRIAL_ERRORS = (NumericalError, DataFormatError, ValueError)  # LinAlgError is a ValueError
+
+#: Whether parallel trials run in forked processes. Windows has no
+#: ``fork``, and on macOS system frameworks are not fork-safe (Python
+#: spawns there by default), so both run trials on threads.
+_FORK_TRIALS = hasattr(os, "fork") and sys.platform != "darwin"
 
 
 @dataclass(frozen=True)
@@ -292,17 +306,48 @@ def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]
     return errors
 
 
+def _run_one(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) -> dict[str, float | _Failure] | _Failure:
+    """:func:`_run_trial`, with a failure of a shared stage returned as
+    one :class:`_Failure`. It lives at module level so that a process pool
+    can send it by name."""
+    try:
+        return _run_trial(point, trial, base_seed, methods)
+    except _TRIAL_ERRORS as exc:
+        return _Failure.of(exc)
+
+
+def _trial_pool(workers: int):
+    """An executor of ``workers`` forked processes, or of threads where
+    :data:`_FORK_TRIALS` is false. The children inherit the modules the
+    trials would otherwise import lazily, so those are loaded first. A
+    fork-context pool forks all of its workers at the first submit,
+    before it starts its manager thread, so no thread of the pool is
+    running at a fork."""
+    if not _FORK_TRIALS:
+        return ThreadPoolExecutor(max_workers=workers)
+    import scipy.cluster.vq  # noqa: F401
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+
+
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     """Execute the sweep and aggregate per-point, per-method error
     statistics (sample standard deviation; 0 when reps == 1).
 
-    ``workers`` > 1 runs trials in a thread pool, which supplies all of
-    the parallelism: every trial, serial or pooled, runs with each
-    loaded OpenBLAS set to one thread, and the previous counts come
-    back when the sweep returns or raises. Results are keyed and reduced
-    by (point, trial) index, so on OpenBLAS builds the outcome is
+    ``workers`` > 1 runs trials in up to that many worker processes,
+    forked from the caller inside the sweep and joined before it
+    returns or raises (threads where ``fork`` is missing or unsafe, see
+    the module docstring). The workers supply all of the parallelism:
+    every trial, in-process or pooled, runs with each loaded OpenBLAS
+    set to one thread, and the caller's previous counts come back when
+    the sweep returns or raises. Results are keyed and reduced by
+    (point, trial) index, so on OpenBLAS builds the outcome is
     byte-identical for any worker count and any BLAS thread setting;
-    under another BLAS the threads are left as they are. A (point,
+    under another BLAS the threads are left as they are. A worker
+    process that dies, killed for memory say, raises
+    ``concurrent.futures.process.BrokenProcessPool``. A (point,
     method) pair with a failed trial gets no row and one ``failures``
     entry: the point, the method, the stage
     (``validate``, ``model``, ``laplacian``, ``eigensolve``, ``corners``
@@ -316,20 +361,15 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     """
     points = config.points()
     problems = [_validate_point(point) for point in points]
-
-    def run_one(idx: int, trial: int):
-        try:
-            return _run_trial(points[idx], trial, config.base_seed, config.methods)
-        except _TRIAL_ERRORS as exc:
-            return _Failure.of(exc)
-
     jobs = [(idx, trial) for idx, problem in enumerate(problems) if problem is None for trial in range(config.reps)]
+    args = [(points[idx], trial, config.base_seed, config.methods) for idx, trial in jobs]
+    # a process pool forks its workers here, so they inherit one BLAS thread
     with one_blas_thread():
         if workers is not None and workers > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = dict(zip(jobs, pool.map(lambda j: run_one(*j), jobs)))
+            with _trial_pool(min(workers, len(jobs))) as pool:
+                outcomes = dict(zip(jobs, pool.map(_run_one, *zip(*args))))
         else:
-            outcomes = {job: run_one(*job) for job in jobs}
+            outcomes = {job: _run_one(*a) for job, a in zip(jobs, args)}
 
     rows: list[SweepRow] = []
     failures: list[dict] = []

@@ -1,5 +1,8 @@
 """Shared builders for planted benchmark configurations."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -11,6 +14,7 @@ from mmsbkit import (
     planted_memberships,
     sample_adjacency,
 )
+from mmsbkit import sweep
 from mmsbkit._blas import openblas_thread_controls
 
 
@@ -29,6 +33,18 @@ def demo_cone_setup(seed=11):
     return three_block_setup(
         n=800, n0=200, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=seed
     )
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test after which a child process still runs, and stop it
+    so that it cannot disturb the tests that follow."""
+    yield
+    left = multiprocessing.active_children()
+    for process in left:
+        process.terminate()
+        process.join(timeout=10)
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture
@@ -66,6 +82,20 @@ def blas_threads():
     yield [get for get, _ in controls]
     for (_, put), count in zip(controls, saved):
         put(count)
+
+
+@pytest.fixture
+def trials_die(monkeypatch):
+    """Every sweep trial ends its worker process the way an OOM kill
+    does: at once, with no exception to send back."""
+    parent = os.getpid()
+
+    def run_trial(*args):
+        if os.getpid() == parent:
+            raise AssertionError("a trial ran in the test process")
+        os._exit(1)
+
+    monkeypatch.setattr(sweep, "_run_trial", run_trial)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,6 +29,11 @@ TINY_SWEEP = {
         "block": [{"diag": 1.0, "off": 0.5}],
     },
 }
+
+
+#: ``mmsbkit`` with pooled sweep trials on threads, as on a platform
+#: without a safe ``fork``.
+THREAD_POOL_CLI = "import sys; from mmsbkit import cli, sweep; sweep._FORK_TRIALS = False; sys.exit(cli.run_cli())"
 
 
 def generate_args(out, n=120, n0=24, seed=7):
@@ -404,13 +410,16 @@ class TestSweepCommand:
         cfg.write_text(json.dumps(config))
         src = str(Path(mmsbkit.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # in-process, pooled in worker processes, and pooled on the thread
+        # pool that runs where fork is missing or unsafe
+        runs = [("1", ["-m", "mmsbkit.cli"]), ("2", ["-m", "mmsbkit.cli"]), ("2", ["-c", THREAD_POOL_CLI])]
         outputs = set()
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            for workers in ("1", "2"):
-                out = tmp_path / f"blas{threads}-workers{workers}.csv"
+            for i, (workers, entry) in enumerate(runs):
+                out = tmp_path / f"blas{threads}-run{i}.csv"
                 argv = ["sweep", "--config", str(cfg), "--out", str(out), "--workers", workers]
-                subprocess.run([sys.executable, "-m", "mmsbkit.cli", "--quiet"] + argv, env=env, check=True)
+                subprocess.run([sys.executable, *entry, "--quiet"] + argv, env=env, check=True)
                 outputs.add(out.read_bytes())
         assert len(outputs) == 1
 
@@ -517,6 +526,16 @@ class TestExitCodes:
         argv = ["--quiet", "evaluate", "--estimate", str(estimate), "--truth", str(truth)]
         assert run_cli(argv) == 2
         assert f"{estimate}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    def test_dead_sweep_trial_process_is_exit_3_with_one_line(self, tmp_path, capsys, trials_die):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(TINY_SWEEP))
+        out = tmp_path / "o.csv"
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("a sweep trial process died: ")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_isolated_node_with_tau_zero_is_numerical_error(self, tmp_path):
         f = tmp_path / "g.edgelist"

@@ -29,6 +29,7 @@ from mmsbkit import (
     srsc_equivalence,
 )
 from mmsbkit import spectral
+from mmsbkit._blas import one_blas_thread
 from mmsbkit.corners import sp_select, svm_cone_select
 from mmsbkit.recovery import CLIP_TOL, _memberships_from_z, _solve_right_inverse
 from mmsbkit.spectral import ZERO_ROW_TOL, SpectralBasis, normalize_rows
@@ -233,6 +234,22 @@ class TestEquivalences:
         for method in ("SRSC-EQ", "CRSC-EQ"):
             result = recover_from_basis(basis, lap, method)
             assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
+
+    def test_cone_twins_break_an_equidistant_corner_by_index(self):
+        # the sweep-grid trial seeded 506 at rho=0.2: two rows of one
+        # k-means cluster sit at the same distance from its centre up to
+        # rounding, which once sent CRSC and CRSC-EQ to different corners
+        seed = 506
+        pi = planted_memberships(500, 3, 100, "four-profiles", seed=seed)
+        omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.2))
+        graph = sample_adjacency(omega, seed ^ STREAM_SPLIT)
+        with one_blas_thread():
+            lap = regularized_laplacian(graph, default_tau(500))
+            basis = leading_eigenpairs(lap, 3)
+            plain, twin = (recover_from_basis(basis, lap, m) for m in ("CRSC", "CRSC-EQ"))
+        assert plain.corners.indices == twin.corners.indices
+        errors = [mixed_hamming_error(r.pi_hat, pi).error for r in (plain, twin)]
+        assert abs(errors[0] - errors[1]) <= 1e-10
 
     def test_corner_gram_matrices_match_across_routes(self):
         # the K x K Gram of the corner rows is the same whether corners are

@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+import uuid
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -316,38 +320,77 @@ class TestNonNumberSizesAndRho:
         assert floats.to_csv() == ints.to_csv()
 
 
+def record_trials(monkeypatch, tmp_path, observe, fail=False):
+    """Make every trial write ``observe()`` to a file of its own, which a
+    trial in a worker process can do too, and return a function that
+    reads all of them back. With ``fail`` the trial then raises an error
+    the sweep does not catch."""
+    run_trial = sweep_module._run_trial
+
+    def spy(*args):
+        (tmp_path / f"{uuid.uuid4().hex}.trial").write_text(json.dumps(observe()))
+        if fail:
+            raise RuntimeError("a trial error the sweep does not catch")
+        return run_trial(*args)
+
+    monkeypatch.setattr(sweep_module, "_run_trial", spy)
+    return lambda: [json.loads(path.read_text()) for path in tmp_path.glob("*.trial")]
+
+
 class TestOneBlasThreadPerTrial:
-    def _record_counts(self, monkeypatch, getters, fail=False):
-        seen = []
-        run_trial = sweep_module._run_trial
-
-        def spy(*args):
-            seen.append([get() for get in getters])
-            if fail:
-                raise RuntimeError("a trial error the sweep does not catch")
-            return run_trial(*args)
-
-        monkeypatch.setattr(sweep_module, "_run_trial", spy)
-        return seen
+    def _record_counts(self, monkeypatch, tmp_path, getters, fail=False):
+        return record_trials(monkeypatch, tmp_path, lambda: [get() for get in getters], fail)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_trials_run_on_one_thread_and_the_count_comes_back(self, monkeypatch, blas_threads, workers):
-        seen = self._record_counts(monkeypatch, blas_threads)
+    def test_trials_run_on_one_thread_and_the_count_comes_back(self, monkeypatch, tmp_path, blas_threads, workers):
+        seen = self._record_counts(monkeypatch, tmp_path, blas_threads)
         run_sweep(tiny_config(), workers=workers)
-        assert seen == [[1] * len(blas_threads)] * 2
+        assert seen() == [[1] * len(blas_threads)] * 2
         assert [get() for get in blas_threads] == [2] * len(blas_threads)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_count_comes_back_when_a_trial_raises(self, monkeypatch, blas_threads, workers):
-        self._record_counts(monkeypatch, blas_threads, fail=True)
+    def test_count_comes_back_when_a_trial_raises(self, monkeypatch, tmp_path, blas_threads, workers):
+        self._record_counts(monkeypatch, tmp_path, blas_threads, fail=True)
         with pytest.raises(RuntimeError, match="does not catch"):
             run_sweep(tiny_config(), workers=workers)
         assert [get() for get in blas_threads] == [2] * len(blas_threads)
 
-    def test_without_the_entry_points_the_sweep_runs_as_before(self, monkeypatch, blas_threads):
+    def test_without_the_entry_points_the_sweep_runs_as_before(self, monkeypatch, tmp_path, blas_threads):
         pinned = run_sweep(tiny_config(), workers=2)
         monkeypatch.setattr(_blas, "OPENBLAS_THREAD_SYMBOLS", ("no_such_blas_{}_num_threads",))
         assert _blas.openblas_thread_controls() == []
-        seen = self._record_counts(monkeypatch, blas_threads)
+        seen = self._record_counts(monkeypatch, tmp_path, blas_threads)
         assert run_sweep(tiny_config(), workers=2).rows == pinned.rows
-        assert seen == [[2] * len(blas_threads)] * 2
+        assert seen() == [[2] * len(blas_threads)] * 2
+
+
+class TestTrialProcesses:
+    def test_pooled_trials_run_in_child_processes(self, monkeypatch, tmp_path):
+        pids = record_trials(monkeypatch, tmp_path, os.getpid)
+        run_sweep(tiny_config(reps=4), workers=2)
+        assert len(pids()) == 4
+        assert os.getpid() not in pids()
+
+    def test_no_process_is_left_after_a_sweep(self):
+        run_sweep(tiny_config(), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_is_left_after_an_uncaught_trial_error(self, monkeypatch, tmp_path):
+        record_trials(monkeypatch, tmp_path, os.getpid, fail=True)
+        with pytest.raises(RuntimeError, match="does not catch"):
+            run_sweep(tiny_config(reps=6), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_trial_process_breaks_the_sweep(self, trials_die):
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(tiny_config(), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_thread_pool_gives_the_rows_of_the_process_pool(self, monkeypatch, tmp_path):
+        config = tiny_config(reps=3, methods=["srsc", "crsc", "srsc-eq", "crsc-eq"])
+        forked = run_sweep(config, workers=2)
+        monkeypatch.setattr(sweep_module, "_FORK_TRIALS", False)
+        pids = record_trials(monkeypatch, tmp_path, os.getpid)
+        threaded = run_sweep(config, workers=2)
+        assert pids() == [os.getpid()] * 3
+        assert threaded == forked
