@@ -24,7 +24,9 @@ become the graph's CSR without a sort (see :meth:`Graph.from_edges`).
 Numeric matrices are CSV with 17-significant-digit decimal values, which
 reproduce IEEE doubles bit-exactly on read-back. Every writer emits
 UTF-8 with LF line endings and locale-independent number formatting.
-The edge-list writer formats each node id that occurs in an edge once,
+The edge-list writer takes the edges as pairs i < j in strictly
+increasing row-major order, the order the sampler draws them in, and
+checks that order first. It formats each node id that occurs in an edge once,
 as ``b"%d "`` and as ``b"%d\\n"``, and writes each chunk of
 ``_CHUNK_ROWS`` edges as one join of the pieces looked up by id, so no
 number is formatted per edge. The CSV writer formats a chunk of rows
@@ -43,7 +45,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .exceptions import DataFormatError
-from .model import Graph, MembershipMatrix
+from .model import Graph, MembershipMatrix, _row_major
 
 _N_COMMENT = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 #: Where ``surrogateescape`` decoding puts each byte that is not UTF-8.
@@ -53,7 +55,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _PLAIN_BYTES = b"0123456789- \t\r\n"
 #: A byte of a plain edge line that is not blank.
 _NONBLANK = re.compile(rb"[^ \t\r\n]")
-#: Rows written at once by :func:`write_edge_list` and :func:`write_matrix_csv`.
+#: Rows written at once by :func:`write_edge_pairs` and :func:`write_matrix_csv`.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -187,15 +189,32 @@ def _text_lines(path: Path, stream: BinaryIO) -> Iterator[tuple[int, str]]:
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
     """Write a graph in canonical order: ``# n=<count>`` then edges
-    sorted with i < j.
+    sorted with i < j (see :func:`write_edge_pairs`)."""
+    write_edge_pairs(graph.n, graph.edges(), path)
+
+
+def write_edge_pairs(n: int, pairs: np.ndarray, path: str | Path) -> None:
+    """Write the edge list of an ``n``-node graph from its edges as
+    (m, 2) pairs ``0 <= i < j < n`` in strictly increasing row-major
+    order, the order :func:`write_edge_list` writes and
+    :func:`~mmsbkit.model.sample_edge_pairs` draws. Pairs out of range,
+    self-loops, reversed, repeated or unsorted pairs raise ``ValueError``
+    before the file is opened.
 
     Each id that occurs in an edge is formatted once, as ``b"%d "`` for
     the first column and ``b"%d\\n"`` for the second, into an object
     array; a chunk of ``_CHUNK_ROWS`` edges is then one join of the
     pieces that one fancy index of that array looks up. Memory stays
     O(n + m)."""
-    edges = graph.edges()
-    present = np.zeros(graph.n, dtype=bool)
+    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if edges.size:
+        if edges.min() < 0 or edges.max() >= n:
+            raise ValueError("edge endpoint out of range")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
+        if not ((edges[:, 0] < edges[:, 1]).all() and _row_major(edges[:, 0], edges[:, 1])):
+            raise ValueError("edges must be pairs i < j in strictly increasing row-major order")
+    present = np.zeros(n, dtype=bool)
     present[edges.ravel()] = True
     ids = np.flatnonzero(present).tolist()
     pieces = np.array([b"%d " % v for v in ids] + [b"%d\n" % v for v in ids], dtype=object)
@@ -204,7 +223,7 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
     rank = np.cumsum(present) - 1
     half = np.array([0, len(ids)])
     with Path(path).open("wb") as handle:
-        handle.write(b"# n=%d\n" % graph.n)
+        handle.write(b"# n=%d\n" % n)
         for start in range(0, len(edges), _CHUNK_ROWS):
             keys = rank[edges[start:start + _CHUNK_ROWS]] + half
             handle.write(b"".join(pieces[keys.ravel()].tolist()))

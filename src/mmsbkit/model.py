@@ -16,6 +16,16 @@ skips, and keeps a candidate with probability ``Omega[i, j] / r``; so it
 costs time in the number of candidates, not of pairs. Otherwise it draws
 one uniform per pair.
 
+The bound ``r`` of a factored ``Omega`` is the smaller of two. One
+replaces each factor column by its maximum over the block. The other is
+Hölder's inequality: the factors are nonnegative, so
+``sum_k B[i,k] Pi[j,k] <= (max_k B[i,k]) (sum_k Pi[j,k])``, and the
+mirrored sum likewise. A row of ``Pi`` sums to 1, so this bound stays
+near the block's largest rate, where the first may take each
+community's largest factor entry from a different node. The Hölder
+bound is grown by ``HOLDER_SLACK * K`` eps, which covers the rounding of
+the entries' sums and of its own, so either bound holds exactly.
+
 All containers are frozen dataclasses over read-only numpy arrays, so
 instances can be shared freely across threads.
 """
@@ -33,10 +43,18 @@ ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
 RANK_SV_TOL = 1e-10
 PURITY_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
+_SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
 
 #: Most entries of ``Omega`` computed at once: per block of rows in
-#: :func:`sample_adjacency`, and when a factored ``Omega`` is densified.
+#: :func:`sample_edge_pairs`, and when a factored ``Omega`` is densified.
 SAMPLE_BLOCK = 1 << 20
+
+#: Eps per community by which the Hölder rate bound is grown. The entry's
+#: sums and the bound's own sums and products move the two apart by at
+#: most (K + 1) eps relative, and 4K eps covers that and the rounding of
+#: the growth itself for every K >= 1.
+HOLDER_SLACK = 4
 
 #: Rate bound above which a sampler block draws one uniform per pair and
 #: computes all of its rates at once; a block at or below it draws only
@@ -249,18 +267,24 @@ class PopulationMatrix:
         """A number at least every entry of the block ``Omega[rows, cols]``
         (1 for a dense ``Omega``).
 
-        For a factored ``Omega`` each factor column is replaced by its
-        maximum over the block's rows or columns, and the sums are taken as
-        in :func:`_factored_entries`. The factors are nonnegative and
-        rounding is monotone, so the bound holds exactly, not just up to
-        rounding.
+        For a factored ``Omega`` it is the smaller of two bounds, each
+        capped at 1. The column bound replaces each factor column by its
+        maximum over the block's rows or columns and takes the sums as in
+        :func:`_factored_entries`; the factors are nonnegative and
+        rounding is monotone, so it holds exactly. The Hölder bound is
+        ``((max_i max_k b_ik)(max_j sum_k pi_jk) + (max_i sum_k pi_ik)
+        (max_j max_k b_jk)) / 2``, since ``sum_k b_ik pi_jk <= (max_k
+        b_ik)(sum_k pi_jk)`` for nonnegative factors. Its sums round
+        differently from the entry's, so it is grown by ``HOLDER_SLACK * K``
+        eps, which covers both roundings, plus ``K`` times the smallest
+        normal double, which covers products that underflow.
         """
         if self._matrix is not None:
             return 1.0
         pi, b = self._pi_cols, self._b_cols
         return _bound_from_maxima(
-            b[:, rows].max(axis=1), pi[:, cols].max(axis=1),
-            pi[:, rows].max(axis=1), b[:, cols].max(axis=1),
+            _bound_terms(pi[:, rows], b[:, rows]).max(axis=1),
+            _bound_terms(pi[:, cols], b[:, cols]).max(axis=1),
         )
 
     def degrees(self) -> np.ndarray:
@@ -268,15 +292,33 @@ class PopulationMatrix:
         return self.matrix.sum(axis=1)
 
 
-def _bound_from_maxima(b_i: np.ndarray, pi_j: np.ndarray, pi_i: np.ndarray, b_j: np.ndarray) -> float:
-    """:meth:`PopulationMatrix.bound` from the column maxima of the factors
-    over a block's rows (``b_i``, ``pi_i``) and columns (``pi_j``, ``b_j``),
-    summed in increasing k as :func:`_factored_entries` sums an entry."""
+def _bound_terms(pi_cols: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
+    """The per-node values whose maxima :meth:`PopulationMatrix.bound`
+    takes, for the nodes of the (K, m) factor columns: a (2K + 2, m) array
+    of the K ``pi`` entries, the K ``b`` entries, ``max_k b`` and ``sum_k
+    pi`` summed in increasing k. Each column depends on its node alone, so
+    a node's values do not depend on which other nodes are passed with
+    it."""
+    pi_sum = pi_cols[0].copy()
+    for k in range(1, pi_cols.shape[0]):
+        pi_sum += pi_cols[k]
+    return np.vstack([pi_cols, b_cols, b_cols.max(axis=0), pi_sum])
+
+
+def _bound_from_maxima(rows: np.ndarray, cols: np.ndarray) -> float:
+    """:meth:`PopulationMatrix.bound` from the maxima of :func:`_bound_terms`
+    over a block's rows and over its columns. The column bound sums in
+    increasing k as :func:`_factored_entries` sums an entry."""
+    K = (rows.size - 2) // 2
+    pi_i, b_i, top_i, sum_i = rows[:K], rows[K:2 * K], rows[2 * K], rows[2 * K + 1]
+    pi_j, b_j, top_j, sum_j = cols[:K], cols[K:2 * K], cols[2 * K], cols[2 * K + 1]
     left, right = b_i[0] * pi_j[0], pi_i[0] * b_j[0]
-    for k in range(1, b_i.size):
+    for k in range(1, K):
         left += b_i[k] * pi_j[k]
         right += pi_i[k] * b_j[k]
-    return float(min((left + right) / 2.0, 1.0))
+    holder = (top_i * sum_j + sum_i * top_j) / 2.0
+    holder = holder * (1.0 + HOLDER_SLACK * K * _EPS) + K * _SMALLEST_NORMAL
+    return float(min((left + right) / 2.0, holder, 1.0))
 
 
 def _factored_entries(pi_cols: np.ndarray, b_cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -430,7 +472,13 @@ def _row_blocks(n: int):
 
 
 def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
-    """Draw a graph with independent Bernoulli(Omega[i, j]) edges for i < j.
+    """The graph of the edges :func:`sample_edge_pairs` draws."""
+    return Graph.from_edges(omega.n, sample_edge_pairs(omega, seed))
+
+
+def sample_edge_pairs(omega: PopulationMatrix, seed: int) -> np.ndarray:
+    """Draw independent Bernoulli(Omega[i, j]) edges for i < j, as an
+    (m, 2) int64 array of pairs in strictly increasing row-major order.
 
     Sampling is deterministic given ``seed``: one PCG64 generator serves
     the blocks of whole rows (up to ``SAMPLE_BLOCK`` pairs each, rows in
@@ -451,11 +499,11 @@ def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
     independently of every other pair. The skip route draws as many
     gaps as its candidates need, plus a batch margin, so the graph
     depends on the block partition (through ``r``) but its law does not.
-    The bounds of all blocks take O(nK) work per call: the factor maxima
-    over each block's columns ``r0+1 .. n-1`` are suffix maxima, computed
+    The bounds of all blocks take O(nK) work per call: the maxima over
+    each block's columns ``r0+1 .. n-1`` are suffix maxima, computed
     once. Only one block of uniforms and rates exists at a time, so a
     factored ``Omega`` is never built as an n x n array. The diagonal is
-    never sampled and stays 0.
+    never sampled.
     """
     n = omega.n
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
@@ -465,27 +513,24 @@ def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
         _sample_rows(omega, rng, r0, r1, bound)
         for (r0, r1), bound in zip(blocks, _block_bounds(omega, blocks))
     ]
-    return Graph.from_edges(n, np.concatenate(pairs))
+    return np.concatenate(pairs)
 
 
 def _block_bounds(omega: PopulationMatrix, blocks: list[tuple[int, int]]) -> list[float]:
     """:meth:`PopulationMatrix.bound` of each block's rates
     ``Omega[r0:r1, r0+1:]``, bit for bit, in O(nK) work for all blocks:
-    the column maxima of every suffix of rows are computed once."""
+    the maxima of :func:`_bound_terms` over every suffix of nodes are
+    computed once."""
     if omega.pi is None:
         return [1.0] * len(blocks)
-    pi, b = omega._pi_cols, omega._b_cols
-    pi_tail = np.maximum.accumulate(pi[:, ::-1], axis=1)[:, ::-1]
-    b_tail = np.maximum.accumulate(b[:, ::-1], axis=1)[:, ::-1]
-    return [
-        _bound_from_maxima(b[:, r0:r1].max(axis=1), pi_tail[:, r0 + 1], pi[:, r0:r1].max(axis=1), b_tail[:, r0 + 1])
-        for r0, r1 in blocks
-    ]
+    node = _bound_terms(omega._pi_cols, omega._b_cols)
+    tail = np.maximum.accumulate(node[:, ::-1], axis=1)[:, ::-1]
+    return [_bound_from_maxima(node[:, r0:r1].max(axis=1), tail[:, r0 + 1]) for r0, r1 in blocks]
 
 
 def _sample_rows(omega: PopulationMatrix, rng: np.random.Generator, r0: int, r1: int, bound: float) -> np.ndarray:
     """Edges (i, j), i < j, drawn for rows ``r0 .. r1-1`` whose rates are
-    at most ``bound``, by the route :func:`sample_adjacency` describes. A
+    at most ``bound``, by the route :func:`sample_edge_pairs` describes. A
     function of its own, so that one block's arrays are freed before the
     next block's are made."""
     n = omega.n

@@ -216,7 +216,9 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     take = _leading_positions(vals, K)
     sel_vals = vals[take]
     sel_vecs = vecs[:, take]
-    residual = np.linalg.norm(op @ sel_vecs - sel_vecs * sel_vals, axis=0)
+    # one matvec per column: scipy's sparse multi-vector product is slower
+    # than K single ones
+    residual = np.array([np.linalg.norm(op @ v - v * val) for val, v in zip(sel_vals, sel_vecs.T)])
     if residual.max() > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {residual.max():.3e} exceeds {RESIDUAL_TOL}")
     return SpectralBasis(eigenvalues=sel_vals, vectors=sel_vecs)

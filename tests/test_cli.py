@@ -109,12 +109,12 @@ class TestGenerate:
 
     def test_sparse_recipe_edge_stream_is_pinned(self, tmp_path):
         # the generate-sparse benchmark graph (121k edges), drawn by
-        # geometric skips: its blocks' rate bounds are 0.017 to 0.033
+        # geometric skips: its blocks' rate bounds are 0.0156 to 0.0160
         argv = generate_args(tmp_path / "net", n=6000, n0=1200, seed=5)
         argv[argv.index("--rho") + 1] = "0.02"
         assert run_cli(["--quiet"] + argv) == 0
         digest = hashlib.sha256((tmp_path / "net.edgelist").read_bytes()).hexdigest()
-        assert digest == "e4a97c22e084e20551a0a3550e5ac1f674306911c86d2b8472803285dafa3a5c"
+        assert digest == "080d278033e3600d900ba4469e4b9bd1173083b1ad607149bd070ba2217a2fe2"
 
     def test_dense_recipe_edge_stream_is_pinned(self, tmp_path):
         # the cluster-dense benchmark graph (674k edges): its blocks draw

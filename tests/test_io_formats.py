@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsbkit import (
+    BlockModel,
     DataFormatError,
     Graph,
+    build_population_matrix,
+    diag_off_block,
+    planted_memberships,
     read_edge_list,
     read_matrix_csv,
     read_memberships,
     sample_adjacency,
+    sample_edge_pairs,
     write_edge_list,
+    write_edge_pairs,
     write_matrix_csv,
     write_memberships,
 )
@@ -142,6 +148,43 @@ class TestGraphRoundTrip:
         f = tmp_path / "g.edgelist"
         write_edge_list(g, f)
         assert read_edge_list(f).n == 4
+
+
+class TestWriteEdgePairs:
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([[0, 2], [0, 1]], "row-major"),  # unsorted within a row
+            ([[1, 3], [0, 4]], "row-major"),  # unsorted rows
+            ([[0, 1], [0, 1]], "row-major"),  # repeated
+            ([[0, 1], [3, 2]], "row-major"),  # reversed
+            ([[0, 5]], "out of range"),
+            ([[-1, 2]], "out of range"),
+            ([[0, 1], [2, 2]], "self-loop"),
+        ],
+    )
+    def test_rejects_pairs_out_of_row_major_order(self, tmp_path, pairs, message):
+        f = tmp_path / "g.edgelist"
+        with pytest.raises(ValueError, match=message):
+            write_edge_pairs(5, np.array(pairs), f)
+        assert not f.exists()
+
+    @pytest.mark.parametrize("rho", [0.02, 1.0])
+    def test_pairs_as_drawn_write_the_bytes_of_the_graph(self, tmp_path, rho):
+        # the generate recipes: rho=0.02 draws by geometric skips, rho=1
+        # one uniform per pair
+        argv = [
+            "--quiet", "generate", "--n", "1200", "--k", "3", "--n0", "240", "--profile", "random-half",
+            "--p-diag", "0.8", "--p-off", "0.1", "--rho", str(rho), "--seed", "5", "--out", str(tmp_path / "net"),
+        ]
+        assert run_cli(argv) == 0
+        pi = planted_memberships(1200, 3, 240, "random-half", seed=5)
+        omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 0.8, 0.1), rho=rho))
+        write_edge_pairs(1200, sample_edge_pairs(omega, 5), tmp_path / "pairs.edgelist")
+        write_edge_list(sample_adjacency(omega, 5), tmp_path / "graph.edgelist")
+        expected = (tmp_path / "graph.edgelist").read_bytes()
+        assert (tmp_path / "pairs.edgelist").read_bytes() == expected
+        assert (tmp_path / "net.edgelist").read_bytes() == expected
 
 
 _PLAIN_ID = st.integers(0, 11).map(str)

@@ -558,15 +558,50 @@ class TestGraphEdges:
         assert np.array_equal(graph.edges(), triu_edges(graph))
 
 
-def random_factored_omega(rng, n, K, rho):
+def random_factored_omega(rng, n, K, rho, rows="stochastic"):
     """Factored Omega of random memberships and connectivity; ``rho`` near
-    1 drives entries to 1, so the clip in the kernel and the bound is hit."""
+    1 drives entries to 1, so the clip in the kernel and the bound is hit.
+
+    ``rows`` picks the factors: ``"stochastic"`` memberships and ``b = pi
+    @ P``; ``"above one"`` the same with every row grown by 1e-12;
+    ``"flat"`` stochastic memberships and ``b`` constant along each row,
+    where the Hölder bound is met up to rounding; ``"free"`` nonnegative
+    rows of any sum in both factors."""
     pi = rng.dirichlet(np.full(K, 0.5), size=n)
     pi[rng.random(n) < 0.3] = np.eye(K)[rng.integers(0, K)]
     p = rng.random((K, K))
     p = (p + p.T) / 2
     np.fill_diagonal(p, 1.0)
-    return PopulationMatrix(pi=pi, b=pi @ (rho * p) * (1.0 + 1e-15))
+    b = pi @ (rho * p) * (1.0 + 1e-15)
+    if rows == "above one":
+        pi, b = pi * (1.0 + 1e-12), b * (1.0 + 1e-12)
+    elif rows == "flat":
+        b = np.repeat(rho * rng.random((n, 1)), K, axis=1)
+    elif rows == "free":
+        pi, b = rng.random((n, K)) * rng.uniform(0.0, 3.0, (n, 1)), rho * rng.random((n, K))
+    return PopulationMatrix(pi=pi, b=b)
+
+
+def column_bound(omega: PopulationMatrix, rows: slice, cols: slice) -> float:
+    """The bound without its Hölder term: each factor column replaced by
+    its maximum over the block's rows or columns, summed in increasing k,
+    capped at 1."""
+    pi, b = omega.pi, omega.b
+    b_i, pi_j, pi_i, b_j = b[rows].max(axis=0), pi[cols].max(axis=0), pi[rows].max(axis=0), b[cols].max(axis=0)
+    left, right = b_i[0] * pi_j[0], pi_i[0] * b_j[0]
+    for k in range(1, pi.shape[1]):
+        left += b_i[k] * pi_j[k]
+        right += pi_i[k] * b_j[k]
+    return float(min((left + right) / 2.0, 1.0))
+
+
+FACTOR_ROWS = ["stochastic", "above one", "flat", "free"]
+
+
+def recipe_omega(n, n0, profile, diag, off, rho):
+    """Omega of a benchmark recipe: K=3, seed 5."""
+    pi = planted_memberships(n, 3, n0, profile, seed=5)
+    return build_population_matrix(pi, BlockModel(diag_off_block(3, diag, off), rho=rho))
 
 
 class TestSamplerTileBound:
@@ -574,15 +609,61 @@ class TestSamplerTileBound:
     @pytest.mark.parametrize("n", [2, 3, 90])
     def test_bound_is_at_least_every_entry_of_its_tile(self, K, n):
         rng = np.random.default_rng(100 * n + K)
-        clipped = False
-        for _ in range(60):
-            omega = random_factored_omega(rng, n, K, rho=rng.choice([0.01, rng.random(), 1.0]))
-            r0, r1 = np.sort(rng.choice(n + 1, 2, replace=False))
-            c0, c1 = np.sort(rng.choice(n + 1, 2, replace=False))
-            tile = omega.entries(slice(r0, r1), slice(c0, c1))
-            assert omega.bound(slice(r0, r1), slice(c0, c1)) >= tile.max()
-            clipped |= bool((tile == 1.0).any())
-        assert clipped
+        for rows in FACTOR_ROWS:
+            clipped = tighter = False
+            for _ in range(60):
+                omega = random_factored_omega(rng, n, K, rho=rng.choice([0.01, rng.random(), 1.0]), rows=rows)
+                r0, r1 = np.sort(rng.choice(n + 1, 2, replace=False))
+                c0, c1 = np.sort(rng.choice(n + 1, 2, replace=False))
+                tile = omega.entries(slice(r0, r1), slice(c0, c1))
+                bound = omega.bound(slice(r0, r1), slice(c0, c1))
+                old = column_bound(omega, slice(r0, r1), slice(c0, c1))
+                assert tile.max() <= bound <= old
+                clipped |= bool((tile == 1.0).any())
+                tighter |= bound < old
+            # a flat b stays below 1; with one community the two bounds
+            # take the same product, and the Hölder one is grown
+            assert clipped == (rows != "flat")
+            assert tighter == (K > 1)
+
+    @pytest.mark.parametrize(
+        "recipe, skips",
+        [
+            # the sweep grid at rho=0.2 (four-profiles, 1.0/0.5 blocks):
+            # bound 0.2, candidates by geometric skips
+            ((500, 100, "four-profiles", 1.0, 0.5, 0.2), True),
+            # the cluster-dense graph (random-half, 0.8/0.1 blocks, rho=1):
+            # every bound above GATHER_SHARE, one uniform per pair
+            ((2000, 400, "random-half", 0.8, 0.1, 1.0), False),
+        ],
+    )
+    def test_recipe_takes_its_route(self, monkeypatch, recipe, skips):
+        omega = recipe_omega(*recipe)
+        routes = []
+
+        def spy(name):
+            original = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *args: routes.append(name) or original(*args))
+
+        spy("_block_hits")
+        spy("_skip_candidates")
+        model.sample_edge_pairs(omega, 5)
+        assert set(routes) == {"_skip_candidates" if skips else "_block_hits"}
+
+    @pytest.mark.parametrize(
+        "recipe",
+        [(6000, 1200, "random-half", 0.8, 0.1, 0.02)]
+        + [(500, 100, "four-profiles", 1.0, 0.5, rho) for rho in (0.01, 0.2, 0.5, 1.0)],
+    )
+    def test_no_rate_exceeds_its_block_bound(self, recipe):
+        # the generate-sparse and sweep-grid recipes
+        omega = recipe_omega(*recipe)
+        n = omega.n
+        blocks = list(model._row_blocks(n))
+        for (r0, r1), bound in zip(blocks, model._block_bounds(omega, blocks)):
+            rates = omega.entries(slice(r0, r1), slice(r0 + 1, n))
+            assert rates[np.arange(n - r0 - 1) >= np.arange(r1 - r0)[:, None]].max() <= bound
+            assert bound == omega.bound(slice(r0, r1), slice(r0 + 1, n))
 
     def test_dense_omega_reports_bound_one(self):
         omega = PopulationMatrix(np.full((4, 4), 0.2))
@@ -709,10 +790,11 @@ class TestSamplerLaw:
         rng = np.random.default_rng(17)
         for n in (2, 3, 90, 400):
             for K in (1, 3):
-                omega = random_factored_omega(rng, n, K, rho=rng.choice([0.01, rng.random(), 1.0]))
-                blocks = list(model._row_blocks(n))
-                expected = [omega.bound(slice(r0, r1), slice(r0 + 1, n)) for r0, r1 in blocks]
-                assert model._block_bounds(omega, blocks) == expected
+                for rows in FACTOR_ROWS:
+                    omega = random_factored_omega(rng, n, K, rho=rng.choice([0.01, rng.random(), 1.0]), rows=rows)
+                    blocks = list(model._row_blocks(n))
+                    expected = [omega.bound(slice(r0, r1), slice(r0 + 1, n)) for r0, r1 in blocks]
+                    assert model._block_bounds(omega, blocks) == expected
 
     def test_zero_bound_draws_nothing(self):
         pi = np.full((30, 2), 0.5)

@@ -236,10 +236,11 @@ class TestEquivalences:
             assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
 
     def test_cone_twins_break_an_equidistant_corner_by_index(self):
-        # the sweep-grid trial seeded 506 at rho=0.2: two rows of one
+        # the sweep-grid trial seeded 1234 at rho=0.2: two rows of one
         # k-means cluster sit at the same distance from its centre up to
-        # rounding, which once sent CRSC and CRSC-EQ to different corners
-        seed = 506
+        # rounding, and picking the nearer by rounding alone sends CRSC to
+        # corner 355 and CRSC-EQ to corner 61
+        seed = 1234
         pi = planted_memberships(500, 3, 100, "four-profiles", seed=seed)
         omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.2))
         graph = sample_adjacency(omega, seed ^ STREAM_SPLIT)
@@ -410,7 +411,7 @@ class TestReconstructionHelpers:
     def test_clipped_rows_ignore_rounding_noise_under_any_start_vector(self, monkeypatch):
         # sweep recipe at rho=0.01 (trial seed 9): counting rows whose only
         # negative entries are of order 1e-16 moves the count with the
-        # Lanczos start vector (217/216/217/216 under seeds 0-3)
+        # Lanczos start vector (161/161/160/159 under seeds 0-3)
         pi = planted_memberships(500, 3, 100, "four-profiles", seed=9)
         omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.01))
         graph = sample_adjacency(omega, 9 ^ STREAM_SPLIT)
@@ -418,7 +419,7 @@ class TestReconstructionHelpers:
         for seed in range(4):
             monkeypatch.setattr(spectral, "LANCZOS_SEED", seed)
             counts.append(srsc(graph, 3).clipped_rows)
-        assert counts == [214] * 4
+        assert counts == [159] * 4
 
     def test_clipped_rows_count_only_entries_below_tolerance(self):
         z = np.array([[0.5, -0.1 * CLIP_TOL], [0.5, -10 * CLIP_TOL], [0.5, 0.5]])
