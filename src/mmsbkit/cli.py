@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -70,15 +71,20 @@ class SystemExit2(Exception):
 
 
 def _tau_value(text: str):
+    """``--tau``: ``None`` for ``auto``, else a finite nonnegative float,
+    with ``-0`` read as ``0.0`` so that both spellings write the same
+    summary."""
     if text == "auto":
         return None
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"tau must be a number or 'auto', got {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tau must be a finite number or 'auto', got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("tau must be nonnegative")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def build_parser() -> argparse.ArgumentParser:

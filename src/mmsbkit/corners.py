@@ -170,11 +170,15 @@ def one_class_svm(s: np.ndarray) -> SvmSolution:
     solver hits its iteration cap, or when the KKT conditions cannot be
     certified to 1e-8.
     """
+    return _one_class_svm(_check_unit_rows(s))
+
+
+def _one_class_svm(s: np.ndarray) -> SvmSolution:
+    """:func:`one_class_svm` on rows already checked to be unit-norm."""
     # scipy.optimize costs every process that imports it ~0.16 s and
     # ~17 MB; only the cone methods need it
     from scipy.optimize import nnls
 
-    s = _check_unit_rows(s)
     n, width = s.shape
     e = np.vstack([s.T, np.ones((1, n))])
     f = np.zeros(width + 1)
@@ -247,7 +251,7 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     n = s.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
-    solution = one_class_svm(s)
+    solution = _one_class_svm(s)
     margins = s @ solution.w
     # rows meeting the margin with equality are certified only to the
     # solver's KKT tolerance, so the threshold carries that much slack

@@ -149,7 +149,8 @@ def recover_from_basis(
     across several methods (the sweep harness) or that need to perturb
     the basis, e.g. to check sign-flip invariance. ``method`` is one of
     ``SRSC``, ``CRSC``, ``SRSC-EQ``, ``CRSC-EQ``: a geometry run on the
-    rows of ``V``, or of ``V @ V.T`` for the ``-EQ`` twins, that only
+    rows of ``V``, or of ``V @ V.T`` (``basis.projector``, formed once per
+    basis) for the ``-EQ`` twins, that only
     picks the corner set C (simplex: successive projection on the
     ``sqrt(dtau)``-scaled rows; cone: the SVM cone selection on the unit
     rows). Every method then reconstructs ``Z = rows @ pinv(rows_C) /
@@ -161,7 +162,7 @@ def recover_from_basis(
     if method not in EMPIRICAL_METHODS:
         raise ValueError(f"unknown method {method!r}")
     v = basis.vectors
-    rows = v @ v.T if method.endswith("-EQ") else v
+    rows = basis.projector if method.endswith("-EQ") else v
     root_d = np.sqrt(lap.dtau)
     with stage("corners"):
         if method.startswith("SRSC"):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,8 +28,9 @@ RESIDUAL_TOL = 1e-8
 ZERO_ROW_TOL = 1e-14
 TIE_TOL = 1e-12
 LANCZOS_SEED = 0
-DEFLATION_TOL = 1e-4
-COARSE_DEFLATION_TOL = 1e-2
+# The stages of the cut certificate as (tol, ncv): a short screen, then
+# ARPACK's default basis size (ncv None) at two tighter tolerances.
+DEFLATION_STAGES = ((0.1, 6), (1e-2, None), (1e-4, None))
 
 
 @dataclass(frozen=True, init=False)
@@ -124,6 +126,14 @@ class SpectralBasis:
     def n(self) -> int:
         return self.vectors.shape[0]
 
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """``V @ V.T``, the read-only (n, n) projector onto the basis,
+        formed on first access and kept."""
+        p = self.vectors @ self.vectors.T
+        p.setflags(write=False)
+        return p
+
 
 def default_tau(n: int) -> float:
     """The default ridge regularizer ``0.1 * ln(n)``."""
@@ -178,14 +188,15 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     the cut. It sees an eigenvalue whose magnitude meets the K-th (such
     as -lambda beside +lambda), and a repeated eigenvalue that Lanczos
     from one start vector reported once (with ``tau = 0`` every connected
-    component has eigenvalue 1). The certificate comes in two stages: a
-    run to ``COARSE_DEFLATION_TOL`` (1e-2) relative clears a cut with a
-    clear gap, and only a cut it cannot clear is measured again to
-    ``DEFLATION_TOL`` (1e-4). If what is left reaches the K-th magnitude
-    at both stages, or the runs fail, the dense decomposition is used
-    instead. A CSR Laplacian whose n x n dense form (8 n^2 bytes) exceeds
-    the machine's physical memory raises :class:`NumericalError` naming
-    n and the bytes needed, before anything is allocated.
+    component has eigenvalue 1). The certificate runs the stages of
+    ``DEFLATION_STAGES``: a screen to 0.1 relative on a 6-vector basis
+    clears a cut with a wide gap, and a cut it cannot clear is measured
+    to 1e-2 and then to 1e-4, each stage started from the last one's
+    Ritz vector. If what is left reaches the K-th magnitude at every
+    stage, or the runs fail, the dense decomposition is used instead. A
+    CSR Laplacian whose n x n dense form (8 n^2 bytes) exceeds the
+    machine's physical memory raises :class:`NumericalError` naming n and
+    the bytes needed, before anything is allocated.
 
     Magnitudes within 1e-12 of each other count as tied, because the
     solvers return an exact tie such as ``+-lambda`` only to rounding.
@@ -231,13 +242,18 @@ def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] |
     The found pairs are deflated and a second Lanczos run measures the
     largest |eigenvalue| left: the one certificate of the cut. That value
     sits at the edge of a random bulk with no gap, where tight convergence
-    is slow, so the run goes to ``COARSE_DEFLATION_TOL`` relative first,
-    and only a cut it cannot clear is measured again, from the same start,
-    to ``DEFLATION_TOL``. A stage clears the cut when its Ritz value,
-    grown by its tolerance, stays below the K-th magnitude. ``None`` means
-    that what is left reaches the K-th magnitude at both stages (a tie at
-    the cut, or an eigenvalue seen once that is repeated), or that the
-    runs fail, which happens when the deflated operator vanishes.
+    is slow, so the run is sized to the gap by the ``(tol, ncv)`` stages
+    of ``DEFLATION_STAGES``: a 0.1 screen on 6 Lanczos vectors clears a
+    wide gap in a few matvecs, and a cut it cannot clear is measured to
+    1e-2 and then to 1e-4 on ARPACK's default basis. Each later stage
+    starts from the Ritz vector of the stage before, so it keeps what that
+    stage found, and every stage draws the same restart vectors. A stage
+    clears the cut when its Ritz value, grown by its tolerance, stays
+    below the K-th magnitude. ``None`` means that what is left reaches
+    the K-th magnitude at every stage (a tie at the cut, or an eigenvalue
+    seen once that is repeated), or that the runs fail, which happens
+    when the deflated operator vanishes; a failed stage passes its start
+    vector on to the next.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -255,15 +271,17 @@ def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] |
     )
     v0 = rng.uniform(-1.0, 1.0, n)
     restarts = rng.bit_generator.state  # each stage draws the same restart vectors
-    for tol in (COARSE_DEFLATION_TOL, DEFLATION_TOL):
+    for tol, ncv in DEFLATION_STAGES:
         rng.bit_generator.state = restarts
+        ncv = None if ncv is None else min(ncv, n)
         try:
-            left = eigsh(rest, k=1, which="LM", v0=v0, rng=rng, tol=tol, return_eigenvectors=False)
+            left, ritz = eigsh(rest, k=1, which="LM", v0=v0, ncv=ncv, rng=rng, tol=tol)
         except ArpackError:
             continue
         # the Ritz value is within tol (relative) of an eigenvalue
         if abs(left[0]) * (1.0 + tol) < np.abs(vals).min() - TIE_TOL:
             return vals, vecs
+        v0 = ritz[:, 0]
     return None
 
 

@@ -241,12 +241,13 @@ class SweepResult:
 def _resolve_tau(tau_spec, n: int) -> float:
     """The regularizer of a grid entry: a finite real number, or
     ``"auto"`` for :func:`default_tau`. Anything else is a malformed
-    config and raises :class:`DataFormatError`."""
+    config and raises :class:`DataFormatError`. ``-0.0`` is read as
+    ``0.0``, so both write the same CSV."""
     if tau_spec == "auto":
         return default_tau(n)
     if not _finite_number(tau_spec):
         raise DataFormatError(f"tau must be a finite number or 'auto', got {tau_spec!r}")
-    return float(tau_spec)
+    return float(tau_spec) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _finite_number(value) -> bool:

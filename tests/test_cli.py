@@ -632,3 +632,51 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf", "fast"])
+    def test_tau_that_is_not_a_finite_number_is_usage_error(self, tmp_path, capsys, tau):
+        f = tmp_path / "g.edgelist"
+        f.write_text("0 1\n1 2\n2 0\n")
+        code = run_cli(
+            ["--quiet", "cluster", "--edges", str(f), "--k", "1", f"--tau={tau}", "--method", "srsc", "--out", str(tmp_path / "run")]
+        )
+        assert code == 1
+        assert f"tau must be a finite number or 'auto', got {tau!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run.srsc.summary.json").exists()
+
+
+class TestNegativeZeroTau:
+    def test_cluster_writes_the_bytes_of_tau_zero(self, tmp_path):
+        run_cli(["--quiet"] + generate_args(tmp_path / "net", n=100, n0=25))
+        outputs = []
+        for spelling in ("0", "-0", "-0.0"):
+            prefix = tmp_path / f"run{spelling}"
+            code = run_cli(
+                [
+                    "--quiet",
+                    "cluster",
+                    "--edges", str(tmp_path / "net.edgelist"),
+                    "--k", "3",
+                    "--tau", spelling,
+                    "--method", "srsc",
+                    "--out", str(prefix),
+                ]
+            )
+            assert code == 0
+            summary = Path(f"{prefix}.srsc.summary.json").read_bytes()
+            assert b'"tau": 0.0' in summary
+            outputs.append((summary, Path(f"{prefix}.srsc.pihat.csv").read_bytes()))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_sweep_writes_the_bytes_of_tau_zero(self, tmp_path):
+        outputs = []
+        for tau in (0.0, -0.0):
+            config = dict(TINY_SWEEP, grid=dict(TINY_SWEEP["grid"], tau=[tau]))
+            cfg = tmp_path / "sweep.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"o{len(outputs)}.csv"
+            assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert b"-0.0" in (tmp_path / "sweep.json").read_bytes()
+        assert outputs[1] == outputs[0]
+        assert outputs[0].splitlines()[1].split(b",")[3] == b"0"

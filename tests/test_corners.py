@@ -385,3 +385,14 @@ class TestSvmConeSelect:
         a = svm_cone_select(normalized, 3, seed=9)
         b = svm_cone_select(normalized, 3, seed=9)
         assert a.indices == b.indices
+
+    def test_checks_the_unit_rows_once(self, monkeypatch):
+        from mmsbkit import corners
+
+        checks, check = [], corners._check_unit_rows
+        monkeypatch.setattr(corners, "_check_unit_rows", lambda s: checks.append(1) or check(s))
+        _, normalized = ideal_cone_matrix()
+        svm_cone_select(normalized, 3)
+        assert len(checks) == 1
+        with pytest.raises(ValueError, match="unit Euclidean norm"):
+            svm_cone_select(2.0 * normalized, 3)

@@ -17,7 +17,8 @@ from mmsbkit import (
     scale_rows_by_degree,
 )
 from mmsbkit import spectral
-from mmsbkit.spectral import COARSE_DEFLATION_TOL, DEFLATION_TOL, _leading_positions
+from mmsbkit.spectral import _leading_positions
+from mmsbkit.sweep import STREAM_SPLIT
 from conftest import pure_corner_indices, three_block_setup
 
 
@@ -129,6 +130,13 @@ class TestLeadingEigenpairs:
             lap = regularized_laplacian(small_omega, tau)
             basis = leading_eigenpairs(lap, 1)
             assert basis.eigenvalues[0] <= dmax / (tau + dmax) + 1e-10
+
+    def test_projector_is_formed_once_and_read_only(self, small_graph):
+        basis = leading_eigenpairs(regularized_laplacian(small_graph, 1.0), 3)
+        projector = basis.projector
+        assert projector is basis.projector
+        assert not projector.flags.writeable
+        assert np.array_equal(projector, basis.vectors @ basis.vectors.T)
 
     def test_residuals_and_orthonormality(self, small_graph):
         lap = regularized_laplacian(small_graph, 1.0)
@@ -309,14 +317,9 @@ class TestSparseSolverMatchesDense:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_near_tie_at_cut_matches_dense(self, sign):
         # the 3rd and 4th magnitudes are 1e-5 apart relative: a tie the
-        # deflation run cannot resolve (DEFLATION_TOL) but the ranking
-        # still sees (TIE_TOL); either sign of the pair may lead
-        rng = np.random.default_rng(7)
-        n = 80
-        values = np.concatenate([[0.9, -0.7, 0.5, -0.5 * (1.0 - sign * 1e-5)], rng.uniform(-0.3, 0.3, n - 4)])
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        m = (q * values) @ q.T
-        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(n), matrix=sp.csr_matrix((m + m.T) / 2.0))
+        # deflation run cannot resolve (its last stage goes to 1e-4) but
+        # the ranking still sees (TIE_TOL); either sign of the pair may lead
+        lap = self.rotated_spectrum(sign * 1e-5)
         assert_matches_dense(lap, 3)
         expected = 0.5 if sign > 0 else -0.5 * (1.0 + 1e-5)
         assert leading_eigenpairs(lap, 3).eigenvalues[-1] == pytest.approx(expected, abs=1e-12)
@@ -337,40 +340,86 @@ class TestSparseSolverMatchesDense:
         assert residual.max() <= 1e-8
 
     @pytest.fixture
-    def eigsh_tols(self, monkeypatch):
-        """The ``tol`` of every Lanczos run, in order (0 is ARPACK's
-        machine-precision default)."""
+    def eigsh_runs(self, monkeypatch):
+        """Every Lanczos run, in order: its ``tol`` (0 is ARPACK's
+        machine-precision default), ``ncv``, start vector, generator state
+        on entry, and result."""
         import scipy.sparse.linalg
 
         seen, eigsh = [], scipy.sparse.linalg.eigsh
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("tol", 0))
-            return eigsh(*args, **kwargs)
+            run = {
+                "tol": kwargs.get("tol", 0),
+                "ncv": kwargs.get("ncv"),
+                "v0": np.array(kwargs["v0"]),
+                "rng": kwargs["rng"].bit_generator.state,
+            }
+            run["result"] = eigsh(*args, **kwargs)
+            seen.append(run)
+            return run["result"]
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
         return seen
 
-    def test_clear_gap_is_certified_at_the_coarse_stage(self, eigsh_tols):
-        _, _, omega = three_block_setup(n=600, n0=120, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=5)
-        lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
-        assert spectral._lanczos_pairs(lap.operator, 3) is not None
-        assert eigsh_tols == [0, COARSE_DEFLATION_TOL]
-
-    @pytest.mark.parametrize("gap", [1e-3, 1e-5])
-    def test_near_tie_reaches_the_fine_stage_and_matches_dense(self, eigsh_tols, gap):
-        # a relative gap of 1e-3 at the cut is below what the coarse stage
-        # resolves; the fine stage clears it, and 1e-5 falls back to dense
+    @staticmethod
+    def rotated_spectrum(gap):
+        """An 80 x 80 CSR Laplacian with magnitudes 0.9, 0.7, 0.5 on top,
+        a 4th at ``0.5 * (1 - gap)`` and a bulk within 0.3."""
         rng = np.random.default_rng(7)
         n = 80
         values = np.concatenate([[0.9, -0.7, 0.5, -0.5 * (1.0 - gap)], rng.uniform(-0.3, 0.3, n - 4)])
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         m = (q * values) @ q.T
-        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(n), matrix=sp.csr_matrix((m + m.T) / 2.0))
+        return RegularizedLaplacian(tau=0.0, dtau=np.ones(n), matrix=sp.csr_matrix((m + m.T) / 2.0))
+
+    def test_clear_gap_is_certified_at_the_first_stage(self, eigsh_runs):
+        _, _, omega = three_block_setup(n=600, n0=120, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=5)
+        lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
+        assert spectral._lanczos_pairs(lap.operator, 3) is not None
+        assert [run["tol"] for run in eigsh_runs] == [0, 0.1]
+        assert eigsh_runs[1]["ncv"] == 6
+
+    def test_five_percent_gap_fails_the_screen_and_clears_at_1e_2(self, eigsh_runs):
+        # 0.475 grown by 10% reaches 0.5, grown by 1% does not
+        lap = self.rotated_spectrum(0.05)
         assert_matches_dense(lap, 3)
-        assert eigsh_tols == [0, COARSE_DEFLATION_TOL, DEFLATION_TOL]
-        eigsh_tols.clear()
-        assert (spectral._lanczos_pairs(lap.operator, 3) is None) == (gap < DEFLATION_TOL)
+        assert [run["tol"] for run in eigsh_runs] == [0, 0.1, 1e-2]
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-5])
+    def test_near_tie_reaches_the_fine_stage_and_matches_dense(self, eigsh_runs, gap):
+        # a relative gap of 1e-3 at the cut is below what the screen and
+        # the 1e-2 stage resolve; the 1e-4 stage clears it, and 1e-5 falls
+        # back to dense
+        lap = self.rotated_spectrum(gap)
+        assert_matches_dense(lap, 3)
+        assert [run["tol"] for run in eigsh_runs] == [0, 0.1, 1e-2, 1e-4]
+        assert (spectral._lanczos_pairs(lap.operator, 3) is None) == (gap < 1e-4)
+
+    def test_each_stage_starts_from_the_last_ritz_vector(self, eigsh_runs):
+        lap = self.rotated_spectrum(1e-5)
+        assert spectral._lanczos_pairs(lap.operator, 3) is None
+        main, *stages = eigsh_runs
+        assert [run["ncv"] for run in stages] == [6, None, None]
+        assert not np.array_equal(stages[0]["v0"], main["v0"])
+        for before, after in zip(stages, stages[1:]):
+            _, ritz = before["result"]
+            assert np.array_equal(after["v0"], ritz[:, 0])
+            # each stage draws the same restart vectors
+            assert after["rng"] == stages[0]["rng"]
+
+    @pytest.mark.parametrize("rho, trials", [(0.01, (0, 1)), (0.2, (0, 2))])
+    def test_sweep_graphs_with_a_narrow_cut_match_dense(self, eigsh_runs, rho, trials):
+        # the sweep recipe (n=500, base seed 1): every one of these graphs
+        # has a relative gap at the cut below 1e-2, so the certificate runs
+        # the warm-started stages before it clears on Lanczos
+        for trial in trials:
+            _, _, omega = three_block_setup(n=500, n0=100, rho=rho, seed=1 ^ trial)
+            lap = regularized_laplacian(sample_adjacency(omega, (1 ^ trial) ^ STREAM_SPLIT), default_tau(500))
+            eigsh_runs.clear()
+            assert spectral._lanczos_pairs(lap.operator, 3) is not None
+            assert [run["tol"] for run in eigsh_runs][:3] == [0, 0.1, 1e-2]
+            assert_matches_dense(lap, 3)
 
     def test_dense_fallback_that_cannot_fit_is_numerical_error(self, small_graph, monkeypatch):
         lap = regularized_laplacian(small_graph, 1.0)
