@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +199,26 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _sweep_workers(args) -> int:
+    """``--workers``, else ``MMSBKIT_THREADS``, else the usable cores; a
+    count that is not a positive integer is a usage error naming where it
+    came from."""
+    text = os.environ.get("MMSBKIT_THREADS")
+    if args.workers is not None:
+        workers, source = args.workers, "--workers"
+    elif text:
+        source = "MMSBKIT_THREADS"
+        try:
+            workers = int(text)
+        except ValueError:
+            raise SystemExit2(f"{source} must be a positive integer, got {text!r}") from None
+    else:
+        return _usable_cores()
+    if workers < 1:
+        raise SystemExit2(f"{source} must be positive, got {workers}")
+    return workers
+
+
 def _cmd_sweep(args) -> int:
     try:
         text = Path(args.config).read_text(encoding="utf-8")
@@ -213,13 +232,14 @@ def _cmd_sweep(args) -> int:
             methods=config.methods,
             grid=config.grid,
         )
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get("MMSBKIT_THREADS")
-        workers = int(env) if env else _usable_cores()
-    if workers < 1:
-        raise SystemExit2(f"worker count must be positive, got {workers}")
-    result = run_sweep(config, workers=workers)
+    # imported here, as sweep._trial_pool imports the pool: only sweep needs it
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        result = run_sweep(config, workers=_sweep_workers(args))
+    except BrokenProcessPool as exc:  # killed for memory, say
+        print(f"a sweep trial process died: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     Path(args.out).write_text(result.to_csv(), encoding="utf-8", newline="\n")
     for failure in result.failures:
         _say(args, f"skipped {failure['method']} at point {failure['point']} ({failure['stage']}): {failure['error']}")
@@ -268,9 +288,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except BrokenProcessPool as exc:  # killed for memory, say
-        print(f"a sweep trial process died: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

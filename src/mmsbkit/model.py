@@ -33,11 +33,14 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import NumericalError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ROW_SUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -353,6 +356,10 @@ class Graph:
     adjacency: sp.csr_matrix = field(repr=False)
 
     def __post_init__(self):
+        # scipy.sparse costs every process that imports it ~0.2 s and
+        # ~22 MB; generate writes its edges without building a graph
+        import scipy.sparse as sp
+
         a = self.adjacency
         if not sp.issparse(a):
             a = sp.csr_matrix(np.asarray(a))
@@ -406,6 +413,8 @@ class Graph:
         upper triangle plus its transpose, with the index dtypes scipy
         picks.
         """
+        import scipy.sparse as sp  # see __post_init__
+
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n:

@@ -15,12 +15,15 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import NumericalError
 from .model import Graph, PopulationMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 UNIT_NORM_TOL = 1e-10
 ORTHONORMAL_TOL = 1e-8
@@ -51,6 +54,10 @@ class RegularizedLaplacian:
     def __init__(
         self, tau: float, dtau: np.ndarray, matrix: np.ndarray | sp.spmatrix, *, _symmetric: bool = False
     ):
+        # imported here, as in model.Graph: a Laplacian is built only by
+        # the commands that cluster
+        import scipy.sparse as sp
+
         if sp.issparse(matrix):
             m = sp.csr_matrix(matrix, dtype=np.float64)
             entries = m.data
@@ -79,7 +86,7 @@ class RegularizedLaplacian:
     @property
     def matrix(self) -> np.ndarray:
         """The Laplacian as a dense read-only (n, n) array."""
-        if not sp.issparse(self.operator):
+        if isinstance(self.operator, np.ndarray):
             return self.operator
         dense = self.operator.toarray()
         dense.setflags(write=False)
@@ -149,11 +156,13 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
     pattern: its degrees are the row counts ``np.diff(indptr)`` and entry
     (i, j) is ``scale_i * scale_j`` with ``scale = Dtau^{-1/2}``, the same
     bits as scaling the adjacency, whose entries are exactly 1. The
-    expected adjacency gives a dense Laplacian. ``tau`` must be
-    nonnegative; with ``tau = 0`` every node needs a strictly positive
+    expected adjacency gives a dense Laplacian. ``tau`` must be finite
+    and nonnegative; with ``tau = 0`` every node needs a strictly positive
     degree, otherwise a :class:`NumericalError` is raised (an isolated
     node makes the unregularized scaling undefined).
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"regularizer tau must be finite, got {tau}")
     if tau < 0:
         raise ValueError(f"regularizer tau must be nonnegative, got {tau}")
     if not isinstance(source, (Graph, PopulationMatrix)):
@@ -165,6 +174,8 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
         )
     scale = 1.0 / np.sqrt(dtau)
     if isinstance(source, Graph):
+        import scipy.sparse as sp  # loaded with the graph
+
         a = source.adjacency
         # scale_i * scale_j is symmetric bit for bit: no averaging needed.
         # The index arrays are copied because the Laplacian makes its
@@ -209,15 +220,16 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
     # imported here: scipy.sparse.linalg adds about 0.13 s and 10 MB to the
     # start of every command, and only this solve needs it
+    from scipy.sparse import issparse
     from scipy.sparse.linalg import ArpackError
 
     op = lap.operator
     try:
         pairs = None
         # an all-zero operator leaves Lanczos no Krylov space to build
-        if sp.issparse(op) and op.nnz and K + 1 < n:
+        if issparse(op) and op.nnz and K + 1 < n:
             pairs = _lanczos_pairs(op, K)
-        if pairs is None and sp.issparse(op):
+        if pairs is None and issparse(op):
             _check_dense_fits(n)
         vals, vecs = pairs if pairs is not None else np.linalg.eigh(lap.matrix)
     except np.linalg.LinAlgError as exc:

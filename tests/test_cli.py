@@ -92,8 +92,9 @@ class TestGenerate:
         assert_generate_ignores_blas_threads(tmp_path, "0.02")
 
     def test_loads_no_solver_modules(self, tmp_path):
-        # the solvers are imported where they run: importing them costs
-        # every process start-up time and memory, and generate needs neither
+        # the solvers, scipy.sparse and the process pool are imported where
+        # they run: importing them costs every process start-up time and
+        # memory, and neither importing mmsbkit nor generate needs them
         src = str(Path(mmsbkit.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = ["--quiet"] + generate_args(tmp_path / "net", n=60, n0=12)
@@ -101,7 +102,9 @@ class TestGenerate:
             "import sys, mmsbkit\n"
             "from mmsbkit.cli import run_cli\n"
             f"assert run_cli({argv!r}) == 0\n"
-            "print(sorted(m for m in ('scipy.cluster', 'scipy.optimize', 'scipy.sparse.linalg') if m in sys.modules))\n"
+            "solvers = ('scipy.cluster', 'scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')\n"
+            "pools = ('multiprocessing', 'concurrent.futures')\n"
+            "print(sorted(m for m in solvers + pools if m in sys.modules))\n"
         )
         env = dict(os.environ, PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
@@ -422,6 +425,22 @@ class TestSweepCommand:
                 subprocess.run([sys.executable, *entry, "--quiet"] + argv, env=env, check=True)
                 outputs.add(out.read_bytes())
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "error: MMSBKIT_THREADS must be a positive integer, got 'abc'"),
+            ("0", "error: MMSBKIT_THREADS must be positive, got 0"),
+        ],
+    )
+    def test_bad_thread_env_var_is_usage_error_naming_it(self, tmp_path, monkeypatch, capsys, value, message):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(TINY_SWEEP))
+        out = tmp_path / "o.csv"
+        monkeypatch.setenv("MMSBKIT_THREADS", value)
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
 
     def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
         cfg = tmp_path / "sweep.json"

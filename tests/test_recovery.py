@@ -31,7 +31,7 @@ from mmsbkit import (
 from mmsbkit import spectral
 from mmsbkit._blas import one_blas_thread
 from mmsbkit.corners import sp_select, svm_cone_select
-from mmsbkit.recovery import CLIP_TOL, _memberships_from_z, _solve_right_inverse
+from mmsbkit.recovery import CLIP_TOL, _memberships_from_z, _solve_right_inverse, run_methods
 from mmsbkit.spectral import ZERO_ROW_TOL, SpectralBasis, normalize_rows
 from mmsbkit.sweep import STREAM_SPLIT, diag_off_block
 from conftest import three_block_setup
@@ -166,6 +166,13 @@ class TestEmpiricalPipelines:
     def test_explicit_tau_wins(self, small_graph):
         result = srsc(small_graph, 3, tau=1.25)
         assert result.tau == 1.25
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_is_named(self, small_graph, tau):
+        with pytest.raises(ValueError, match=f"regularizer tau must be finite, got {tau}"):
+            run_methods(small_graph, 1, ["SRSC"], tau=tau)
+        with pytest.raises(ValueError, match=f"regularizer tau must be finite, got {tau}"):
+            srsc(small_graph, 3, tau=tau)
 
     def test_bitwise_determinism(self, small_graph):
         a = crsc(small_graph, 3)
