@@ -26,12 +26,13 @@ reproduce IEEE doubles bit-exactly on read-back. Every writer emits
 UTF-8 with LF line endings and locale-independent number formatting.
 The edge-list writer takes the edges as pairs i < j in strictly
 increasing row-major order, the order the sampler draws them in, and
-checks that order first. It formats each node id that occurs in an edge once,
-as ``b"%d "`` and as ``b"%d\\n"``, and writes each chunk of
-``_CHUNK_ROWS`` edges as one join of the pieces looked up by id, so no
-number is formatted per edge. The CSV writer formats a chunk of rows
-with one ``%`` over a repeated row template (``%.17g`` per value, the
-same bytes as ``format(v, ".17g")``), so no Python loop runs per cell.
+checks that order first. It encodes each node id that occurs in an edge
+once, as one fixed-width record of a uint8 digit table, and writes each
+chunk of ``_CHUNK_ROWS`` edges from one gather of those records, so no
+number is formatted and no Python code runs per edge. The CSV writer
+formats a chunk of rows with one ``%`` over a repeated row template
+(``%.17g`` per value, the same bytes as ``format(v, ".17g")``), so no
+Python loop runs per cell.
 """
 
 from __future__ import annotations
@@ -201,32 +202,39 @@ def write_edge_pairs(n: int, pairs: np.ndarray, path: str | Path) -> None:
     self-loops, reversed, repeated or unsorted pairs raise ``ValueError``
     before the file is opened.
 
-    Each id that occurs in an edge is formatted once, as ``b"%d "`` for
-    the first column and ``b"%d\\n"`` for the second, into an object
-    array; a chunk of ``_CHUNK_ROWS`` edges is then one join of the
-    pieces that one fancy index of that array looks up. Memory stays
-    O(n + m)."""
+    Each id that occurs in an edge is encoded once into a uint8 table of
+    fixed-width records: its decimal digits right-aligned in as many
+    bytes as ``n - 1`` has digits, NUL-padded on the left, then one
+    separator byte. A chunk of ``_CHUNK_ROWS`` edges gathers the records
+    of its ids whole, sets the separators to space and LF, and drops the
+    NULs with one boolean mask. Memory stays O(n + m)."""
     edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if edges.size:
         if edges.min() < 0 or edges.max() >= n:
             raise ValueError("edge endpoint out of range")
-        if (edges[:, 0] == edges[:, 1]).any():
-            raise ValueError("self-loops are not allowed")
+        # i < j rules self-loops out; the equality scan only names the fault
         if not ((edges[:, 0] < edges[:, 1]).all() and _row_major(edges[:, 0], edges[:, 1])):
+            if (edges[:, 0] == edges[:, 1]).any():
+                raise ValueError("self-loops are not allowed")
             raise ValueError("edges must be pairs i < j in strictly increasing row-major order")
     present = np.zeros(n, dtype=bool)
     present[edges.ravel()] = True
-    ids = np.flatnonzero(present).tolist()
-    pieces = np.array([b"%d " % v for v in ids] + [b"%d\n" % v for v in ids], dtype=object)
-    # position of each present id in `ids`; the second column reads the
-    # newline half of `pieces`
-    rank = np.cumsum(present) - 1
-    half = np.array([0, len(ids)])
+    ids = np.flatnonzero(present)
+    width = len(str(max(n - 1, 0)))
+    table = np.zeros((len(ids), width + 1), dtype=np.uint8)
+    table[:, width - 1] = ids % 10 + ord("0")
+    rest = ids // 10
+    for col in range(width - 2, -1, -1):
+        table[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+        rest //= 10
+    records = table.view(f"V{width + 1}").ravel()
+    rank = np.cumsum(present) - 1  # row of each present id in `table`
     with Path(path).open("wb") as handle:
         handle.write(b"# n=%d\n" % n)
         for start in range(0, len(edges), _CHUNK_ROWS):
-            keys = rank[edges[start:start + _CHUNK_ROWS]] + half
-            handle.write(b"".join(pieces[keys.ravel()].tolist()))
+            chunk = records[rank[edges[start:start + _CHUNK_ROWS]]].view(np.uint8).reshape(-1, 2, width + 1)
+            chunk[:, :, width] = (ord(" "), ord("\n"))
+            handle.write(chunk[chunk != 0])
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

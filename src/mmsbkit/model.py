@@ -404,10 +404,12 @@ class Graph:
     def from_edges(cls, n: int, pairs: np.ndarray) -> "Graph":
         """Build from an (m, 2) array of undirected edges (either order).
 
-        The pairs are folded to i < j. When the folded pairs strictly
-        increase in row-major order, as the sampler's and the writer's do,
-        they already are the upper triangle in canonical CSR: ``indptr``
-        comes from the row counts and ``indices`` is the j column. Pairs in
+        The pairs are folded to i < j; when every pair already has i < j,
+        the columns are used as they are, with no folded copy. When the
+        folded pairs strictly increase in row-major order, as the
+        sampler's and the writer's do, they already are the upper triangle
+        in canonical CSR: ``indptr`` comes from the row counts and
+        ``indices`` is the j column. Pairs in
         any other order go through scipy's COO -> CSR conversion, which
         sorts them and collapses duplicates. Either way the graph is the
         upper triangle plus its transpose, with the index dtypes scipy
@@ -416,13 +418,14 @@ class Graph:
         import scipy.sparse as sp  # see __post_init__
 
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if pairs.size:
-            if pairs.min() < 0 or pairs.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if (pairs[:, 0] == pairs[:, 1]).any():
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        # i < j throughout rules self-loops out and needs no fold
+        if not (lo < hi).all():
+            if (lo == hi).any():
                 raise ValueError("self-loops are not allowed")
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
         if _row_major(lo, hi):
             indptr = np.concatenate(([0], np.cumsum(np.bincount(lo, minlength=n))))
             upper = sp.csr_matrix((np.ones(lo.size), hi, indptr), shape=(n, n))
@@ -447,9 +450,9 @@ def _row_major(lo: np.ndarray, hi: np.ndarray) -> bool:
     """True when the pairs ``(lo[k], hi[k])`` strictly increase in
     lexicographic order. The columns are compared one after the other,
     never as keys ``lo * n + hi``, which overflow int64 once n passes
-    about 3.04e9."""
-    step = np.diff(lo)
-    return bool((step >= 0).all() and ((step > 0) | (np.diff(hi) > 0)).all())
+    about 3.04e9. Shifted views are compared, so no array of
+    differences is built."""
+    return bool((lo[:-1] <= lo[1:]).all() and ((lo[:-1] < lo[1:]) | (hi[:-1] < hi[1:])).all())
 
 
 def build_population_matrix(pi: MembershipMatrix, block: BlockModel) -> PopulationMatrix:

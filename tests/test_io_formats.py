@@ -504,6 +504,23 @@ class TestBulkWriters:
         assert f.read_bytes() == f_string_edge_list(g)
         assert (read_edge_list(f).adjacency != g.adjacency).nnz == 0
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_pair_bytes_match_f_strings_for_mixed_id_widths(self, tmp_path_factory, data):
+        # strictly row-major pairs written directly; small and large ids
+        # mix digit widths inside one chunk
+        n = data.draw(st.integers(1, 2_000_000))
+        top = n - 1
+        ids = st.one_of(st.integers(0, min(top, 9)), st.integers(0, min(top, 999)), st.integers(0, top))
+        drawn = data.draw(st.lists(st.tuples(ids, ids), max_size=50))
+        pairs = np.unique(np.sort(np.array(drawn, dtype=np.int64).reshape(-1, 2), axis=1), axis=0)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        f = tmp_path_factory.getbasetemp() / "pairs.edgelist"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io_formats, "_CHUNK_ROWS", data.draw(st.integers(1, 20)))
+            write_edge_pairs(n, pairs, f)
+        assert f.read_bytes() == f"# n={n}\n".encode() + "".join(f"{i} {j}\n" for i, j in pairs.tolist()).encode()
+
     @pytest.mark.parametrize("rows", [13, 14, 15, 27, 28, 29])
     def test_edge_list_bytes_at_chunk_boundaries(self, tmp_path, monkeypatch, rows):
         # a path of `rows` edges around multiples of a 14-row chunk

@@ -492,6 +492,27 @@ class TestGraph:
         assert model._row_major(lo[::-1], hi[::-1])
         assert not model._row_major(np.array([big, big]), np.array([big + 1, big + 1]))
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_row_major_agrees_with_differences(self, data):
+        # ties, repeats and descending runs, with ids small or near 2**62
+        base = data.draw(st.sampled_from([0, 2**62 - 50]))
+        ids = st.integers(base, base + 100)
+        size = data.draw(st.integers(0, 30))
+        lo = np.array(data.draw(st.lists(ids, min_size=size, max_size=size)), dtype=np.int64)
+        hi = np.array(data.draw(st.lists(ids, min_size=size, max_size=size)), dtype=np.int64)
+        shape = data.draw(st.sampled_from(["as drawn", "sorted", "sorted, repeated", "descending"]))
+        if shape != "as drawn":
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+        if shape == "sorted, repeated" and size:
+            lo, hi = np.insert(lo, size // 2, lo[size // 2]), np.insert(hi, size // 2, hi[size // 2])
+        elif shape == "descending":
+            lo, hi = lo[::-1], hi[::-1]
+        step = np.diff(lo)
+        expected = bool((step >= 0).all() and ((step > 0) | (np.diff(hi) > 0)).all())
+        assert model._row_major(lo, hi) == expected
+
     @staticmethod
     def _assert_same_csr(mine, ref):
         assert mine.shape == ref.shape and mine.has_canonical_format
