@@ -41,7 +41,6 @@ from .spectral import (
     leading_eigenpairs,
     normalize_rows,
     regularized_laplacian,
-    scale_rows_by_degree,
 )
 from .sweep import (
     SweepConfig,
@@ -99,7 +98,6 @@ __all__ = [
     "run_sweep",
     "sample_adjacency",
     "sample_edge_pairs",
-    "scale_rows_by_degree",
     "sp_select",
     "srsc",
     "srsc_equivalence",

@@ -2,12 +2,12 @@
 
 The pipelines' dense products are small, and on OpenBLAS their result
 can change in the last digits with the thread count (the projector
-solve of the -EQ twins does). So :func:`recovery.run_methods` and every
-sweep trial run with each loaded OpenBLAS set to one thread: outputs do
-not depend on the BLAS thread setting, and the BLAS threads do not
-compete with a sweep's trial workers for the cores. A sweep forks its
-worker processes inside :func:`one_blas_thread`, so each inherits one
-thread.
+solve of the -EQ twins does). So :func:`recovery.recover_each`, which
+every pipeline goes through, sweep trials included, runs with each
+loaded OpenBLAS set to one thread: outputs do not depend on the BLAS
+thread setting, and the BLAS threads do not compete with a sweep's trial
+workers for the cores. A sweep forks its worker processes inside
+:func:`one_blas_thread`, so each inherits one thread.
 """
 
 from __future__ import annotations

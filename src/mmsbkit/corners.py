@@ -170,11 +170,7 @@ def one_class_svm(s: np.ndarray) -> SvmSolution:
     solver hits its iteration cap, or when the KKT conditions cannot be
     certified to 1e-8.
     """
-    return _one_class_svm(_check_unit_rows(s))
-
-
-def _one_class_svm(s: np.ndarray) -> SvmSolution:
-    """:func:`one_class_svm` on rows already checked to be unit-norm."""
+    s = _check_unit_rows(s)
     # scipy.optimize costs every process that imports it ~0.16 s and
     # ~17 MB; only the cone methods need it
     from scipy.optimize import nnls
@@ -247,11 +243,11 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     # ~0.03 s once scipy.optimize is loaded; only the cone methods need it
     from scipy.cluster.vq import kmeans, vq
 
-    s = _check_unit_rows(s)
+    s = np.asarray(s, dtype=np.float64)
+    solution = one_class_svm(s)  # checks the unit rows
     n = s.shape[0]
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
-    solution = _one_class_svm(s)
     margins = s @ solution.w
     # rows meeting the margin with equality are certified only to the
     # solver's KKT tolerance, so the threshold carries that much slack

@@ -120,14 +120,6 @@ class MembershipMatrix:
         """Boolean mask of rows whose maximum weight reaches 1 - 1e-12."""
         return self.weights.max(axis=1) >= 1.0 - PURITY_TOL
 
-    def is_identifiable(self) -> bool:
-        """True when every community owns at least one pure node."""
-        pure = self.pure_mask()
-        if not pure.any():
-            return False
-        owners = self.weights[pure].argmax(axis=1)
-        return np.unique(owners).size == self.K
-
 
 @dataclass(frozen=True)
 class BlockModel:
@@ -387,9 +379,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2
-
-    def dense(self) -> np.ndarray:
-        return self.adjacency.toarray()
 
     def edges(self) -> np.ndarray:
         """Edges as a sorted (m, 2) array with i < j per row."""

@@ -15,9 +15,9 @@ The two ``ideal_*`` functions run the plain pipelines on the expected
 adjacency instead of a sampled graph and recover the planted memberships
 exactly (up to column order).
 
-:func:`run_methods` runs any of the four empirical variants on one
-shared eigendecomposition; the single-method functions and the oracles
-are one-method calls of it.
+:func:`recover_each` holds the one copy of this chain, for every caller:
+``cluster``, sweep trials, the single-method functions and the oracles.
+It runs the methods on one shared eigendecomposition.
 
 Pipeline runs are pure; the one state they share is the process-wide
 BLAS thread count, held at one while any run is in progress, so
@@ -87,15 +87,19 @@ class RecoveryResult:
         object.__setattr__(self, "z", z)
 
 
+#: Errors that :func:`stage` labels and :func:`recover_each` returns in a method's place.
+STAGE_ERRORS = (MmsbkitError, ValueError)  # LinAlgError is a ValueError
+
+
 @contextmanager
 def stage(name: str):
     """Label a package, value or linear-algebra error raised inside the
-    block with the pipeline stage ``name`` (``corners`` or
-    ``reconstruct`` here; the sweep adds the shared stages) as its
-    ``stage`` attribute; a label set further in is kept."""
+    block with the pipeline stage ``name`` (the sweep adds ``model`` to
+    this module's four) as its ``stage`` attribute; a label set further
+    in is kept."""
     try:
         yield
-    except (MmsbkitError, ValueError) as exc:  # LinAlgError is a ValueError
+    except STAGE_ERRORS as exc:
         if not hasattr(exc, "stage"):
             exc.stage = name
         raise
@@ -146,7 +150,7 @@ def recover_from_basis(
     an already-computed eigenbasis.
 
     This is the entry point for callers that reuse one eigendecomposition
-    across several methods (the sweep harness) or that need to perturb
+    across several methods (:func:`recover_each`) or that need to perturb
     the basis, e.g. to check sign-flip invariance. ``method`` is one of
     ``SRSC``, ``CRSC``, ``SRSC-EQ``, ``CRSC-EQ``: a geometry run on the
     rows of ``V``, or of ``V @ V.T`` (``basis.projector``, formed once per
@@ -186,20 +190,21 @@ def recover_from_basis(
     )
 
 
-def run_methods(
+def recover_each(
     graph: Graph | PopulationMatrix,
     K: int,
     methods: list[str],
     tau: float | None = None,
     corner_seed: int = 0,
-) -> list[RecoveryResult]:
+) -> list[RecoveryResult | Exception]:
     """Run several empirical pipelines on one regularized Laplacian and
     one eigendecomposition of it.
 
     ``graph`` is a sampled graph or, for the oracles, the expected
-    adjacency. ``methods`` are tags accepted by
-    :func:`recover_from_basis`; results come back in the same order.
-    ``tau`` defaults to ``0.1 * ln(n)``; ``corner_seed`` feeds the
+    adjacency. Each of ``methods`` (tags of :func:`recover_from_basis`)
+    gets, in order, its result or the error of its own ``corners`` or
+    ``reconstruct`` stage; a ``laplacian`` or ``eigensolve`` failure
+    raises. ``tau`` defaults to ``0.1 * ln(n)``; ``corner_seed`` feeds the
     k-means restarts of the cone methods. The run holds each loaded
     OpenBLAS to one thread, so on OpenBLAS builds the results do not
     depend on the BLAS thread setting.
@@ -208,9 +213,33 @@ def run_methods(
         raise ValueError(f"K must be at least 1, got {K}")
     resolved = default_tau(graph.n) if tau is None else float(tau)
     with one_blas_thread():
-        lap = regularized_laplacian(graph, resolved)
-        basis = leading_eigenpairs(lap, K)
-        return [recover_from_basis(basis, lap, m, corner_seed=corner_seed) for m in methods]
+        with stage("laplacian"):
+            lap = regularized_laplacian(graph, resolved)
+        with stage("eigensolve"):
+            basis = leading_eigenpairs(lap, K)
+        return [_recover_or_error(basis, lap, m, corner_seed) for m in methods]
+
+
+def _recover_or_error(basis, lap, method: str, corner_seed: int) -> RecoveryResult | Exception:
+    """:func:`recover_from_basis`, or its error. Caught in a loop of the
+    caller, the error's traceback would hold the caller's frame, whose
+    list holds the error: a cycle that keeps the run's arrays alive."""
+    try:
+        return recover_from_basis(basis, lap, method, corner_seed=corner_seed)
+    except STAGE_ERRORS as exc:
+        return exc
+
+
+def run_methods(
+    graph: Graph | PopulationMatrix, K: int, methods: list[str], tau: float | None = None, corner_seed: int = 0
+) -> list[RecoveryResult]:
+    """:func:`recover_each`, raising the first failure in method order, so
+    that a caller such as ``mmsbkit cluster`` writes nothing on one."""
+    outcomes = recover_each(graph, K, methods, tau, corner_seed)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def srsc(graph: Graph, K: int, tau: float | None = None) -> RecoveryResult:

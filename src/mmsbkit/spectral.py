@@ -335,13 +335,6 @@ def _leading_positions(vals: np.ndarray, K: int) -> list[int]:
     return taken[:K]
 
 
-def scale_rows_by_degree(basis: SpectralBasis, lap: RegularizedLaplacian) -> np.ndarray:
-    """Row i of the result is ``sqrt(tau + D(i,i)) * V(i,:)``."""
-    if basis.n != lap.n:
-        raise ValueError(f"basis has {basis.n} rows but laplacian has {lap.n}")
-    return np.sqrt(lap.dtau)[:, None] * basis.vectors
-
-
 def normalize_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row to unit Euclidean norm.
 

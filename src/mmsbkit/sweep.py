@@ -37,19 +37,18 @@ import numpy as np
 
 from ._blas import one_blas_thread
 from .evaluation import mixed_hamming_error
-from .exceptions import DataFormatError, NumericalError
+from .exceptions import DataFormatError
 from .model import BlockModel, build_population_matrix, planted_memberships, sample_adjacency
-from .recovery import EMPIRICAL_METHODS, recover_from_basis, stage
-from .spectral import default_tau, leading_eigenpairs, regularized_laplacian
+from .recovery import EMPIRICAL_METHODS, STAGE_ERRORS, recover_each, stage
+from .spectral import default_tau
+from .recovery import recover_from_basis  # noqa: F401 (benchmarks/spans.py wraps this name here)
+from .spectral import leading_eigenpairs, regularized_laplacian  # noqa: F401 (benchmarks/spans.py wraps these names here)
 
 #: 64-bit odd constant separating the edge-sampling stream from the
 #: membership stream inside one trial.
 STREAM_SPLIT = 0x9E3779B97F4A7C15
 
 SWEEP_CSV_HEADER = "n,K,rho,tau,method,mean_err,sd_err,reps"
-
-#: Errors a trial may raise that the sweep records instead of raising.
-_TRIAL_ERRORS = (NumericalError, DataFormatError, ValueError)  # LinAlgError is a ValueError
 
 #: Whether parallel trials run in forked processes. Windows has no
 #: ``fork``, and on macOS system frameworks are not fork-safe (Python
@@ -289,8 +288,11 @@ def _validate_point(point: dict) -> str | None:
 
 
 def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) -> dict[str, float | _Failure]:
-    """Each method's error on one trial graph, or its failure. A failure in
-    a stage the methods share (model, laplacian, eigensolve) raises."""
+    """Each method's error on one trial graph, or its failure. The trial
+    plants and samples its graph (the ``model`` stage), runs the methods
+    through :func:`recovery.recover_each`, the pipeline every caller
+    shares, and scores each result. A failure in a stage the methods
+    share (model, laplacian, eigensolve) raises."""
     with stage("model"):
         n, k, n0 = int(point["n"]), int(point["k"]), int(point["n0"])
         trial_seed = (int(base_seed) ^ trial) & 0xFFFFFFFFFFFFFFFF
@@ -299,19 +301,11 @@ def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]
         block = BlockModel(block.tilde_p, rho=float(point["rho"]))
         omega = build_population_matrix(pi, block)
         graph = sample_adjacency(omega, trial_seed ^ STREAM_SPLIT)
-    with stage("laplacian"):
-        lap = regularized_laplacian(graph, _resolve_tau(point["tau"], n))
-    with stage("eigensolve"):
-        basis = leading_eigenpairs(lap, k)
-    errors: dict[str, float | _Failure] = {}
-    for method in methods:
-        try:
-            pi_hat = recover_from_basis(basis, lap, method).pi_hat
-        except _TRIAL_ERRORS as exc:
-            errors[method] = _Failure.of(exc)
-        else:
-            errors[method] = mixed_hamming_error(pi_hat, pi).error
-    return errors
+    outcomes = recover_each(graph, k, list(methods), tau=_resolve_tau(point["tau"], n))
+    return {
+        method: _Failure.of(out) if isinstance(out, Exception) else mixed_hamming_error(out.pi_hat, pi).error
+        for method, out in zip(methods, outcomes)
+    }
 
 
 def _run_one(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) -> dict[str, float | _Failure] | _Failure:
@@ -320,7 +314,7 @@ def _run_one(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) 
     can send it by name."""
     try:
         return _run_trial(point, trial, base_seed, methods)
-    except _TRIAL_ERRORS as exc:
+    except STAGE_ERRORS as exc:
         return _Failure.of(exc)
 
 

@@ -617,6 +617,25 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_a_failing_method_leaves_every_method_unwritten(self, tmp_path, nnls_fails):
+        # SRSC succeeds and CRSC fails at its corners: cluster writes no file
+        run_cli(["--quiet"] + generate_args(tmp_path / "net", n=100, n0=25))
+        code = run_cli(
+            [
+                "--quiet",
+                "cluster",
+                "--edges", str(tmp_path / "net.edgelist"),
+                "--k", "3",
+                "--method", "srsc",
+                "--method", "crsc",
+                "--out", str(tmp_path / "run"),
+            ]
+        )
+        assert code == 3
+        for method in ("srsc", "crsc"):
+            for kind in ("pihat.csv", "summary.json"):
+                assert not (tmp_path / f"run.{method}.{kind}").exists()
+
     def test_linalg_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         # LinAlgError is a ValueError, so it must not be taken for a usage error
         def svd(*args, **kwargs):

@@ -10,7 +10,6 @@ from mmsbkit import (
     normalize_rows,
     one_class_svm,
     regularized_laplacian,
-    scale_rows_by_degree,
     sp_select,
     svm_cone_select,
 )
@@ -71,7 +70,7 @@ def ideal_simplex_matrix(n=150, n0=30):
     pi, _, omega = three_block_setup(n=n, n0=n0)
     lap = regularized_laplacian(omega, default_tau(n))
     basis = leading_eigenpairs(lap, 3)
-    return pi, scale_rows_by_degree(basis, lap)
+    return pi, np.sqrt(lap.dtau)[:, None] * basis.vectors
 
 
 def ideal_cone_matrix(seed=11):

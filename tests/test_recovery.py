@@ -31,7 +31,7 @@ from mmsbkit import (
 from mmsbkit import spectral
 from mmsbkit._blas import one_blas_thread
 from mmsbkit.corners import sp_select, svm_cone_select
-from mmsbkit.recovery import CLIP_TOL, _memberships_from_z, _solve_right_inverse, run_methods
+from mmsbkit.recovery import CLIP_TOL, RecoveryResult, _memberships_from_z, _solve_right_inverse, recover_each, run_methods
 from mmsbkit.spectral import ZERO_ROW_TOL, SpectralBasis, normalize_rows
 from mmsbkit.sweep import STREAM_SPLIT, diag_off_block
 from conftest import three_block_setup
@@ -211,6 +211,36 @@ class TestEmpiricalPipelines:
         assert crsc_equivalence(small_graph, 3).method == "CRSC-EQ"
 
 
+class TestOnePipeline:
+    """``recover_each`` is the chain every caller runs: a method's own
+    stage failure takes that method's place, a shared stage raises."""
+
+    def test_a_corner_failure_takes_its_method_place(self, small_graph, nnls_fails):
+        srsc_out, crsc_out, twin_out = recover_each(small_graph, 3, ["SRSC", "CRSC", "SRSC-EQ"])
+        assert isinstance(srsc_out, RecoveryResult) and isinstance(twin_out, RecoveryResult)
+        assert isinstance(crsc_out, NumericalError)
+        assert crsc_out.stage == "corners"
+        assert np.array_equal(srsc_out.pi_hat.weights, srsc(small_graph, 3).pi_hat.weights)
+
+    def test_an_eigensolve_failure_raises(self, small_graph, arpack_fails):
+        with pytest.raises(NumericalError) as info:
+            recover_each(small_graph, 3, ["SRSC", "CRSC"])
+        assert info.value.stage == "eigensolve"
+
+    def test_a_laplacian_failure_raises(self):
+        g = Graph.from_edges(4, np.array([[0, 1], [1, 2]]))  # node 3 is isolated
+        with pytest.raises(NumericalError) as info:
+            recover_each(g, 1, ["SRSC"], tau=0.0)
+        assert info.value.stage == "laplacian"
+
+    def test_run_methods_raises_the_first_failure_in_method_order(self, small_graph, nnls_fails):
+        with pytest.raises(NumericalError) as info:
+            run_methods(small_graph, 3, ["SRSC", "CRSC", "no-such-method"])
+        assert info.value.stage == "corners"
+        with pytest.raises(ValueError, match="unknown method"):
+            run_methods(small_graph, 3, ["SRSC", "no-such-method", "CRSC"])
+
+
 class TestEquivalences:
     def test_simplex_and_cone_routes_match(self):
         _, _, omega = three_block_setup(n=150, n0=30)
@@ -263,7 +293,6 @@ class TestEquivalences:
         # the K x K Gram of the corner rows is the same whether corners are
         # read from the scaled eigenvectors or from the scaled projector
         _, _, omega = three_block_setup(n=150, n0=30)
-        from mmsbkit import scale_rows_by_degree
         from mmsbkit.spectral import normalize_rows
 
         for seed in range(3):
@@ -274,7 +303,7 @@ class TestEquivalences:
             root_d = np.sqrt(lap.dtau)
 
             idx = list(srsc(g, 3).corners.indices)
-            narrow = scale_rows_by_degree(basis, lap)[idx]
+            narrow = (root_d[:, None] * v)[idx]
             wide = (root_d[:, None] * (v @ v.T))[idx]
             assert np.abs(narrow @ narrow.T - wide @ wide.T).max() <= 1e-10
 

@@ -229,6 +229,17 @@ class TestRunSweep:
         assert (failure["method"], failure["stage"]) == ("CRSC", "corners")
         assert failure["point"] == config.points()[0]
 
+    def test_trials_run_the_one_recovery_pipeline(self, monkeypatch):
+        # each trial solves once, through recovery's chain, for all its methods
+        from mmsbkit import recovery
+
+        calls, solve = [], recovery.leading_eigenpairs
+        monkeypatch.setattr(recovery, "leading_eigenpairs", lambda *args: calls.append(1) or solve(*args))
+        config = tiny_config(reps=3, methods=["srsc", "crsc", "srsc-eq"])
+        result = run_sweep(config, workers=1)
+        assert len(calls) == 3
+        assert not result.failures
+
     def test_eight_community_point_runs(self):
         # the community-count experiment reaches K=8; exercise one point
         config = tiny_config(
