@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -156,8 +157,15 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _read_graph(args):
+    """The ``--edges`` graph; a negative ``--n`` is a usage error."""
+    if args.n is not None and args.n < 0:
+        raise SystemExit2(f"--n must be nonnegative, got {args.n}")
+    return read_edge_list(args.edges, n=args.n)
+
+
 def _cmd_cluster(args) -> int:
-    graph = read_edge_list(args.edges, n=args.n)
+    graph = _read_graph(args)
     methods = list(dict.fromkeys(args.method))
     results = run_methods(
         graph, args.k, [m.upper() for m in methods], tau=args.tau, corner_seed=args.seed
@@ -220,18 +228,15 @@ def _sweep_workers(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.reps is not None and args.reps < 1:
+        raise SystemExit2(f"--reps must be positive, got {args.reps}")
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read config: {exc}") from exc
     config = SweepConfig.from_json(text)
-    if args.seed is not None or args.reps is not None:
-        config = SweepConfig(
-            base_seed=args.seed if args.seed is not None else config.base_seed,
-            reps=args.reps if args.reps is not None else config.reps,
-            methods=config.methods,
-            grid=config.grid,
-        )
+    overrides = {"base_seed": args.seed, "reps": args.reps}
+    config = replace(config, **{key: value for key, value in overrides.items() if value is not None})
     # imported here, as sweep._trial_pool imports the pool: only sweep needs it
     from concurrent.futures.process import BrokenProcessPool
 
@@ -248,7 +253,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    graph = read_edge_list(args.edges, n=args.n)
+    graph = _read_graph(args)
     pi = None
     if args.memberships:
         pi = read_memberships(args.memberships, normalize=args.normalize)

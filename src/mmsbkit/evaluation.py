@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, MembershipMatrix, PopulationMatrix, PURITY_TOL
+from .model import Graph, MembershipMatrix, PopulationMatrix
 from .spectral import regularized_laplacian
 
 
@@ -81,8 +81,8 @@ def mixed_hamming_error(pi_hat: MembershipMatrix, pi: MembershipMatrix) -> Error
 def network_stats(graph: Graph, pi: MembershipMatrix | None = None) -> NetworkStats:
     """Node count, mean degree, density, and overlap proportion.
 
-    A node counts as mixed when its largest membership weight is below
-    ``1 - 1e-12``. ``K`` and ``overlap`` are None without memberships.
+    A node counts as mixed when :meth:`MembershipMatrix.pure_mask` is
+    false for it. ``K`` and ``overlap`` are None without memberships.
     """
     n = graph.n
     degrees = graph.degrees()
@@ -93,7 +93,7 @@ def network_stats(graph: Graph, pi: MembershipMatrix | None = None) -> NetworkSt
         if pi.n != n:
             raise ValueError(f"memberships cover {pi.n} nodes but the graph has {n}")
         k = pi.K
-        overlap = float((pi.weights.max(axis=1) < 1.0 - PURITY_TOL).mean())
+        overlap = float((~pi.pure_mask()).mean())
     return NetworkStats(n=n, K=k, mean_degree=mean_degree, density=density, overlap=overlap)
 
 

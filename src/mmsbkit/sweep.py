@@ -38,7 +38,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .evaluation import mixed_hamming_error
 from .exceptions import DataFormatError
-from .model import BlockModel, build_population_matrix, planted_memberships, sample_adjacency
+from .model import PROFILES, BlockModel, build_population_matrix, planted_memberships, sample_adjacency
 from .recovery import EMPIRICAL_METHODS, STAGE_ERRORS, recover_each, stage
 from .spectral import default_tau
 from .recovery import recover_from_basis  # noqa: F401 (benchmarks/spans.py wraps this name here)
@@ -87,26 +87,46 @@ def block_from_spec(spec: dict, K: int) -> BlockModel:
     template, ``{"matrix": [[...]]}`` for an explicit symmetric matrix,
     and ``{"preset": "negative-eig", "index": i}`` for the 3x3 family
     whose smallest eigenvalue decreases with ``index``, turning negative
-    from ``index`` 9 on. Any other key, ``"rho"`` included (sparsity is
-    the grid's own axis), is rejected.
+    from ``index`` 9 on. A spec that takes none of these forms raises
+    :class:`DataFormatError` whatever ``K`` is (see :func:`_block_form`).
+    A well-formed spec that does not fit ``K`` raises ``ValueError``: a
+    matrix that is not K x K, the preset at K != 3, an index outside
+    1..12, or a template :class:`BlockModel` rejects.
     """
+    form = _block_form(spec)
+    if form == "matrix":
+        m = np.array(spec["matrix"], dtype=np.float64)
+        if m.shape != (K, K):
+            raise ValueError(f"block matrix must be {K}x{K}, got {m.shape}")
+        return BlockModel(m)
+    if form == "preset":
+        if K != 3:
+            raise ValueError("the negative-eig preset is a 3x3 template")
+        return negative_eig_block(int(spec["index"]))
+    return BlockModel(diag_off_block(K, float(spec["diag"]), float(spec["off"])))
+
+
+def _block_form(spec) -> str:
+    """Which form a block spec takes: ``"diag"``, ``"matrix"`` or
+    ``"preset"``. A spec with keys outside one form's (``"rho"`` included:
+    sparsity is the grid's own axis), a non-number, a matrix that is not
+    square, or another preset raises :class:`DataFormatError`."""
     if not isinstance(spec, dict):
         raise DataFormatError(f"block spec must be an object, got {type(spec).__name__}")
-    known = {"diag", "off", "matrix", "preset", "index"}
-    extra = set(spec) - known
+    extra = set(spec) - {"diag", "off", "matrix", "preset", "index"}
     if extra:
         raise DataFormatError(f"unknown block spec keys: {sorted(extra)}")
-    if "matrix" in spec:
-        m = np.asarray(spec["matrix"], dtype=np.float64)
-        if m.shape != (K, K):
-            raise DataFormatError(f"block matrix must be {K}x{K}, got {m.shape}")
-        return BlockModel(m)
-    if spec.get("preset") == "negative-eig":
-        if K != 3:
-            raise DataFormatError("the negative-eig preset is a 3x3 template")
-        return negative_eig_block(int(spec["index"]))
-    if "diag" in spec and "off" in spec:
-        return BlockModel(diag_off_block(K, float(spec["diag"]), float(spec["off"])))
+    if set(spec) == {"diag", "off"}:
+        _grid_number(spec, "diag"), _grid_number(spec, "off")
+        return "diag"
+    rows = spec.get("matrix")
+    if set(spec) == {"matrix"} and isinstance(rows, list) and rows and all(
+        isinstance(row, list) and len(row) == len(rows) and all(map(_finite_number, row)) for row in rows
+    ):
+        return "matrix"
+    if set(spec) == {"preset", "index"} and spec["preset"] == "negative-eig":
+        _grid_number(spec, "index", whole=True)
+        return "preset"
     raise DataFormatError(f"cannot interpret block spec {spec!r}")
 
 
@@ -125,14 +145,7 @@ def negative_eig_block(index: int) -> BlockModel:
     if not 1 <= index <= 12:
         raise ValueError(f"index must lie in 1..12, got {index}")
     c = 0.075 * index
-    m = np.array(
-        [
-            [0.8, 0.2, 0.1],
-            [0.2, 0.5, c],
-            [0.1, c, 0.8],
-        ]
-    )
-    return BlockModel(m)
+    return BlockModel(np.array([[0.8, 0.2, 0.1], [0.2, 0.5, c], [0.1, c, 0.8]]))
 
 
 @dataclass(frozen=True)
@@ -151,9 +164,7 @@ class SweepConfig:
         for m in self.methods:
             key = str(m).lower()
             if key not in _METHOD_ALIASES:
-                raise DataFormatError(
-                    f"unknown method {m!r}; choose from {sorted(_METHOD_ALIASES)}"
-                )
+                raise DataFormatError(f"unknown method {m!r}; choose from {sorted(_METHOD_ALIASES)}")
             canonical.append(_METHOD_ALIASES[key])
         if not canonical:
             raise DataFormatError("at least one method is required")
@@ -225,35 +236,11 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """Render the pinned CSV schema; one row per (point, method)."""
-        lines = [SWEEP_CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row.n),
-                        str(row.k),
-                        format(row.rho, ".17g"),
-                        format(row.tau, ".17g"),
-                        row.method,
-                        format(row.mean_err, ".17g"),
-                        format(row.sd_err, ".17g"),
-                        str(row.reps),
-                    ]
-                )
-            )
+        lines = [SWEEP_CSV_HEADER] + [
+            f"{r.n},{r.k},{r.rho:.17g},{r.tau:.17g},{r.method},{r.mean_err:.17g},{r.sd_err:.17g},{r.reps}"
+            for r in self.rows
+        ]
         return "\n".join(lines) + "\n"
-
-
-def _resolve_tau(tau_spec, n: int) -> float:
-    """The regularizer of a grid entry: a finite real number, or
-    ``"auto"`` for :func:`default_tau`. Anything else is a malformed
-    config and raises :class:`DataFormatError`. ``-0.0`` is read as
-    ``0.0``, so both write the same CSV."""
-    if tau_spec == "auto":
-        return default_tau(n)
-    if not _finite_number(tau_spec):
-        raise DataFormatError(f"tau must be a finite number or 'auto', got {tau_spec!r}")
-    return float(tau_spec) + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _finite_number(value) -> bool:
@@ -272,36 +259,49 @@ def _grid_number(point: dict, key: str, whole: bool = False) -> float:
     return value
 
 
-def _validate_point(point: dict) -> str | None:
+def _read_point(point: dict) -> dict | str:
+    """What a grid point means, read once before any trial: the values
+    its trials and rows use, with ``tau`` resolved (``-0.0`` read as
+    ``0.0``) and ``model`` the :class:`BlockModel` at the point's ``rho``,
+    or the reason the point is skipped at ``validate``. An entry of the
+    wrong kind or form raises :class:`DataFormatError` at every point,
+    also at one that would be skipped (see :func:`run_sweep`)."""
     n, k, n0 = (int(_grid_number(point, key, whole=True)) for key in ("n", "k", "n0"))
-    _grid_number(point, "rho")
+    rho, tau, profile = float(_grid_number(point, "rho")), point["tau"], point["profile"]
+    if tau != "auto" and not _finite_number(tau):
+        raise DataFormatError(f"tau must be a finite number or 'auto', got {tau!r}")
+    if profile not in PROFILES:
+        raise DataFormatError(f"unknown profile {profile!r}; choose from {list(PROFILES)}")
+    _block_form(point["block"])
     if k < 1 or n < 2 or n0 < 0:
         return f"invalid sizes n={n}, K={k}, n0={n0}"
     if k * n0 > n:
         return f"K*n0 = {k * n0} exceeds n = {n}"
-    if point["profile"] == "four-profiles" and k != 3:
+    if profile == "four-profiles" and k != 3:
         return "four-profiles requires K = 3"
-    tau = _resolve_tau(point["tau"], n)
+    tau = default_tau(n) if tau == "auto" else float(tau) + 0.0  # -0.0 + 0.0 is +0.0
     if tau < 0:
         return f"tau must be nonnegative, got {tau}"
-    return None
+    try:
+        model = BlockModel(block_from_spec(point["block"], k).tilde_p, rho=rho)
+    except ValueError as exc:
+        return str(exc)
+    return dict(n=n, k=k, n0=n0, rho=rho, tau=tau, profile=profile, block=dict(point["block"]), model=model)
 
 
 def _run_trial(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) -> dict[str, float | _Failure]:
-    """Each method's error on one trial graph, or its failure. The trial
-    plants and samples its graph (the ``model`` stage), runs the methods
-    through :func:`recovery.recover_each`, the pipeline every caller
-    shares, and scores each result. A failure in a stage the methods
-    share (model, laplacian, eigensolve) raises."""
+    """Each method's error on one trial graph, or its failure. ``point``
+    holds the values :func:`_read_point` read. The trial plants and
+    samples its graph (the ``model`` stage), runs the methods through
+    :func:`recovery.recover_each`, the pipeline every caller shares, and
+    scores each result. A failure in a stage the methods share (model,
+    laplacian, eigensolve) raises."""
     with stage("model"):
-        n, k, n0 = int(point["n"]), int(point["k"]), int(point["n0"])
         trial_seed = (int(base_seed) ^ trial) & 0xFFFFFFFFFFFFFFFF
-        pi = planted_memberships(n, k, n0, point["profile"], seed=trial_seed)
-        block = block_from_spec(point["block"], k)
-        block = BlockModel(block.tilde_p, rho=float(point["rho"]))
-        omega = build_population_matrix(pi, block)
+        pi = planted_memberships(point["n"], point["k"], point["n0"], point["profile"], seed=trial_seed)
+        omega = build_population_matrix(pi, point["model"])
         graph = sample_adjacency(omega, trial_seed ^ STREAM_SPLIT)
-    outcomes = recover_each(graph, k, list(methods), tau=_resolve_tau(point["tau"], n))
+    outcomes = recover_each(graph, point["k"], list(methods), tau=point["tau"])
     return {
         method: _Failure.of(out) if isinstance(out, Exception) else mixed_hamming_error(out.pi_hat, pi).error
         for method, out in zip(methods, outcomes)
@@ -390,15 +390,20 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     or ``reconstruct``) and the error of its first failed trial. The
     stages up to the eigensolve are shared, so their failure fails every
     method at the point; a corner or reconstruction failure fails that
-    method only. Remaining pairs still run. An ``n``, ``k`` or ``n0``
-    entry that is not an integer, a ``rho`` entry that is not a finite
-    number, and a ``tau`` entry that is neither a finite number nor
-    ``"auto"`` raise :class:`DataFormatError` before any trial runs.
+    method only. Remaining pairs still run. Each grid point is read once,
+    by :func:`_read_point`, before any trial runs: an entry of the wrong
+    kind or form (an ``n``, ``k`` or ``n0`` that is not an integer, a
+    ``rho`` that is not a finite number, a ``tau`` that is neither a
+    finite number nor ``"auto"``, an unknown profile, a malformed block
+    spec) raises :class:`DataFormatError`, at any point. A well-formed
+    value the point cannot take (bad sizes, K*n0 > n, four-profiles at
+    K != 3, a negative ``tau``, ``rho`` outside (0, 1], a block spec
+    that does not fit K) skips the point at ``validate``.
     """
     points = config.points()
-    problems = [_validate_point(point) for point in points]
-    jobs = [(idx, trial) for idx, problem in enumerate(problems) if problem is None for trial in range(config.reps)]
-    args = [(points[idx], trial, config.base_seed, config.methods) for idx, trial in jobs]
+    read = [_read_point(point) for point in points]
+    jobs = [(idx, trial) for idx, values in enumerate(read) if isinstance(values, dict) for trial in range(config.reps)]
+    args = [(read[idx], trial, config.base_seed, config.methods) for idx, trial in jobs]
     # a process pool forks its workers here, so they inherit one BLAS thread
     with one_blas_thread():
         if workers is not None and workers > 1 and len(jobs) > 1:
@@ -409,32 +414,19 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
 
     rows: list[SweepRow] = []
     failures: list[dict] = []
-    for idx, point in enumerate(points):
-        if problems[idx] is not None:
-            trials = [_Failure("validate", problems[idx])]
+    for idx, (point, values) in enumerate(zip(points, read)):
+        if isinstance(values, str):
+            trials = [_Failure("validate", values)]
         else:
             trials = [outcomes[(idx, trial)] for trial in range(config.reps)]
         for method in config.methods:
-            values = [t if isinstance(t, _Failure) else t[method] for t in trials]
-            failed = next((v for v in values if isinstance(v, _Failure)), None)
+            per_trial = [t if isinstance(t, _Failure) else t[method] for t in trials]
+            failed = next((v for v in per_trial if isinstance(v, _Failure)), None)
             if failed is not None:
                 failures.append({"point": point, "method": method, "stage": failed.stage, "error": failed.error})
                 continue
-            errors = np.array(values)
+            errors = np.array(per_trial)
             sd = float(errors.std(ddof=1)) if errors.size > 1 else 0.0
-            rows.append(
-                SweepRow(
-                    n=int(point["n"]),
-                    k=int(point["k"]),
-                    n0=int(point["n0"]),
-                    rho=float(point["rho"]),
-                    tau=_resolve_tau(point["tau"], int(point["n"])),
-                    profile=str(point["profile"]),
-                    block=dict(point["block"]),
-                    method=method,
-                    mean_err=float(errors.mean()),
-                    sd_err=sd,
-                    reps=config.reps,
-                )
-            )
+            fields = {key: values[key] for key in ("n", "k", "n0", "rho", "tau", "profile", "block")}
+            rows.append(SweepRow(**fields, method=method, mean_err=float(errors.mean()), sd_err=sd, reps=config.reps))
     return SweepResult(rows=tuple(rows), failures=tuple(failures))

@@ -546,6 +546,29 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert f"{estimate}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--config", "sweep.json", "--out", "o.csv", "--reps", "0"], "--reps must be positive, got 0"),
+            (["sweep", "--config", "sweep.json", "--out", "o.csv", "--reps", "-2"], "--reps must be positive, got -2"),
+            (
+                ["cluster", "--edges", "g.edgelist", "--n", "-1", "--k", "2", "--method", "srsc", "--out", "run"],
+                "--n must be nonnegative, got -1",
+            ),
+            (["stats", "--edges", "g.edgelist", "--n", "-1"], "--n must be nonnegative, got -1"),
+        ],
+        ids=["sweep-reps-0", "sweep-reps-negative", "cluster-n", "stats-n"],
+    )
+    def test_bad_option_value_is_usage_error_naming_it(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.json").write_text(json.dumps(TINY_SWEEP))
+        (tmp_path / "g.edgelist").write_text("0 1\n1 2\n2 0\n")
+        assert run_cli(["--quiet"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["g.edgelist", "sweep.json"]
+
     def test_dead_sweep_trial_process_is_exit_3_with_one_line(self, tmp_path, capsys, trials_die):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(TINY_SWEEP))

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import uuid
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from mmsbkit import (
 )
 from mmsbkit import _blas
 from mmsbkit import sweep as sweep_module
+from mmsbkit.cli import run_cli
 from mmsbkit.sweep import SWEEP_CSV_HEADER, block_from_spec
 
 
@@ -38,6 +40,10 @@ def tiny_config(**overrides):
     }
     payload.update(overrides)
     return SweepConfig.from_dict(payload)
+
+
+#: A 3x3 connectivity template given as a matrix.
+MATRIX_3X3 = {"matrix": [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]}
 
 
 class TestSweepConfig:
@@ -100,6 +106,27 @@ class TestBlockSpecs:
         for spec in ({"offset": 1}, {"diag": 1.0, "off": 0.5, "rho": 0.3}):
             with pytest.raises(DataFormatError):
                 block_from_spec(spec, 2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"matrix": [[1.0, 0.2]]}, {"matrix": [[1.0, 0.2], [0.2]]}, {"matrix": [[1.0, True], [True, 1.0]]},
+         {"matrix": []}, {"preset": "other", "index": 1}, {"preset": "negative-eig", "index": 2.5},
+         {"diag": 1.0, "off": 0.5, "matrix": [[1.0]]}],
+        ids=["not-square", "ragged", "bool-entry", "empty", "other-preset", "fractional-index", "two-forms"],
+    )
+    def test_malformed_spec_is_a_data_error_at_any_k(self, spec):
+        for K in (1, 2, 3):
+            with pytest.raises(DataFormatError):
+                block_from_spec(spec, K)
+
+    @pytest.mark.parametrize(
+        "spec, K",
+        [(MATRIX_3X3, 2), ({"preset": "negative-eig", "index": 9}, 2), ({"preset": "negative-eig", "index": 0}, 3)],
+        ids=["matrix-size", "preset-k", "index-range"],
+    )
+    def test_spec_that_does_not_fit_k_is_a_value_error(self, spec, K):
+        with pytest.raises(ValueError):  # DataFormatError is not a ValueError
+            block_from_spec(spec, K)
 
 
 class TestRunSweep:
@@ -331,6 +358,82 @@ class TestNonNumberSizesAndRho:
         floats = run_sweep(tiny_config(reps=1, grid=grid))
         ints = run_sweep(tiny_config(reps=1))
         assert floats.to_csv() == ints.to_csv()
+
+
+class TestGridPointReader:
+    """Each grid point is read once, before any trial: a malformed entry
+    stops the sweep, a well-formed one the point cannot take skips it."""
+
+    @pytest.fixture
+    def no_trials(self, monkeypatch):
+        def run_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(sweep_module, "_run_trial", run_trial)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("profile", "unifrom", "unknown profile 'unifrom'"),
+            ("profile", 7, "unknown profile 7"),
+            ("block", "dense", "block spec must be an object"),
+            ("block", {"diag": 1.0}, "cannot interpret block spec"),
+            ("block", {"diag": 1.0, "off": 0.5, "rho": 0.3}, "unknown block spec keys: ['rho']"),
+            ("block", {"diag": "x", "off": 0.5}, "diag must be a finite number, got 'x'"),
+            ("block", {"preset": "negative-eig"}, "cannot interpret block spec"),
+        ],
+        ids=["profile-typo", "profile-number", "block-string", "block-half-form", "block-rho", "block-non-number",
+             "preset-without-index"],
+    )
+    @pytest.mark.parametrize("n0", [18, 40], ids=["valid-sizes", "every-point-skipped-for-sizes"])
+    def test_malformed_entry_exits_2_before_any_trial(self, no_trials, tmp_path, monkeypatch, capsys, key, value, message, n0):
+        monkeypatch.chdir(tmp_path)
+        grid = dict(tiny_config().grid, n0=[n0], **{key: [value]})
+        Path("sweep.json").write_text(json.dumps({"base_seed": 1, "reps": 2, "methods": ["srsc"], "grid": grid}))
+        assert run_cli(["--quiet", "sweep", "--config", "sweep.json", "--out", "o.csv", "--workers", "1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ")
+        assert message in line
+        assert not Path("o.csv").exists()
+
+    def test_matrix_that_does_not_fit_k_skips_only_that_point(self):
+        grid = dict(tiny_config().grid, k=[2, 3], profile=["uniform"], block=[MATRIX_3X3])
+        result = run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
+        assert [(f["point"]["k"], f["stage"]) for f in result.failures] == [(2, "validate")]
+        assert "block matrix must be 2x2" in result.failures[0]["error"]
+        assert [(r.k, r.method) for r in result.rows] == [(3, "SRSC")]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("rho", 2.0, "sparsity rho must lie in (0, 1]"),
+            ("block", {"preset": "negative-eig", "index": 20}, "index must lie in 1..12, got 20"),
+            ("block", {"diag": 1.0, "off": 1.0}, "rank deficient"),
+        ],
+        ids=["rho-above-1", "index-above-12", "rank-deficient-template"],
+    )
+    def test_value_the_point_cannot_take_is_skipped_at_validate(self, no_trials, key, value, message):
+        grid = dict(tiny_config().grid, **{key: [value]})
+        result = run_sweep(tiny_config(reps=1, grid=grid))
+        assert not result.rows
+        assert [(f["method"], f["stage"]) for f in result.failures] == [("SRSC", "validate"), ("CRSC", "validate")]
+        assert all(message in f["error"] for f in result.failures)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_spec_is_built_once_per_point(self, monkeypatch, tmp_path, workers):
+        # each call leaves a file, so that a call in a worker process counts too
+        build = sweep_module.block_from_spec
+
+        def spy(*args):
+            (tmp_path / f"{uuid.uuid4().hex}.call").write_text(json.dumps(args))
+            return build(*args)
+
+        monkeypatch.setattr(sweep_module, "block_from_spec", spy)
+        grid = dict(tiny_config().grid, rho=[0.5, 0.8])
+        result = run_sweep(tiny_config(reps=3, grid=grid), workers=workers)
+        assert len(result.rows) == 4
+        calls = [json.loads(path.read_text()) for path in tmp_path.glob("*.call")]
+        assert calls == [[{"diag": 1.0, "off": 0.5}, 3]] * 2
 
 
 def record_trials(monkeypatch, tmp_path, observe, fail=False):
