@@ -8,12 +8,13 @@ parameter sweep), and ``stats`` (summary statistics of a network).
 
 Data goes to files or standard output; human-readable progress goes to
 standard error (silenced by --quiet). Exit codes: 0 success, 1 usage
-error, 2 data/format error, 3 numerical failure or a sweep trial process
-that died. Identical arguments, files, and seeds produce byte-identical
-outputs. The environment variable ``MMSBKIT_THREADS`` sets how many
-sweep trials run at once, each in its own worker process (default: the
-number of cores this process may run on); ``cluster`` and each sweep
-trial run on one BLAS thread.
+error, 2 data/format error, 3 numerical failure, a sweep trial process
+that died, or memory that could not be allocated (``MemoryError``).
+Identical arguments, files, and seeds produce byte-identical outputs.
+The environment variable ``MMSBKIT_THREADS`` sets how many sweep trials
+run at once, each in its own worker process (default: the number of
+cores this process may run on); ``cluster`` and each sweep trial run on
+one BLAS thread.
 """
 
 from __future__ import annotations
@@ -158,9 +159,12 @@ def _cmd_generate(args) -> int:
 
 
 def _read_graph(args):
-    """The ``--edges`` graph; a negative ``--n`` is a usage error."""
+    """The ``--edges`` graph; a negative ``--n``, or one beyond int64, is a
+    usage error."""
     if args.n is not None and args.n < 0:
         raise SystemExit2(f"--n must be nonnegative, got {args.n}")
+    if args.n is not None and args.n > np.iinfo(np.int64).max:
+        raise SystemExit2(f"--n must fit in int64, got {args.n}")
     return read_edge_list(args.edges, n=args.n)
 
 
@@ -293,6 +297,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (NumericalError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # a valid size too large to allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

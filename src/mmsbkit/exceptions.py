@@ -3,7 +3,8 @@
 The CLI maps these onto process exit codes: usage problems (plain
 ``ValueError``) exit 1, :class:`DataFormatError` exits 2, and
 :class:`NumericalError` and ``numpy.linalg.LinAlgError`` (a
-``ValueError`` subclass) exit 3.
+``ValueError`` subclass) exit 3, as does a ``MemoryError`` (a valid size
+too large to allocate).
 """
 
 

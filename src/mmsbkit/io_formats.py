@@ -1,25 +1,21 @@
 """Stable text formats for graphs, membership matrices, and result tables.
 
-Edge lists are plain text: one ``i j`` pair of 0-indexed node ids per
-line, whitespace separated. Only whole-line comments are allowed: a line
-whose first non-blank character is ``#`` (leading spaces are fine); a
-``#`` after an id is an error. The writer emits a ``# n=<count>``
-comment so isolated trailing nodes survive a round trip; the reader
-takes the last such comment unless an explicit node count is passed.
-Ids must fit in int64. The file is UTF-8 text, comments included. Blank
-lines are skipped and CR LF line endings are accepted. Duplicate and
-reversed pairs collapse to one undirected edge; self-loops are
-rejected. A malformed file is diagnosed by line.
+Edge lists are UTF-8 text. A line ends in LF or CR LF; a CR anywhere
+else is an error. Stripped of leading and trailing spaces and tabs, a
+line is blank, a whole-line ``#`` comment, or two 0-indexed node ids
+``-?[0-9]+`` (ASCII, within int64) separated by spaces or tabs. The
+writer emits a ``# n=<count>`` comment (ASCII digits) so isolated
+trailing nodes survive a round trip; the reader takes the last one
+unless a node count is passed. Duplicate and reversed pairs collapse to
+one undirected edge; negative ids and self-loops are rejected.
 
-The reader reads the file's bytes once and checks them. When every line
-outside the comments holds only ASCII digits, ``-``, spaces and tabs,
-numpy's C reader parses the file and the ids are checked as whole
-arrays; numpy reads a regular file again from disk, and parses a pipe,
-which can be read only once, from the bytes in hand. Any other file, and
-any file that fails a check, is parsed line by line from the bytes in
-hand, which names the offending line; so a pipe is diagnosed as the
-same bytes on disk are. Pairs in the writer's row-major order
-become the graph's CSR without a sort (see :meth:`Graph.from_edges`).
+The reader reads the bytes once and checks them against the grammar;
+numpy's C reader then parses them whole (a regular file again from
+disk, a pipe from the bytes in hand) and the ids are checked as arrays.
+Only when a check fails are the bytes walked line by line, to name the
+first bad line, so a pipe is diagnosed as the same bytes on disk are.
+Pairs in the writer's row-major order become the graph's CSR without a
+sort (see :meth:`Graph.from_edges`).
 
 Numeric matrices are CSV with 17-significant-digit decimal values, which
 reproduce IEEE doubles bit-exactly on read-back. Every writer emits
@@ -41,14 +37,18 @@ import io
 import re
 from collections.abc import Iterator
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
 from .exceptions import DataFormatError
 from .model import Graph, MembershipMatrix, _row_major
 
-_N_COMMENT = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+#: A ``# n=<count>`` comment, matched whole; ASCII digits and blanks only.
+_N_COMMENT = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*")
+#: A node id of an edge line, matched whole, and the blanks between ids.
+_ID = re.compile(r"-?[0-9]+")
+_BLANKS = re.compile(r"[ \t]+")
 #: Where ``surrogateescape`` decoding puts each byte that is not UTF-8.
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -64,42 +64,37 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     """Parse an edge-list file into a :class:`Graph`.
 
     When ``n`` is omitted it comes from the last ``# n=<count>`` comment
-    if present, else from ``1 + max id``. Malformed lines, self-loops, ids
-    beyond int64, and ids at or above the declared count raise
-    :class:`DataFormatError` naming the offending line or edge. The result
-    does not depend on line order, nor on whether the file was parsed
-    whole or line by line. The checks and the line-by-line parse read
-    the file's bytes once, so a pipe gets the same diagnosis as the same
-    bytes on disk; numpy's whole-file parse reads a regular file again.
+    if present, else from ``1 + max id``. An ``n`` outside int64's
+    nonnegative range, the first line outside the grammar and the first
+    edge with an id at or above the node count raise
+    :class:`DataFormatError` naming them. The result does not depend on
+    line order.
     """
     path = Path(path)
+    if n is not None and not 0 <= n <= _INT64_MAX:
+        raise DataFormatError(f"{path}: node count must be nonnegative and fit in int64, got {n}")
     data = path.read_bytes()
     try:
         pairs, n = _read_plain(path, data, n)
     except ValueError:
-        pairs, n = _read_by_line(path, data, n)
+        _diagnose(path, data)
     del data  # free the file's bytes before the graph is built
     return Graph.from_edges(n, pairs)
 
 
 def _read_plain(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int]:
-    """Pairs and node count of a well-formed edge list, parsed whole from
-    ``data``, the bytes of ``path``.
+    """Pairs and node count of the edge list ``data``, the bytes of
+    ``path``, parsed whole.
 
-    Raises ``ValueError`` on anything :func:`_read_by_line` might read
-    differently or reject: a ``#`` that does not start a line, a CR not
-    followed by LF, any byte outside ``_PLAIN_BYTES`` in the edge
-    lines, a line without exactly two ids, an id outside int64, a
-    negative id, a self-loop, or an id at or above the node count.
-    The edge lines are checked in place, without copying them out: the
-    bytes outside ``_PLAIN_BYTES`` in the whole file must all lie in the
-    comments. Once the bytes pass these checks, numpy parses a regular
-    file itself, which it reads in chunks (its comments are whole lines
-    of UTF-8, its other lines plain ids); a pipe, which can be read only
-    once, is parsed from ``data``.
+    Bytes outside the grammar raise ``ValueError``; once they pass, an id
+    at or above the node count raises :class:`DataFormatError` naming
+    the first such edge. The edge lines are checked in place: the bytes
+    outside ``_PLAIN_BYTES`` in the whole file must all lie in the
+    comments. numpy then parses a regular file itself, in chunks, and a
+    pipe, which can be read only once, from ``data``.
     """
     if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        raise ValueError("a lone CR ends a line in text mode")
+        raise ValueError("a CR not followed by LF")
     declared = None
     spans = []  # [start, end) of each run of edge lines
     other = 0  # bytes outside _PLAIN_BYTES in the comments
@@ -112,9 +107,9 @@ def _read_plain(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int
         end = data.find(b"\n", at)
         end = len(data) if end == -1 else end
         comment = data[at:end]
-        match = _N_COMMENT.match(comment.decode("utf-8").strip())
-        if match:
-            declared = int(match.group(1))
+        match = _N_COMMENT.fullmatch(comment.decode("utf-8").removesuffix("\r"))
+        if match and (declared := _ascii_int(match[1])) > _INT64_MAX:
+            raise ValueError("node count beyond int64")
         other += len(comment.translate(None, _PLAIN_BYTES))
         spans.append((start, head))
         start = end
@@ -131,46 +126,50 @@ def _read_plain(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int
         raise ValueError("expected two ids per line")
     if n is None:
         n = declared if declared is not None else 1 + int(pairs.max(initial=-1))
-    if n < 0 or pairs.size and (pairs.min() < 0 or pairs.max() >= n or (pairs[:, 0] == pairs[:, 1]).any()):
-        raise ValueError("ids fail a check")
+    if pairs.size and (pairs.min() < 0 or (pairs[:, 0] == pairs[:, 1]).any()):
+        raise ValueError("a negative id or a self-loop")
+    if pairs.size and pairs.max() >= n:
+        i, j = pairs[(pairs >= n).any(axis=1).argmax()].tolist()
+        raise DataFormatError(f"{path}: edge ({i}, {j}) exceeds node count {n}")
     return pairs, n
 
 
-def _read_by_line(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int]:
-    """Pairs and node count of the edge list ``data``, the bytes of
-    ``path``, read one line at a time; every check names its line."""
-    pairs: list[tuple[int, int]] = []
-    declared = None
-    for lineno, line in _text_lines(path, io.BytesIO(data)):
-        if line.startswith("#"):
-            match = _N_COMMENT.match(line)
-            if match:
-                declared = int(match.group(1))
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}:{lineno}: expected two node ids, got {line!r}")
+def _ascii_int(token: str) -> int:
+    """The integer the ASCII ``-?[0-9]+`` spells, cut to 20 significant
+    digits, which exceed int64 already (``int()`` refuses over 4300)."""
+    digits = token.lstrip("-").lstrip("0")[:20] or "0"
+    return -int(digits) if token.startswith("-") else int(digits)
+
+
+def _diagnose(path: Path, data: bytes) -> NoReturn:
+    """Raise :class:`DataFormatError` naming the first line of ``data``,
+    the bytes of ``path``, outside the grammar; a lone CR stays in its line."""
+    lines = data.split(b"\n")
+    for lineno, raw in enumerate(lines, start=1):
+        where = f"{path}:{lineno}:"
+        raw = raw.removesuffix(b"\r") if lineno < len(lines) else raw  # the last line has no LF
         try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
+            line = raw.decode("utf-8").strip(" \t")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{where} byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+        if "\r" in line:
+            raise DataFormatError(f"{where} CR not followed by LF in {line!r}")
+        if (match := _N_COMMENT.fullmatch(line)) and _ascii_int(match[1]) > _INT64_MAX:
+            raise DataFormatError(f"{where} node count does not fit in int64 in {line!r}")
+        if not line or line.startswith("#"):
+            continue
+        if len(parts := _BLANKS.split(line)) != 2:
+            raise DataFormatError(f"{where} expected two node ids, got {line!r}")
+        if not all(_ID.fullmatch(part) for part in parts):
+            raise DataFormatError(f"{where} non-integer node id in {line!r}")
+        i, j = map(_ascii_int, parts)
         if i < 0 or j < 0:
-            raise DataFormatError(f"{path}:{lineno}: negative node id in {line!r}")
+            raise DataFormatError(f"{where} negative node id in {line!r}")
         if max(i, j) > _INT64_MAX:
-            raise DataFormatError(f"{path}:{lineno}: node id does not fit in int64 in {line!r}")
+            raise DataFormatError(f"{where} node id does not fit in int64 in {line!r}")
         if i == j:
-            raise DataFormatError(f"{path}:{lineno}: self-loop on node {i}")
-        pairs.append((i, j))
-    if n is None:
-        n = declared
-    if n is None:
-        n = 1 + max((max(p) for p in pairs), default=-1)
-    if n < 0:
-        raise DataFormatError(f"{path}: node count must be nonnegative, got {n}")
-    for i, j in pairs:
-        if i >= n or j >= n:
-            raise DataFormatError(f"{path}: edge ({i}, {j}) exceeds node count {n}")
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2), n
+            raise DataFormatError(f"{where} self-loop on node {i}")
+    raise DataFormatError(f"{path}: numpy refused the file, yet no line breaks the edge-list format")
 
 
 def _text_lines(path: Path, stream: BinaryIO) -> Iterator[tuple[int, str]]:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mmsbkit
-from mmsbkit import cli, io_formats
+from mmsbkit import cli
 from mmsbkit.cli import run_cli
 from mmsbkit.sweep import SweepResult
 
@@ -239,29 +239,6 @@ class TestClusterAndEvaluate:
                 }
             )
         assert outputs[0] == outputs[1]
-
-    def test_outputs_do_not_depend_on_the_parse_route(self, tmp_path, monkeypatch):
-        run_cli(["--quiet"] + generate_args(tmp_path / "net", n=150, n0=30))
-        by_line = []
-        read_by_line = io_formats._read_by_line
-
-        def spy(path, data, n):
-            by_line.append(path)
-            return read_by_line(path, data, n)
-
-        def refuse(path, data, n):
-            raise ValueError("forced line-by-line read")
-
-        monkeypatch.setattr(io_formats, "_read_by_line", spy)
-        for prefix in ("fast", "loop"):
-            if prefix == "loop":
-                monkeypatch.setattr(io_formats, "_read_plain", refuse)
-            argv = ["--quiet", "cluster", "--edges", str(tmp_path / "net.edgelist"), "--k", "3"]
-            argv += ["--method", "srsc", "--method", "crsc", "--seed", "5", "--out", str(tmp_path / prefix)]
-            assert run_cli(argv) == 0
-        assert len(by_line) == 1  # the second run only
-        for name in ("srsc.pihat.csv", "srsc.summary.json", "crsc.pihat.csv", "crsc.summary.json"):
-            assert (tmp_path / f"fast.{name}").read_bytes() == (tmp_path / f"loop.{name}").read_bytes()
 
     def test_one_run_of_all_methods_matches_single_method_runs(self, tmp_path):
         out = tmp_path / "net"
@@ -556,8 +533,14 @@ class TestExitCodes:
                 "--n must be nonnegative, got -1",
             ),
             (["stats", "--edges", "g.edgelist", "--n", "-1"], "--n must be nonnegative, got -1"),
+            (
+                ["cluster", "--edges", "g.edgelist", "--n", "99999999999999999999", "--k", "2", "--method", "srsc",
+                 "--out", "run"],
+                "--n must fit in int64, got 99999999999999999999",
+            ),
+            (["stats", "--edges", "g.edgelist", "--n", "99999999999999999999"], "--n must fit in int64, got 99999999999999999999"),
         ],
-        ids=["sweep-reps-0", "sweep-reps-negative", "cluster-n", "stats-n"],
+        ids=["sweep-reps-0", "sweep-reps-negative", "cluster-n", "stats-n", "cluster-n-int64", "stats-n-int64"],
     )
     def test_bad_option_value_is_usage_error_naming_it(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -577,6 +560,39 @@ class TestExitCodes:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("a sweep trial process died: ")
         assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "target, argv",
+        [
+            ("mmsbkit.cli.planted_memberships", ["generate", "--n", "90", "--k", "3", "--n0", "10",
+                                                 "--profile", "uniform", "--out", "net"]),
+            ("mmsbkit.cli.read_edge_list", ["stats", "--edges", "g.edgelist"]),
+            ("mmsbkit.cli.run_methods", ["cluster", "--edges", "g.edgelist", "--k", "2", "--method", "srsc",
+                                         "--out", "run"]),
+            ("mmsbkit.sweep.planted_memberships", ["sweep", "--config", "sweep.json", "--out", "o.csv",
+                                                   "--workers", "1"]),
+            ("mmsbkit.sweep.planted_memberships", ["sweep", "--config", "sweep.json", "--out", "o.csv",
+                                                   "--workers", "2"]),
+        ],
+        ids=["generate", "stats", "cluster", "sweep-workers-1", "sweep-workers-2"],
+    )
+    def test_memory_error_is_exit_3_with_one_line(self, tmp_path, monkeypatch, capsys, target, argv):
+        # a size too large to allocate, such as "n": [1000000000000] in a
+        # sweep or "# n=100000000000000" in an edge list, raises MemoryError;
+        # it is raised here without allocating anything
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 21.8 TiB for an array")
+
+        monkeypatch.setattr(target, allocate)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sweep.json").write_text(json.dumps(TINY_SWEEP))
+        (tmp_path / "g.edgelist").write_text("0 1\n1 2\n2 0\n")
+        assert run_cli(["--quiet"] + argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["out of memory: Unable to allocate 21.8 TiB for an array"]
+        assert captured.out == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["g.edgelist", "sweep.json"]
         assert multiprocessing.active_children() == []
 
     def test_isolated_node_with_tau_zero_is_numerical_error(self, tmp_path):

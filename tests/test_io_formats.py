@@ -98,6 +98,26 @@ class TestReadEdgeList:
         with pytest.raises(DataFormatError, match=":2: node id does not fit in int64"):
             read_edge_list(f)
 
+    @pytest.mark.parametrize("n", [-1, 2**63])
+    def test_explicit_n_outside_int64_is_data_error(self, tmp_path, n):
+        f = tmp_path / "g.edgelist"
+        f.write_text("0 1\n")
+        with pytest.raises(DataFormatError, match=f"node count must be nonnegative and fit in int64, got {n}"):
+            read_edge_list(f, n=n)
+
+    def test_n_comment_beyond_int64_names_line(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_text("0 1\n# n=99999999999999999999\n")
+        with pytest.raises(DataFormatError, match=":2: node count does not fit in int64"):
+            read_edge_list(f)
+
+    @pytest.mark.parametrize("comment", ["# n=\u0663", "# n=5\x0c", "#\xa0n=5", "# n\u3000= 5"])
+    def test_n_comment_reads_ascii_only(self, tmp_path, comment):
+        # other digits and blanks make an ordinary comment
+        f = tmp_path / "g.edgelist"
+        f.write_text(f"{comment}\n0 1\n", encoding="utf-8")
+        assert read_edge_list(f).n == 2
+
     def test_line_order_does_not_matter(self, tmp_path):
         rng = np.random.default_rng(0)
         lines = ["0 3", "1 2", "2 4", "0 4", "3 4"]
@@ -135,7 +155,6 @@ class TestGraphRoundTrip:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(back.adjacency, name), getattr(g.adjacency, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        assert (by_line_graph(f, None).adjacency != back.adjacency).nnz == 0
 
     def test_writer_output_bytes(self, tmp_path):
         g = Graph.from_edges(12, np.array([[3, 1], [0, 10], [1, 0], [3, 11], [10, 2]]))
@@ -223,9 +242,9 @@ _BLANK_LINE = st.sampled_from(["", " ", "\t", " \t "])
 @st.composite
 def _edge_list_files(draw):
     """Bytes of a random edge-list file and an explicit node count or None.
-    Half the files use only plain lines and LF or CR LF endings, the form
-    the fast path takes. Ids stay small or exceed int64, so no graph is
-    large."""
+    Half the files use only plain lines and LF or CR LF endings; the
+    others may break the grammar anywhere. Ids stay small or exceed
+    int64, so no graph is large."""
     plain = draw(st.booleans())
     line = st.one_of(_edge_line(plain), _edge_line(plain), _COMMENT_LINE, _BLANK_LINE)
     lines = draw(st.lists(line, max_size=10))
@@ -235,43 +254,61 @@ def _edge_list_files(draw):
     return text.encode("utf-8"), n
 
 
-def by_line_graph(path: Path, n: int | None) -> Graph:
-    """The graph of the file at ``path`` read by the line loop alone."""
-    pairs, n = io_formats._read_by_line(path, path.read_bytes(), n)
-    return Graph.from_edges(n, pairs)
+_GRAMMAR_LINE = re.compile(r"[ \t]*(#[^\r]*|(-?[0-9]+)[ \t]+(-?[0-9]+))?[ \t]*")
+_COUNT_COMMENT = re.compile(r"[ \t]*#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*")
+_INT64_MAX = 2**63 - 1
 
 
-def _outcome(reader, path, n):
-    try:
-        g = reader(path, n)
-    except DataFormatError as exc:
-        return "error", str(exc)
-    return "graph", g.n, g.adjacency.indptr.tolist(), g.adjacency.indices.tolist()
+def grammar_outcome(data: bytes, n: int | None):
+    """What the edge-list grammar makes of ``data``, worked out from whole
+    lines by regular expressions: ``("graph", n, pairs)``, ``("line", k)``
+    for a first bad line k, or ``("edge", i, j, n)`` for a first edge out
+    of range."""
+    lines = data.decode("utf-8").split("\n")
+    pairs, declared = [], None
+    for k, line in enumerate(lines, start=1):
+        if k < len(lines):
+            line = line.removesuffix("\r")
+        match = _GRAMMAR_LINE.fullmatch(line)
+        count = _COUNT_COMMENT.fullmatch(line)
+        if not match or count and int(count[1]) > _INT64_MAX:
+            return "line", k
+        if match[2] is not None:
+            i, j = int(match[2]), int(match[3])
+            if min(i, j) < 0 or max(i, j) > _INT64_MAX or i == j:
+                return "line", k
+            pairs.append((i, j))
+        if count:
+            declared = int(count[1])
+    if n is None:
+        n = declared if declared is not None else 1 + max((max(p) for p in pairs), default=-1)
+    for i, j in pairs:
+        if max(i, j) >= n:
+            return "edge", i, j, n
+    return "graph", n, pairs
 
 
 class TestParseRoutes:
-    """``read_edge_list`` parses a plain file whole and reads anything else
-    line by line; ``_read_by_line`` is the reference for both routes."""
+    """``read_edge_list`` parses a file in the grammar whole; for any
+    other file, the line walk only names the first bad line."""
 
     @pytest.mark.parametrize(
-        "text",
+        "text, n, pairs",
         [
-            "0 1\n1 2\n",
-            "0 1\r\n1 2\r\n",
-            "# n=9\n0\t1\n\n  \n2   3",
-            "  # note\n0 1\n\t# n=4\n",
-            "-0 1\n007 2\n",
-            "# only a comment\n",
-            "",
+            ("0 1\n1 2\n", 3, [[0, 1], [1, 2]]),
+            ("0 1\r\n1 2\r\n", 3, [[0, 1], [1, 2]]),
+            ("# n=9\n0\t1\n\n  \n2   3", 9, [[0, 1], [2, 3]]),
+            ("  # note\n0 1\n\t# n=4\n", 4, [[0, 1]]),
+            ("-0 1\n007 2\n", 8, [[0, 1], [7, 2]]),
+            ("# only a comment\n", 0, []),
+            ("", 0, []),
         ],
     )
-    def test_plain_files_take_the_fast_path(self, tmp_path, text):
+    def test_plain_files_take_the_fast_path(self, tmp_path, text, n, pairs):
         f = tmp_path / "g.edgelist"
         f.write_bytes(text.encode())
-        pairs, n = io_formats._read_plain(f, f.read_bytes(), None)
-        g = by_line_graph(f, None)
-        assert n == g.n
-        assert (Graph.from_edges(n, pairs).adjacency != g.adjacency).nnz == 0
+        got, count = io_formats._read_plain(f, f.read_bytes(), None)
+        assert count == n and got.tolist() == pairs
 
     @pytest.mark.parametrize(
         "text",
@@ -283,18 +320,25 @@ class TestParseRoutes:
             "\uff11 2\n",
             "0\xa01\n",
             "0 1\r2 3\n",
+            "0 1\r",
             "0 1 2\n",
             "0\n",
             "-1 2\n",
             "2 2\n",
             "0 9223372036854775808\n",
-            "# n=3\n0 3\n",
+            "# n=9223372036854775808\n",
         ],
     )
-    def test_other_files_fall_back(self, tmp_path, text):
+    def test_other_files_are_refused(self, tmp_path, text):
         f = tmp_path / "g.edgelist"
         f.write_bytes(text.encode())
         with pytest.raises(ValueError):
+            io_formats._read_plain(f, f.read_bytes(), None)
+
+    def test_fast_path_names_the_first_edge_out_of_range(self, tmp_path):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(b"# n=3\n0 1\n1 3\n4 0\n")
+        with pytest.raises(DataFormatError, match=re.escape(f"{f}: edge (1, 3) exceeds node count 3")):
             io_formats._read_plain(f, f.read_bytes(), None)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
@@ -312,12 +356,40 @@ class TestParseRoutes:
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(case=_edge_list_files())
-    def test_fast_path_agrees_with_line_loop(self, tmp_path_factory, case):
+    def test_grammar_decides_the_outcome(self, tmp_path_factory, case):
         data, n = case
-        f = tmp_path_factory.getbasetemp() / "differential.edgelist"
+        f = tmp_path_factory.getbasetemp() / "grammar.edgelist"
         f.write_bytes(data)
-        assert _outcome(io_formats.read_edge_list, f, n) == _outcome(by_line_graph, f, n)
+        expected = grammar_outcome(data, n)
+        if expected[0] == "graph":
+            _, count, pairs = expected
+            want = Graph.from_edges(count, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+            got = read_edge_list(f, n)
+            assert got.n == count and (got.adjacency != want.adjacency).nnz == 0
+            return
+        with pytest.raises(DataFormatError) as exc:
+            read_edge_list(f, n)
+        if expected[0] == "line":
+            assert str(exc.value).startswith(f"{f}:{expected[1]}: ")
+        else:
+            assert str(exc.value) == f"{f}: edge ({expected[1]}, {expected[2]}) exceeds node count {expected[3]}"
 
+
+#: Spellings that ``int()`` and ``str.split()`` take but the edge-list
+#: grammar does not, and lone CRs, each with the line it breaks.
+OFF_GRAMMAR = [
+    (b"+3 1\n", 1),
+    (b"0 1\n1_0 2\n", 2),
+    ("0 1\n\uff11 2\n".encode(), 2),
+    ("\u0663 2\n".encode(), 1),
+    ("0\xa01\n".encode(), 1),
+    (b"0 1\n1\x0b2\n", 2),
+    (b"0\x0c1\n", 1),
+    ("0 1\n1\u30002\n".encode(), 2),
+    (b"0 1\r1 2\r", 1),
+    (b"0 1\n1 2\r", 2),
+    (b"# n=99999999999999999999\n0 1\n", 1),
+]
 
 #: Edge lists the reader rejects, each with the node count passed to it.
 MALFORMED_EDGE_LISTS = [
@@ -334,7 +406,7 @@ MALFORMED_EDGE_LISTS = [
     (b"-1 2\n", None),
     (b"# n=3\n0 3\n", None),
     (b"0 1\n\xff 2\n", None),
-]
+] + [(data, None) for data, _ in OFF_GRAMMAR]
 
 
 def through_pipe(data: bytes, read):
@@ -375,6 +447,12 @@ class TestPipedEdgeLists:
         code, path = through_pipe(data, lambda path: (run_cli(["--quiet", "stats", "--edges", path] + count), path))
         assert code == 2
         assert capsys.readouterr().err == f"data error: {on_disk.replace('<path>', path)}\n"
+
+    @pytest.mark.parametrize("data, line", OFF_GRAMMAR)
+    def test_spelling_outside_the_grammar_names_its_line(self, tmp_path, data, line):
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(data)
+        assert self._error(read_edge_list, f, None).startswith(f"<path>:{line}: ")
 
     def test_well_formed_pipe_reads_like_the_file(self, tmp_path):
         data = b"# n=7\n0 1\n  # note\n4 2\r\n1 2\n"
