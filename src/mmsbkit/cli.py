@@ -54,6 +54,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
+_INT64 = np.iinfo(np.int64)
+
 #: ``cluster --method`` names; each is the lower-case form of the
 #: recovery method tag.
 _CLUSTER_METHODS = tuple(sorted(m.lower() for m in EMPIRICAL_METHODS))
@@ -144,7 +146,15 @@ def _say(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _check_int64(option: str, value: int | None) -> None:
+    """A value of ``option`` beyond int64 is a usage error naming it."""
+    if value is not None and not _INT64.min <= value <= _INT64.max:
+        raise SystemExit2(f"{option} must fit in int64, got {value}")
+
+
 def _cmd_generate(args) -> int:
+    _check_int64("--n", args.n)
+    _check_int64("--k", args.k)
     pi = planted_memberships(args.n, args.k, args.n0, args.profile, seed=args.seed)
     block = BlockModel(diag_off_block(args.k, args.p_diag, args.p_off), rho=args.rho)
     omega = build_population_matrix(pi, block)
@@ -163,8 +173,7 @@ def _read_graph(args):
     usage error."""
     if args.n is not None and args.n < 0:
         raise SystemExit2(f"--n must be nonnegative, got {args.n}")
-    if args.n is not None and args.n > np.iinfo(np.int64).max:
-        raise SystemExit2(f"--n must fit in int64, got {args.n}")
+    _check_int64("--n", args.n)
     return read_edge_list(args.edges, n=args.n)
 
 

@@ -15,7 +15,8 @@ disk, a pipe from the bytes in hand) and the ids are checked as arrays.
 Only when a check fails are the bytes walked line by line, to name the
 first bad line, so a pipe is diagnosed as the same bytes on disk are.
 Pairs in the writer's row-major order become the graph's CSR without a
-sort (see :meth:`Graph.from_edges`).
+sort (see :func:`model.upper_triangle`), and they are freed before the
+graph is assembled from its upper triangle.
 
 Numeric matrices are CSV with 17-significant-digit decimal values, which
 reproduce IEEE doubles bit-exactly on read-back. Every writer emits
@@ -42,7 +43,7 @@ from typing import BinaryIO, NoReturn
 import numpy as np
 
 from .exceptions import DataFormatError
-from .model import Graph, MembershipMatrix, _row_major
+from .model import Graph, MembershipMatrix, _row_major, upper_triangle
 
 #: A ``# n=<count>`` comment, matched whole; ASCII digits and blanks only.
 _N_COMMENT = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*")
@@ -79,7 +80,9 @@ def read_edge_list(path: str | Path, n: int | None = None) -> Graph:
     except ValueError:
         _diagnose(path, data)
     del data  # free the file's bytes before the graph is built
-    return Graph.from_edges(n, pairs)
+    upper = upper_triangle(n, pairs)
+    del pairs  # and the parsed pairs before it is assembled
+    return Graph.from_upper(upper)
 
 
 def _read_plain(path: Path, data: bytes, n: int | None) -> tuple[np.ndarray, int]:

@@ -34,6 +34,9 @@ LANCZOS_SEED = 0
 # The stages of the cut certificate as (tol, ncv): a short screen, then
 # ARPACK's default basis size (ncv None) at two tighter tolerances.
 DEFLATION_STAGES = ((0.1, 6), (1e-2, None), (1e-4, None))
+#: Most entries of a sampled graph's Laplacian computed at once, beyond
+#: the one row that may exceed it.
+LAPLACIAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, init=False)
@@ -67,7 +70,7 @@ class RegularizedLaplacian:
         d = np.asarray(dtau, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or d.shape != (m.shape[0],):
             raise ValueError("laplacian matrix must be square with one regularized degree per node")
-        if not (np.isfinite(entries).all() and np.isfinite(d).all()):
+        if not (_all_finite(entries) and _all_finite(d)):
             raise ValueError("laplacian contains non-finite entries")
         if not _symmetric and abs(m - m.T).max() > 1e-12:
             raise ValueError("laplacian must be symmetric within 1e-12")
@@ -95,6 +98,12 @@ class RegularizedLaplacian:
     @property
     def n(self) -> int:
         return self.operator.shape[0]
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, with no array of flags the
+    size of ``a``: a NaN reaches both extremes and an infinity is one."""
+    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -177,11 +186,20 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
         import scipy.sparse as sp  # loaded with the graph
 
         a = source.adjacency
+        indptr, indices = a.indptr, a.indices
         # scale_i * scale_j is symmetric bit for bit: no averaging needed.
-        # The index arrays are copied because the Laplacian makes its
-        # arrays read-only and the graph's must stay as they are.
-        data = np.repeat(scale, np.diff(a.indptr)) * scale[a.indices]
-        lap = sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
+        # The entries are filled a run of rows at a time, with temporaries
+        # of at most LAPLACIAN_CHUNK entries plus one row, and the index
+        # arrays are the graph's own, which are read-only.
+        data = np.empty(a.nnz)
+        r0 = 0
+        while r0 < a.shape[0]:
+            r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + LAPLACIAN_CHUNK, side="right")) - 1)
+            s, e = indptr[r0], indptr[r1]
+            rows = np.repeat(scale[r0:r1], np.diff(indptr[r0:r1 + 1]))
+            np.multiply(rows, scale[indices[s:e]], out=data[s:e])
+            r0 = r1
+        lap = sp.csr_matrix((data, indices, indptr), shape=a.shape)
         return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _symmetric=True)
     lap = scale[:, None] * source.matrix * scale[None, :]
     lap = (lap + lap.T) / 2.0

@@ -539,8 +539,21 @@ class TestExitCodes:
                 "--n must fit in int64, got 99999999999999999999",
             ),
             (["stats", "--edges", "g.edgelist", "--n", "99999999999999999999"], "--n must fit in int64, got 99999999999999999999"),
+            (
+                ["generate", "--n", "99999999999999999999", "--k", "3", "--n0", "0", "--profile", "uniform",
+                 "--out", "net"],
+                "--n must fit in int64, got 99999999999999999999",
+            ),
+            (
+                ["generate", "--n", "90", "--k", "99999999999999999999", "--n0", "0", "--profile", "uniform",
+                 "--out", "net"],
+                "--k must fit in int64, got 99999999999999999999",
+            ),
         ],
-        ids=["sweep-reps-0", "sweep-reps-negative", "cluster-n", "stats-n", "cluster-n-int64", "stats-n-int64"],
+        ids=[
+            "sweep-reps-0", "sweep-reps-negative", "cluster-n", "stats-n", "cluster-n-int64", "stats-n-int64",
+            "generate-n-int64", "generate-k-int64",
+        ],
     )
     def test_bad_option_value_is_usage_error_naming_it(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mmsbkit import (
     sample_adjacency,
 )
 from mmsbkit import spectral
+from mmsbkit.io_formats import read_edge_list, write_edge_pairs
 from mmsbkit.spectral import _leading_positions
 from mmsbkit.sweep import STREAM_SPLIT
 from conftest import pure_corner_indices, three_block_setup
@@ -85,6 +87,51 @@ class TestRegularizedLaplacian:
         for g, tau in cases:
             op = regularized_laplacian(g, tau).operator
             assert sp.issparse(op) and (op != op.T).nnz == 0
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_chunked_entries_equal_the_whole_formula(self, monkeypatch, chunk):
+        # chunks of rows, a row longer than a chunk included, give the bits
+        # of the one-shot product; the isolated nodes make empty rows
+        monkeypatch.setattr(spectral, "LAPLACIAN_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        pairs = rng.integers(0, 40, size=(300, 2))
+        graph = Graph.from_edges(45, pairs[pairs[:, 0] != pairs[:, 1]])
+        a = graph.adjacency
+        scale = 1.0 / np.sqrt(graph.degrees() + 0.3)
+        want = np.repeat(scale, np.diff(a.indptr)) * scale[a.indices]
+        assert np.array_equal(regularized_laplacian(graph, 0.3).operator.data, want)
+
+    def test_read_and_laplacian_hold_each_entry_array_once(self, tmp_path):
+        # The graph holds 12 bytes per stored entry (int32 index, float64
+        # one) and its Laplacian 8 more, its float64 value, beside the
+        # graph's own index arrays. Reading the writer's file and building
+        # the Laplacian may trace those 20 bytes per entry plus 2 MiB of
+        # O(n) arrays and bounded chunks; holding the parsed pairs, a
+        # transposed copy or a whole-array temporary beside them exceeds it.
+        n = 1500
+        rng = np.random.default_rng(11)
+        i, j = np.triu_indices(n, 1)
+        keep = rng.random(i.size) < 0.5
+        path = tmp_path / "g.edgelist"
+        write_edge_pairs(n, np.column_stack([i[keep], j[keep]]), path)
+        del i, j, keep
+        tracemalloc.start()
+        try:
+            graph = read_edge_list(path)
+            lap = regularized_laplacian(graph, default_tau(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a, op = graph.adjacency, lap.operator
+        assert a.indices.dtype == np.int32 and a.data.dtype == np.float64
+        assert peak <= 20 * a.nnz + (2 << 20)
+        assert not any(part.flags.writeable for part in (a.data, a.indices, a.indptr))
+        assert np.shares_memory(op.indices, a.indices) and np.shares_memory(op.indptr, a.indptr)
+        # the checked constructor copies: the caller's matrix stays writable
+        mine = a.copy()
+        checked = Graph(mine).adjacency
+        assert all(part.flags.writeable for part in (mine.data, mine.indices, mine.indptr))
+        assert not checked.data.flags.writeable and (checked != a).nnz == 0
 
     def test_constructor_rejects_asymmetric_matrix(self):
         m = np.array([[0.0, 0.5], [0.4, 0.0]])
