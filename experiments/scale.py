@@ -1,0 +1,127 @@
+"""Scale run: ``mmsbkit generate``, then ``mmsbkit cluster`` with SRSC and
+CRSC, each command in a fresh process, at n = 10^5 and 10^6.
+
+    python3 experiments/scale.py [--point N,RHO ...] [--work DIR]
+
+The graphs follow one recipe: K = 3, ``random-half`` memberships with
+n0 = n / 5 pure nodes per community, connectivity 0.8 on the diagonal
+and 0.1 off it, and the sparsity ``rho`` of the point, seed 1. Each
+command runs in its own interpreter, on the package in this checkout's
+``src/``, with the benchmark's span recorder
+(``benchmarks/spans.py``, imported as it stands) installed, and reports
+its wall time, its peak RSS (``ru_maxrss``, the whole process) and the
+self time of each traced stage. The output is one markdown table, a row
+per command. An n = 10^6 point takes about a minute and a half and peaks
+near 0.55 GB (2-core VM).
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import json
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+#: (n, rho) of the default points; 10^6 at rho 5e-5 has about 8.45M edges.
+POINTS = ((100_000, 2e-3), (1_000_000, 5e-5))
+SEED = 1
+#: Names ``generate`` calls in ``mmsbkit.cli`` that the recorder's targets
+#: miss: the sampler and the writer. This script wraps them itself.
+UNTRACED = ("sample_edge_pairs", "write_edge_pairs")
+#: Stages shown per row, by self time: everything else is summed into "rest".
+SHOWN = 5
+
+
+def _argv(command: str, n: int, rho: float, prefix: Path) -> list[str]:
+    if command == "generate":
+        return [
+            "--quiet", "generate", "--n", str(n), "--k", "3", "--n0", str(n // 5),
+            "--profile", "random-half", "--p-diag", "0.8", "--p-off", "0.1",
+            "--rho", repr(rho), "--seed", str(SEED), "--out", str(prefix),
+        ]
+    return [
+        "--quiet", "cluster", "--edges", f"{prefix}.edgelist", "--k", "3", "--tau", "auto",
+        "--method", "srsc", "--method", "crsc", "--seed", str(SEED), "--out", str(prefix),
+    ]
+
+
+def run_one(command: str, n: int, rho: float, prefix: Path) -> dict:
+    """Run one command in this process under the span recorder and return
+    its wall time, peak RSS and per-stage self times."""
+    sys.dont_write_bytecode = True  # leave no bytecode beside the benchmark's files
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+    from spans import Recorder
+
+    from mmsbkit import cli
+
+    recorder = Recorder()
+    recorder.install()
+    for attr in UNTRACED:
+        original = getattr(cli, attr)
+        name = f"{original.__module__.rsplit('.', 1)[-1]}.{attr}"
+        setattr(cli, attr, functools.partial(recorder.call, name, original))
+    start = time.perf_counter()
+    code = recorder.call("run_cli", cli.run_cli, _argv(command, n, rho, prefix))
+    wall = time.perf_counter() - start
+    return {
+        "code": code,
+        "wall_s": wall,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "stages": recorder.op_summary(0),
+    }
+
+
+def _row(n: int, command: str, report: dict) -> str:
+    stages = {k[:-2]: v for k, v in report["stages"].items() if k.endswith(".s")}
+    top = sorted(stages.items(), key=lambda kv: -kv[1])
+    shown = [f"{name} {s:.2f}" for name, s in top[:SHOWN]]
+    if len(top) > SHOWN:
+        shown.append(f"rest {sum(s for _, s in top[SHOWN:]):.2f}")
+    edges = report["stages"].get("io_formats.read_edge_list.edges")
+    return (
+        f"| {n:,} | {command} | {'' if edges is None else f'{int(edges):,}'} "
+        f"| {report['wall_s']:.2f} | {report['peak_rss_mb']:.1f} | {'; '.join(shown)} |"
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--point", action="append", default=None, metavar="N,RHO", help="node count and sparsity; repeatable")
+    parser.add_argument("--work", type=Path, default=None, help="directory for the graphs (default: a temporary one)")
+    parser.add_argument("--one", nargs=4, default=None, help=argparse.SUPPRESS)  # command n rho prefix, in the child
+    args = parser.parse_args(argv)
+    if args.one is not None:
+        command, n, rho, prefix = args.one
+        report = run_one(command, int(n), float(rho), Path(prefix))
+        print(json.dumps(report))
+        return report["code"]
+
+    points = POINTS if args.point is None else [(int(p.split(",")[0]), float(p.split(",")[1])) for p in args.point]
+    with tempfile.TemporaryDirectory() as scratch:
+        work = args.work or Path(scratch)
+        work.mkdir(parents=True, exist_ok=True)
+        print("| n | command | edges | wall s | peak RSS MB | self time of the longest stages, s |")
+        print("| --- | --- | --- | --- | --- | --- |")
+        for n, rho in points:
+            prefix = work / f"scale-{n}"
+            for command in ("generate", "cluster"):
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--one", command, str(n), repr(rho), str(prefix)],
+                    capture_output=True, text=True,
+                )
+                if proc.returncode != 0:
+                    sys.stderr.write(proc.stderr)
+                    print(f"{command} at n={n} exited with {proc.returncode}", file=sys.stderr)
+                    return 1
+                print(_row(n, command, json.loads(proc.stdout.splitlines()[-1])), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
+from .model import _readonly
 
 UNIT_ROW_TOL = 1e-8
 KKT_TOL = 1e-8
@@ -77,14 +78,12 @@ class SvmSolution:
     support: tuple[int, ...]
 
     def __post_init__(self):
-        w = np.ascontiguousarray(self.w, dtype=np.float64)
-        al = np.ascontiguousarray(self.weights, dtype=np.float64)
+        w = _readonly(self.w)
+        al = _readonly(self.weights)
         if np.linalg.norm(w) > 1.0 + 1e-10:
             raise ValueError("svm normal vector must satisfy ||w|| <= 1")
         if al.min() < -1e-12 or abs(al.sum() - 1.0) > 1e-10:
             raise ValueError("dual weights must be a probability vector")
-        w.setflags(write=False)
-        al.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "weights", al)
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Graph, MembershipMatrix, PopulationMatrix
+from .model import Graph, MembershipMatrix, PopulationMatrix, _readonly
 from .spectral import regularized_laplacian
 
 
@@ -26,9 +26,7 @@ class ErrorReport:
     per_node: np.ndarray
 
     def __post_init__(self):
-        pn = np.ascontiguousarray(self.per_node, dtype=np.float64)
-        pn.setflags(write=False)
-        object.__setattr__(self, "per_node", pn)
+        object.__setattr__(self, "per_node", _readonly(self.per_node))
         object.__setattr__(self, "permutation", tuple(int(k) for k in self.permutation))
 
 

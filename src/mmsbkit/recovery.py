@@ -34,7 +34,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .corners import CornerSet, sp_select, svm_cone_select
 from .exceptions import MmsbkitError, NumericalError
-from .model import Graph, MembershipMatrix, PopulationMatrix, check_population_rank
+from .model import Graph, MembershipMatrix, PopulationMatrix, _readonly, check_population_rank
 from .spectral import (
     ZERO_ROW_TOL,
     RegularizedLaplacian,
@@ -82,9 +82,7 @@ class RecoveryResult:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        z = np.ascontiguousarray(self.z, dtype=np.float64)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "z", _readonly(self.z))
 
 
 #: Errors that :func:`stage` labels and :func:`recover_each` returns in a method's place.

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import NumericalError
-from .model import Graph, PopulationMatrix
+from .model import Graph, PopulationMatrix, _readonly
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -46,8 +46,12 @@ class RegularizedLaplacian:
     ``operator`` keeps the storage it was built with: CSR for a sampled
     graph, a dense array for an expected adjacency. ``matrix`` is always
     a dense read-only array; a CSR operator is densified on each access.
-    The matrix must be symmetric within 1e-12; ``_symmetric=True`` skips
-    that check for a matrix symmetric by construction.
+    The matrix must be symmetric within 1e-12. The constructor freezes
+    copies of the caller's matrix and degrees, which stay writable.
+    ``_owned=True`` is :func:`regularized_laplacian`'s path: its matrix
+    and degrees are new, no one else holds them and the matrix is
+    symmetric by construction, so they are frozen in place, with no copy
+    of the nnz-sized values and no symmetry check.
     """
 
     tau: float
@@ -55,33 +59,26 @@ class RegularizedLaplacian:
     operator: np.ndarray | sp.csr_matrix  # (n, n) symmetric
 
     def __init__(
-        self, tau: float, dtau: np.ndarray, matrix: np.ndarray | sp.spmatrix, *, _symmetric: bool = False
+        self, tau: float, dtau: np.ndarray, matrix: np.ndarray | sp.spmatrix, *, _owned: bool = False
     ):
         # imported here, as in model.Graph: a Laplacian is built only by
         # the commands that cluster
         import scipy.sparse as sp
 
         if sp.issparse(matrix):
-            m = sp.csr_matrix(matrix, dtype=np.float64)
+            m = sp.csr_matrix(matrix, dtype=np.float64, copy=not _owned)
             entries = m.data
         else:
-            m = np.asarray(matrix, dtype=np.float64)
-            entries = m
-        d = np.asarray(dtau, dtype=np.float64)
+            m = entries = matrix if _owned else _readonly(matrix)
+        d = dtau if _owned else _readonly(dtau)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or d.shape != (m.shape[0],):
             raise ValueError("laplacian matrix must be square with one regularized degree per node")
         if not (_all_finite(entries) and _all_finite(d)):
             raise ValueError("laplacian contains non-finite entries")
-        if not _symmetric and abs(m - m.T).max() > 1e-12:
+        if not _owned and abs(m - m.T).max() > 1e-12:
             raise ValueError("laplacian must be symmetric within 1e-12")
-        if sp.issparse(m):
-            for part in (m.data, m.indices, m.indptr):
-                part.setflags(write=False)
-        else:
-            m = np.ascontiguousarray(m)
-            m.setflags(write=False)
-        d = np.ascontiguousarray(d)
-        d.setflags(write=False)
+        for part in (m.data, m.indices, m.indptr, d) if sp.issparse(m) else (m, d):
+            part.setflags(write=False)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "operator", m)
         object.__setattr__(self, "dtau", d)
@@ -114,8 +111,8 @@ class SpectralBasis:
     vectors: np.ndarray  # (n, K), orthonormal columns
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.vectors, dtype=np.float64)
+        vals = _readonly(self.eigenvalues)
+        vecs = _readonly(self.vectors)
         if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != vals.size:
             raise ValueError("eigenvalues and eigenvector columns must match")
         mags = np.abs(vals)
@@ -127,10 +124,6 @@ class SpectralBasis:
         gram_err = np.abs(vecs.T @ vecs - np.eye(vals.size)).max()
         if gram_err > ORTHONORMAL_TOL:
             raise ValueError(f"eigenvectors must be orthonormal (deviation {gram_err:.3e})")
-        vals = np.ascontiguousarray(vals)
-        vecs = np.ascontiguousarray(vecs)
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "vectors", vecs)
 
@@ -161,11 +154,14 @@ def default_tau(n: int) -> float:
 def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> RegularizedLaplacian:
     """Build ``Dtau^{-1/2} M Dtau^{-1/2}`` from a graph or expected adjacency.
 
-    A sampled graph gives a CSR Laplacian with the graph's sparsity
-    pattern: its degrees are the row counts ``np.diff(indptr)`` and entry
+    A sampled graph gives a CSR Laplacian over the graph's own read-only
+    ``indptr`` and ``indices``, read from its pattern with no adjacency
+    built: its degrees are the row counts ``np.diff(indptr)`` and entry
     (i, j) is ``scale_i * scale_j`` with ``scale = Dtau^{-1/2}``, the same
-    bits as scaling the adjacency, whose entries are exactly 1. The
-    expected adjacency gives a dense Laplacian. ``tau`` must be finite
+    bits as scaling the adjacency, whose entries are exactly 1. Its one
+    new nnz-sized array is the float64 values. The expected adjacency
+    gives a dense Laplacian. Both are symmetric bit for bit and are
+    frozen in place, uncopied and unchecked. ``tau`` must be finite
     and nonnegative; with ``tau = 0`` every node needs a strictly positive
     degree, otherwise a :class:`NumericalError` is raised (an isolated
     node makes the unregularized scaling undefined).
@@ -185,25 +181,24 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
     if isinstance(source, Graph):
         import scipy.sparse as sp  # loaded with the graph
 
-        a = source.adjacency
-        indptr, indices = a.indptr, a.indices
+        indptr, indices = source.indptr, source.indices
         # scale_i * scale_j is symmetric bit for bit: no averaging needed.
         # The entries are filled a run of rows at a time, with temporaries
         # of at most LAPLACIAN_CHUNK entries plus one row, and the index
         # arrays are the graph's own, which are read-only.
-        data = np.empty(a.nnz)
+        data = np.empty(indices.size)
         r0 = 0
-        while r0 < a.shape[0]:
+        while r0 < source.n:
             r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + LAPLACIAN_CHUNK, side="right")) - 1)
             s, e = indptr[r0], indptr[r1]
             rows = np.repeat(scale[r0:r1], np.diff(indptr[r0:r1 + 1]))
             np.multiply(rows, scale[indices[s:e]], out=data[s:e])
             r0 = r1
-        lap = sp.csr_matrix((data, indices, indptr), shape=a.shape)
-        return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _symmetric=True)
+        lap = sp.csr_matrix((data, indices, indptr), shape=(source.n, source.n))
+        return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _owned=True)
     lap = scale[:, None] * source.matrix * scale[None, :]
     lap = (lap + lap.T) / 2.0
-    return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap)
+    return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _owned=True)
 
 
 def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:

@@ -102,12 +102,13 @@ class TestRegularizedLaplacian:
         assert np.array_equal(regularized_laplacian(graph, 0.3).operator.data, want)
 
     def test_read_and_laplacian_hold_each_entry_array_once(self, tmp_path):
-        # The graph holds 12 bytes per stored entry (int32 index, float64
-        # one) and its Laplacian 8 more, its float64 value, beside the
-        # graph's own index arrays. Reading the writer's file and building
-        # the Laplacian may trace those 20 bytes per entry plus 2 MiB of
-        # O(n) arrays and bounded chunks; holding the parsed pairs, a
-        # transposed copy or a whole-array temporary beside them exceeds it.
+        # The graph holds 4 bytes per stored entry, its int32 index, and
+        # its Laplacian 8 more, its float64 value, beside the graph's own
+        # index arrays. Reading the writer's file and building the
+        # Laplacian may trace 14 bytes per entry plus 2 MiB of O(n) arrays
+        # and bounded chunks; holding the parsed pairs, a transposed copy,
+        # a whole-array temporary or an array of the adjacency's ones
+        # beside them exceeds it.
         n = 1500
         rng = np.random.default_rng(11)
         i, j = np.triu_indices(n, 1)
@@ -122,16 +123,24 @@ class TestRegularizedLaplacian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        a, op = graph.adjacency, lap.operator
-        assert a.indices.dtype == np.int32 and a.data.dtype == np.float64
-        assert peak <= 20 * a.nnz + (2 << 20)
+        nnz, op = graph.indices.size, lap.operator
+        assert graph.indices.dtype == np.int32
+        assert peak <= 14 * nnz + (2 << 20)
+        stored = sum(v.nbytes for v in vars(graph).values() if isinstance(v, np.ndarray))
+        assert stored <= 5 * nnz + 8 * (n + 1)
+        assert not any(part.flags.writeable for part in (graph.indices, graph.indptr))
+        assert np.shares_memory(op.indices, graph.indices) and np.shares_memory(op.indptr, graph.indptr)
+        # the adjacency is built on access: float64 ones over the pattern
+        a = graph.adjacency
+        assert a.data.dtype == np.float64 and (a.data == 1.0).all() and a.nnz == nnz
         assert not any(part.flags.writeable for part in (a.data, a.indices, a.indptr))
-        assert np.shares_memory(op.indices, a.indices) and np.shares_memory(op.indptr, a.indptr)
+        assert np.shares_memory(a.indices, graph.indices) and np.shares_memory(a.indptr, graph.indptr)
         # the checked constructor copies: the caller's matrix stays writable
         mine = a.copy()
-        checked = Graph(mine).adjacency
+        checked = Graph(mine)
         assert all(part.flags.writeable for part in (mine.data, mine.indices, mine.indptr))
-        assert not checked.data.flags.writeable and (checked != a).nnz == 0
+        assert not checked.indices.flags.writeable and not np.shares_memory(checked.indices, mine.indices)
+        assert (checked.adjacency != a).nnz == 0
 
     def test_constructor_rejects_asymmetric_matrix(self):
         m = np.array([[0.0, 0.5], [0.4, 0.0]])
