@@ -11,8 +11,8 @@ command runs in its own interpreter, on the package in this checkout's
 (``benchmarks/spans.py``, imported as it stands) installed, and reports
 its wall time, its peak RSS (``ru_maxrss``, the whole process) and the
 self time of each traced stage. The output is one markdown table, a row
-per command. An n = 10^6 point takes about a minute and a half and peaks
-near 0.55 GB (2-core VM).
+per command. An n = 10^6 point takes about a minute and a half on a
+2-core VM; ``cluster`` peaks near 0.53 GB, ``generate`` near 0.17 GB.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ ROOT = Path(__file__).resolve().parents[1]
 #: (n, rho) of the default points; 10^6 at rho 5e-5 has about 8.45M edges.
 POINTS = ((100_000, 2e-3), (1_000_000, 5e-5))
 SEED = 1
-#: Names ``generate`` calls in ``mmsbkit.cli`` that the recorder's targets
-#: miss: the sampler and the writer. This script wraps them itself.
-UNTRACED = ("sample_edge_pairs", "write_edge_pairs")
+#: Stages of ``generate`` that the recorder's targets miss, timed by this
+#: script itself: the writer's span, and the ``next`` calls of the
+#: sampler's block iterator, which the writer makes, summed into one stage
+#: and taken out of the writer's self time.
+WRITER, SAMPLER = "io_formats.write_edge_blocks", "model.sample_edge_blocks"
 #: Stages shown per row, by self time: everything else is summed into "rest".
 SHOWN = 5
 
@@ -62,19 +64,43 @@ def run_one(command: str, n: int, rho: float, prefix: Path) -> dict:
 
     recorder = Recorder()
     recorder.install()
-    for attr in UNTRACED:
-        original = getattr(cli, attr)
-        name = f"{original.__module__.rsplit('.', 1)[-1]}.{attr}"
-        setattr(cli, attr, functools.partial(recorder.call, name, original))
+    blocks = _TimedBlocks()
+    cli.write_edge_blocks = functools.partial(recorder.call, WRITER, cli.write_edge_blocks)
+    cli.sample_edge_blocks = functools.partial(blocks.draw, cli.sample_edge_blocks)
     start = time.perf_counter()
     code = recorder.call("run_cli", cli.run_cli, _argv(command, n, rho, prefix))
     wall = time.perf_counter() - start
+    stages = recorder.op_summary(0)
+    if blocks.seconds:
+        stages[SAMPLER + ".s"] = blocks.seconds
+        stages[WRITER + ".s"] -= blocks.seconds
     return {
         "code": code,
         "wall_s": wall,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "stages": recorder.op_summary(0),
+        "stages": stages,
     }
+
+
+class _TimedBlocks:
+    """Sums into ``seconds`` the time the ``next`` calls of the sampler's
+    block iterator take, which ``draw`` wraps: one stage, with no span
+    per block."""
+
+    def __init__(self):
+        self.seconds = 0.0
+
+    def draw(self, sample, *args):
+        blocks = sample(*args)
+        while True:
+            start = time.perf_counter()
+            try:
+                block = next(blocks)
+            except StopIteration:
+                return
+            finally:
+                self.seconds += time.perf_counter() - start
+            yield block
 
 
 def _row(n: int, command: str, report: dict) -> str:

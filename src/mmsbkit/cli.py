@@ -34,8 +34,8 @@ from .exceptions import DataFormatError, NumericalError
 from .io_formats import (
     read_edge_list,
     read_memberships,
+    write_edge_blocks,
     write_edge_list,  # noqa: F401 (benchmarks/spans.py wraps this name here)
-    write_edge_pairs,
     write_memberships,
 )
 from .model import (
@@ -44,7 +44,7 @@ from .model import (
     build_population_matrix,
     planted_memberships,
     sample_adjacency,  # noqa: F401 (benchmarks/spans.py wraps this name here)
-    sample_edge_pairs,
+    sample_edge_blocks,
 )
 from .recovery import EMPIRICAL_METHODS, run_methods
 from .sweep import SweepConfig, diag_off_block, run_sweep
@@ -158,13 +158,13 @@ def _cmd_generate(args) -> int:
     pi = planted_memberships(args.n, args.k, args.n0, args.profile, seed=args.seed)
     block = BlockModel(diag_off_block(args.k, args.p_diag, args.p_off), rho=args.rho)
     omega = build_population_matrix(pi, block)
-    # the sampler's row-major pairs are written as drawn, with no graph built
-    pairs = sample_edge_pairs(omega, args.seed)
     edge_path = Path(f"{args.out}.edgelist")
     pi_path = Path(f"{args.out}.memberships.csv")
-    write_edge_pairs(args.n, pairs, edge_path)
+    # each block of the sampler's row-major pairs is written as it is
+    # drawn, with no graph built and no array of all the edges
+    edges = write_edge_blocks(args.n, sample_edge_blocks(omega, args.seed), edge_path)
     write_memberships(pi, pi_path)
-    _say(args, f"wrote {edge_path} ({len(pairs)} edges) and {pi_path}")
+    _say(args, f"wrote {edge_path} ({edges} edges) and {pi_path}")
     return EXIT_OK
 
 

@@ -21,12 +21,13 @@ graph is assembled from its upper triangle.
 Numeric matrices are CSV with 17-significant-digit decimal values, which
 reproduce IEEE doubles bit-exactly on read-back. Every writer emits
 UTF-8 with LF line endings and locale-independent number formatting.
-The edge-list writer takes the edges as pairs i < j in strictly
-increasing row-major order, the order the sampler draws them in, and
-checks that order first. It encodes each node id that occurs in an edge
-once, as one fixed-width record of a uint8 digit table, and writes each
-chunk of ``_CHUNK_ROWS`` edges from one gather of those records, so no
-number is formatted and no Python code runs per edge. The CSV writer
+The edge-list writer takes the edges as blocks of pairs i < j in
+strictly increasing row-major order, the blocks the sampler draws one at
+a time, and regroups them into chunks of ``_CHUNK_ROWS`` edges. It
+checks each chunk's order, then writes it from one gather of a uint8
+digit table that holds one fixed-width record per node id, so no number
+is formatted and no Python code runs per edge. A write that fails
+removes its partial file. The CSV writer
 formats a chunk of rows with one ``%`` over a repeated row template
 (``%.17g`` per value, the same bytes as ``format(v, ".17g")``), so no
 Python loop runs per cell.
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import io
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 
@@ -57,7 +58,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _PLAIN_BYTES = b"0123456789- \t\r\n"
 #: A byte of a plain edge line that is not blank.
 _NONBLANK = re.compile(rb"[^ \t\r\n]")
-#: Rows written at once by :func:`write_edge_pairs` and :func:`write_matrix_csv`.
+#: Rows written at once by :func:`write_edge_blocks` and :func:`write_matrix_csv`.
 _CHUNK_ROWS = 1 << 14
 
 
@@ -197,46 +198,111 @@ def write_edge_list(graph: Graph, path: str | Path) -> None:
 
 
 def write_edge_pairs(n: int, pairs: np.ndarray, path: str | Path) -> None:
-    """Write the edge list of an ``n``-node graph from its edges as
-    (m, 2) pairs ``0 <= i < j < n`` in strictly increasing row-major
-    order, the order :func:`write_edge_list` writes and
-    :func:`~mmsbkit.model.sample_edge_pairs` draws. Pairs out of range,
-    self-loops, reversed, repeated or unsorted pairs raise ``ValueError``
-    before the file is opened.
+    """Write the edge list of an ``n``-node graph from its edges as one
+    (m, 2) array: :func:`write_edge_blocks` of that one block."""
+    write_edge_blocks(n, (pairs,), path)
 
-    Each id that occurs in an edge is encoded once into a uint8 table of
-    fixed-width records: its decimal digits right-aligned in as many
-    bytes as ``n - 1`` has digits, NUL-padded on the left, then one
-    separator byte. A chunk of ``_CHUNK_ROWS`` edges gathers the records
-    of its ids whole, sets the separators to space and LF, and drops the
-    NULs with one boolean mask. Memory stays O(n + m)."""
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if edges.size:
-        if edges.min() < 0 or edges.max() >= n:
-            raise ValueError("edge endpoint out of range")
-        # i < j rules self-loops out; the equality scan only names the fault
-        if not ((edges[:, 0] < edges[:, 1]).all() and _row_major(edges[:, 0], edges[:, 1])):
-            if (edges[:, 0] == edges[:, 1]).any():
-                raise ValueError("self-loops are not allowed")
-            raise ValueError("edges must be pairs i < j in strictly increasing row-major order")
-    present = np.zeros(n, dtype=bool)
-    present[edges.ravel()] = True
-    ids = np.flatnonzero(present)
+
+def write_edge_blocks(n: int, blocks: Iterable[np.ndarray], path: str | Path) -> int:
+    """Write the edge list of an ``n``-node graph from its edges, given as
+    (b, 2) blocks of pairs ``0 <= i < j < n`` in strictly increasing
+    row-major order across all blocks, the order :func:`write_edge_list`
+    writes and :func:`~mmsbkit.model.sample_edge_blocks` draws, and
+    return the edge count. Each block is taken as it comes, so the edges
+    are never all held at once.
+
+    The blocks are regrouped into chunks of ``_CHUNK_ROWS`` edges, each
+    checked and then written. Pairs out of range, self-loops, reversed,
+    repeated or unsorted pairs, within a chunk or against the previous
+    chunk's last pair, raise ``ValueError``. When anything raises, a
+    regular file at ``path`` is removed with what was written to it.
+
+    Each id 0 .. n-1 has one fixed-width record in a uint8 table: its
+    decimal digits right-aligned in as many bytes as ``n - 1`` has
+    digits, NUL-padded on the left, then one separator byte. A chunk
+    gathers the records of its ids whole, sets the separators to space
+    and LF, and drops the NULs with one boolean mask. Beside the table's
+    n (digits + 1) bytes, the writer holds one chunk and the caller's
+    current block."""
+    path = Path(path)
     width = len(str(max(n - 1, 0)))
-    table = np.zeros((len(ids), width + 1), dtype=np.uint8)
-    table[:, width - 1] = ids % 10 + ord("0")
-    rest = ids // 10
-    for col in range(width - 2, -1, -1):
-        table[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
-        rest //= 10
-    records = table.view(f"V{width + 1}").ravel()
-    rank = np.cumsum(present) - 1  # row of each present id in `table`
-    with Path(path).open("wb") as handle:
-        handle.write(b"# n=%d\n" % n)
-        for start in range(0, len(edges), _CHUNK_ROWS):
-            chunk = records[rank[edges[start:start + _CHUNK_ROWS]]].view(np.uint8).reshape(-1, 2, width + 1)
-            chunk[:, :, width] = (ord(" "), ord("\n"))
-            handle.write(chunk[chunk != 0])
+    records = _digit_table(n, width).view(f"V{width + 1}").ravel()
+    edges, last = 0, None
+    handle = path.open("wb")
+    # a device or a pipe named as the path, or a link to one, is left be
+    regular = path.is_file() and not path.is_symlink()
+    try:
+        with handle:
+            handle.write(b"# n=%d\n" % n)
+            for chunk in _chunks(blocks):
+                last = _check_chunk(n, chunk, last)
+                text = records[chunk].view(np.uint8).reshape(-1, 2, width + 1)
+                text[:, :, width] = (ord(" "), ord("\n"))
+                handle.write(text[text != 0])
+                edges += len(chunk)
+                del chunk, text  # before the next blocks are drawn
+    except BaseException:
+        if regular:
+            path.unlink(missing_ok=True)
+        raise
+    return edges
+
+
+def _digit_table(n: int, width: int) -> np.ndarray:
+    """(n, width + 1) uint8 records of the ids 0 .. n-1 for
+    :func:`write_edge_blocks`, its separators left NUL. Built a column at
+    a time: the digit at place p runs through 0 .. 9 in runs of p ids,
+    and an id below p has no digit there, but for 0 in the ones place."""
+    table = np.zeros((n, width + 1), dtype=np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for col in range(width):
+        place = 10 ** (width - 1 - col)
+        runs = -(-n // place)
+        table[:, col] = np.repeat(np.tile(digits, -(-runs // 10))[:runs], place)[:n]
+        if place > 1:
+            table[:place, col] = 0
+    return table
+
+
+def _chunks(blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The pairs of ``blocks`` in order, as (c, 2) int64 chunks of
+    ``_CHUNK_ROWS`` pairs, the last one shorter and none empty. Blocks are
+    cut at chunk ends and gathered with one concatenation per chunk, so a
+    block costs O(1) numpy calls however few pairs it holds. A chunk's
+    blocks are let go before it is yielded, and the chunk before the
+    next blocks are drawn."""
+    held, count = [], 0
+    for block in blocks:
+        block = np.asarray(block, dtype=np.int64).reshape(-1, 2)
+        if count + len(block) < _CHUNK_ROWS:  # most blocks are short
+            held.append(block)
+            count += len(block)
+            continue
+        while len(block):
+            held.append(block[:_CHUNK_ROWS - count])
+            count += len(held[-1])
+            block = block[len(held[-1]):]
+            if count == _CHUNK_ROWS:
+                chunk, held, count = np.concatenate(held), [], 0
+                yield chunk
+                del chunk  # before the next blocks are drawn
+    if count:
+        yield np.concatenate(held)
+
+
+def _check_chunk(n: int, chunk: np.ndarray, last: tuple[int, int] | None) -> tuple[int, int]:
+    """Raise ``ValueError`` unless the pairs of ``chunk`` are in range and
+    are pairs i < j in strictly increasing row-major order, after
+    ``last``, the pair before the chunk if any; return its last pair."""
+    if chunk.min() < 0 or chunk.max() >= n:
+        raise ValueError("edge endpoint out of range")
+    lo, hi = chunk[:, 0], chunk[:, 1]
+    # i < j rules self-loops out; the equality scan only names the fault
+    if not ((lo < hi).all() and _row_major(lo, hi) and (last is None or (int(lo[0]), int(hi[0])) > last)):
+        if (lo == hi).any():
+            raise ValueError("self-loops are not allowed")
+        raise ValueError("edges must be pairs i < j in strictly increasing row-major order")
+    return int(lo[-1]), int(hi[-1])
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

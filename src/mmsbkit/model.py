@@ -34,6 +34,7 @@ and the float64 matrix is built when asked for.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
 
 #: Most entries of ``Omega`` computed at once: per block of rows in
-#: :func:`sample_edge_pairs`, and when a factored ``Omega`` is densified.
+#: :func:`sample_edge_blocks`, and when a factored ``Omega`` is densified.
 SAMPLE_BLOCK = 1 << 20
 
 #: Eps per community by which the Hölder rate bound is grown. The entry's
@@ -279,9 +280,11 @@ class PopulationMatrix:
         if self._matrix is not None:
             return 1.0
         pi, b = self._pi_cols, self._b_cols
-        return _bound_from_maxima(
-            _bound_terms(pi[:, rows], b[:, rows]).max(axis=1),
-            _bound_terms(pi[:, cols], b[:, cols]).max(axis=1),
+        return float(
+            _bound_from_maxima(
+                _bound_terms(pi[:, rows], b[:, rows]).max(axis=1),
+                _bound_terms(pi[:, cols], b[:, cols]).max(axis=1),
+            )
         )
 
     def degrees(self) -> np.ndarray:
@@ -302,11 +305,14 @@ def _bound_terms(pi_cols: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
     return np.vstack([pi_cols, b_cols, b_cols.max(axis=0), pi_sum])
 
 
-def _bound_from_maxima(rows: np.ndarray, cols: np.ndarray) -> float:
+def _bound_from_maxima(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """:meth:`PopulationMatrix.bound` from the maxima of :func:`_bound_terms`
-    over a block's rows and over its columns. The column bound sums in
-    increasing k as :func:`_factored_entries` sums an entry."""
-    K = (rows.size - 2) // 2
+    over a block's rows and over its columns, (2K + 2,) arrays, or of many
+    blocks at once, as (2K + 2, blocks) arrays: each block's bound is
+    computed elementwise, with the same operations either way. The
+    column bound sums in increasing k as :func:`_factored_entries` sums
+    an entry."""
+    K = (rows.shape[0] - 2) // 2
     pi_i, b_i, top_i, sum_i = rows[:K], rows[K:2 * K], rows[2 * K], rows[2 * K + 1]
     pi_j, b_j, top_j, sum_j = cols[:K], cols[K:2 * K], cols[2 * K], cols[2 * K + 1]
     left, right = b_i[0] * pi_j[0], pi_i[0] * b_j[0]
@@ -315,7 +321,7 @@ def _bound_from_maxima(rows: np.ndarray, cols: np.ndarray) -> float:
         right += pi_i[k] * b_j[k]
     holder = (top_i * sum_j + sum_i * top_j) / 2.0
     holder = holder * (1.0 + HOLDER_SLACK * K * _EPS) + K * _SMALLEST_NORMAL
-    return float(min((left + right) / 2.0, holder, 1.0))
+    return np.minimum(np.minimum((left + right) / 2.0, holder), 1.0)
 
 
 def _factored_entries(pi_cols: np.ndarray, b_cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -514,15 +520,21 @@ def build_population_matrix(pi: MembershipMatrix, block: BlockModel) -> Populati
     return PopulationMatrix(pi=w, b=b)
 
 
-def _row_blocks(n: int):
-    """Runs ``[r0, r1)`` of rows 0 .. n-2 whose rates ``Omega[r0:r1, r0+1:]``
-    number at most ``SAMPLE_BLOCK`` (or are one row); at least half of
+def _block_starts(n: int) -> np.ndarray:
+    """The sampler's blocks of rows as one int64 array: block k is the rows
+    ``starts[k] .. starts[k+1] - 1``, and the last entry is n - 1, so the
+    blocks cover rows 0 .. n-2 once. A block's rates ``Omega[r0:r1, r0+1:]``
+    number at most ``SAMPLE_BLOCK`` (or it is one row); at least half of
     them are pairs i < j."""
-    r0 = 0
-    while r0 < n - 1:
-        r1 = min(n - 1, r0 + max(1, SAMPLE_BLOCK // (n - 1 - r0)))
-        yield r0, r1
-        r0 = r1
+
+    def starts():
+        r0 = 0
+        while r0 < n - 1:
+            yield r0
+            r0 = min(n - 1, r0 + max(1, SAMPLE_BLOCK // (n - 1 - r0)))
+        yield r0
+
+    return np.fromiter(starts(), dtype=np.int64)
 
 
 def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
@@ -533,8 +545,17 @@ def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
 
 
 def sample_edge_pairs(omega: PopulationMatrix, seed: int) -> np.ndarray:
-    """Draw independent Bernoulli(Omega[i, j]) edges for i < j, as an
-    (m, 2) int64 array of pairs in strictly increasing row-major order.
+    """The edges :func:`sample_edge_blocks` draws, concatenated into one
+    (m, 2) int64 array of pairs in strictly increasing row-major order."""
+    return np.concatenate([np.empty((0, 2), dtype=np.int64), *sample_edge_blocks(omega, seed)])
+
+
+def sample_edge_blocks(omega: PopulationMatrix, seed: int) -> Iterator[np.ndarray]:
+    """Draw independent Bernoulli(Omega[i, j]) edges for i < j, one block
+    of rows at a time: yields each block's edges as a (b, 2) int64 array
+    of pairs in strictly increasing row-major order, the blocks in
+    increasing row order, so that the pairs of all blocks strictly
+    increase too.
 
     Sampling is deterministic given ``seed``: one PCG64 generator serves
     the blocks of whole rows (up to ``SAMPLE_BLOCK`` pairs each, rows in
@@ -555,38 +576,59 @@ def sample_edge_pairs(omega: PopulationMatrix, seed: int) -> np.ndarray:
     independently of every other pair. The skip route draws as many
     gaps as its candidates need, plus a batch margin, so the graph
     depends on the block partition (through ``r``) but its law does not.
-    The bounds of all blocks take O(nK) work per call: the maxima over
-    each block's columns ``r0+1 .. n-1`` are suffix maxima, computed
-    once. Only one block of uniforms and rates exists at a time, so a
-    factored ``Omega`` is never built as an n x n array. The diagonal is
-    never sampled.
+    The bounds of all blocks take O(nK) work, computed before the first
+    block is drawn (see :func:`_block_bounds`). Beside the factors of
+    ``Omega`` the generator holds the blocks' starts and bounds, one
+    number each, and one block of uniforms, rates and edges at a time, so
+    a factored ``Omega`` is never built as an n x n array and the drawn
+    edges are never all held at once. The diagonal is never sampled.
     """
-    n = omega.n
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    blocks = list(_row_blocks(n))
-    pairs = [np.empty((0, 2), dtype=np.int64)]
-    pairs += [
-        _sample_rows(omega, rng, r0, r1, bound)
-        for (r0, r1), bound in zip(blocks, _block_bounds(omega, blocks))
-    ]
-    return np.concatenate(pairs)
+    starts = _block_starts(omega.n)
+    bounds = _block_bounds(omega, starts)
+    for k in range(bounds.size):
+        yield _sample_rows(omega, rng, int(starts[k]), int(starts[k + 1]), float(bounds[k]))
 
 
-def _block_bounds(omega: PopulationMatrix, blocks: list[tuple[int, int]]) -> list[float]:
-    """:meth:`PopulationMatrix.bound` of each block's rates
-    ``Omega[r0:r1, r0+1:]``, bit for bit, in O(nK) work for all blocks:
-    the maxima of :func:`_bound_terms` over every suffix of nodes are
-    computed once."""
+def _block_bounds(omega: PopulationMatrix, starts: np.ndarray) -> np.ndarray:
+    """:meth:`PopulationMatrix.bound` of the rates ``Omega[r0:r1, r0+1:]``
+    of each block of ``starts`` (see :func:`_block_starts`), bit for bit,
+    as one float64 array, in O(nK) work for all blocks.
+
+    A block needs the maxima of :func:`_bound_terms` over its rows and
+    over its columns, the nodes from r0 + 1 on. The nodes r0 + 1 .. r1 of
+    the blocks tile 1 .. n-1, so a block's column maxima are the maxima
+    over its own such run and the column maxima of the next block. The
+    terms are computed for runs of whole blocks of about ``SAMPLE_BLOCK``
+    entries, from the last run back, and only the maxima at each block's
+    start are carried, never terms of all n nodes at once."""
+    blocks = starts.size - 1
     if omega.pi is None:
-        return [1.0] * len(blocks)
-    node = _bound_terms(omega._pi_cols, omega._b_cols)
-    tail = np.maximum.accumulate(node[:, ::-1], axis=1)[:, ::-1]
-    return [_bound_from_maxima(node[:, r0:r1].max(axis=1), tail[:, r0 + 1]) for r0, r1 in blocks]
+        return np.ones(blocks)
+    bounds = np.empty(blocks)
+    pi, b = omega._pi_cols, omega._b_cols
+    nodes = max(1, SAMPLE_BLOCK // (2 * pi.shape[0] + 2))
+    # a run starts at each block whose first row opens a new stretch of
+    # `nodes` rows; np.unique would import numpy.ma, about 1 MB
+    cuts = np.append(np.flatnonzero(np.diff(starts[:-1] // nodes, prepend=-1)), blocks)
+    tail = None  # column maxima of the block after the run
+    for b0, b1 in zip(cuts[-2::-1].tolist(), cuts[:0:-1].tolist()):
+        lo, hi = int(starts[b0]), int(starts[b1]) + 1
+        terms = _bound_terms(pi[:, lo:hi], b[:, lo:hi])
+        local = starts[b0:b1] - lo
+        rows = np.maximum.reduceat(terms[:, :-1], local, axis=1)  # nodes r0 .. r1-1
+        cols = np.maximum.reduceat(terms[:, 1:], local, axis=1)  # nodes r0+1 .. r1
+        cols = np.maximum.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
+        if tail is not None:
+            np.maximum(cols, tail[:, None], out=cols)
+        tail = cols[:, 0]
+        bounds[b0:b1] = _bound_from_maxima(rows, cols)
+    return bounds
 
 
 def _sample_rows(omega: PopulationMatrix, rng: np.random.Generator, r0: int, r1: int, bound: float) -> np.ndarray:
     """Edges (i, j), i < j, drawn for rows ``r0 .. r1-1`` whose rates are
-    at most ``bound``, by the route :func:`sample_edge_pairs` describes. A
+    at most ``bound``, by the route :func:`sample_edge_blocks` describes. A
     function of its own, so that one block's arrays are freed before the
     next block's are made."""
     n = omega.n

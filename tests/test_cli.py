@@ -4,13 +4,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmsbkit
-from mmsbkit import cli
+from mmsbkit import cli, model
 from mmsbkit.cli import run_cli
 from mmsbkit.sweep import SweepResult
 
@@ -118,6 +119,39 @@ class TestGenerate:
         assert run_cli(["--quiet"] + argv) == 0
         digest = hashlib.sha256((tmp_path / "net.edgelist").read_bytes()).hexdigest()
         assert digest == "080d278033e3600d900ba4469e4b9bd1173083b1ad607149bd070ba2217a2fe2"
+
+    def test_peak_memory_does_not_grow_with_the_edges(self, tmp_path):
+        # 405k edges. The factors of Omega and the rate bounds' per-node
+        # terms hold about 131 B per node; holding every drawn edge
+        # (32 B each) peaked at 14.7 MiB
+        argv = generate_args(tmp_path / "net", n=20000, n0=4000, seed=5)
+        argv[argv.index("--rho") + 1] = "0.006"
+        tracemalloc.start()
+        try:
+            assert run_cli(["--quiet"] + argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 20000 + 4 * 2**20
+
+    def test_memory_error_mid_stream_leaves_no_edge_list(self, tmp_path, monkeypatch, capsys):
+        # the third block raises after the file was opened and the first
+        # blocks were drawn; blocks of a row or two give 120 nodes many
+        monkeypatch.setattr(model, "SAMPLE_BLOCK", 100)
+        calls = []
+        sample_rows = model._sample_rows
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise MemoryError("Unable to allocate 21.8 TiB for an array")
+            return sample_rows(*args)
+
+        monkeypatch.setattr(model, "_sample_rows", failing)
+        assert run_cli(["--quiet"] + generate_args(tmp_path / "net")) == 3
+        assert capsys.readouterr().err.splitlines() == ["out of memory: Unable to allocate 21.8 TiB for an array"]
+        assert len(calls) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_dense_recipe_edge_stream_is_pinned(self, tmp_path):
         # the cluster-dense benchmark graph (674k edges): its blocks draw

@@ -17,13 +17,14 @@ from mmsbkit import (
     read_matrix_csv,
     read_memberships,
     sample_adjacency,
+    sample_edge_blocks,
     sample_edge_pairs,
     write_edge_list,
     write_edge_pairs,
     write_matrix_csv,
     write_memberships,
 )
-from mmsbkit import io_formats
+from mmsbkit import io_formats, model
 from mmsbkit.cli import run_cli
 from conftest import three_block_setup
 
@@ -169,24 +170,38 @@ class TestGraphRoundTrip:
         assert read_edge_list(f).n == 4
 
 
+#: Edges ``write_edge_pairs`` refuses for a 5-node graph, and the
+#: message that names why.
+BAD_PAIRS = [
+    ([[0, 2], [0, 1]], "row-major"),  # unsorted within a row
+    ([[1, 3], [0, 4]], "row-major"),  # unsorted rows
+    ([[0, 1], [0, 1]], "row-major"),  # repeated
+    ([[0, 1], [3, 2]], "row-major"),  # reversed
+    ([[0, 5]], "out of range"),
+    ([[-1, 2]], "out of range"),
+    ([[0, 1], [2, 2]], "self-loop"),
+]
+
+
 class TestWriteEdgePairs:
-    @pytest.mark.parametrize(
-        "pairs, message",
-        [
-            ([[0, 2], [0, 1]], "row-major"),  # unsorted within a row
-            ([[1, 3], [0, 4]], "row-major"),  # unsorted rows
-            ([[0, 1], [0, 1]], "row-major"),  # repeated
-            ([[0, 1], [3, 2]], "row-major"),  # reversed
-            ([[0, 5]], "out of range"),
-            ([[-1, 2]], "out of range"),
-            ([[0, 1], [2, 2]], "self-loop"),
-        ],
-    )
+    @pytest.mark.parametrize("pairs, message", BAD_PAIRS)
     def test_rejects_pairs_out_of_row_major_order(self, tmp_path, pairs, message):
         f = tmp_path / "g.edgelist"
         with pytest.raises(ValueError, match=message):
             write_edge_pairs(5, np.array(pairs), f)
         assert not f.exists()
+
+    @pytest.mark.parametrize("pairs, message", BAD_PAIRS)
+    def test_rejects_pairs_out_of_order_across_chunks(self, tmp_path, monkeypatch, pairs, message):
+        # one pair per chunk, so a fault in a second pair lies between
+        # chunks and is found after the first chunk was written; the
+        # partial file goes, and so does the file that was there before
+        monkeypatch.setattr(io_formats, "_CHUNK_ROWS", 1)
+        f = tmp_path / "g.edgelist"
+        f.write_bytes(b"# n=5\n0 1\n")
+        with pytest.raises(ValueError, match=message):
+            io_formats.write_edge_blocks(5, [np.array(pairs[:1]), np.array(pairs[1:])], f)
+        assert sorted(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rho", [0.02, 1.0])
     def test_pairs_as_drawn_write_the_bytes_of_the_graph(self, tmp_path, rho):
@@ -204,6 +219,39 @@ class TestWriteEdgePairs:
         expected = (tmp_path / "graph.edgelist").read_bytes()
         assert (tmp_path / "pairs.edgelist").read_bytes() == expected
         assert (tmp_path / "net.edgelist").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "n, rho, seed, blocks",
+        [
+            (300, 0.02, 5, "last empty"),  # skip route
+            (300, 1.0, 5, "last drawn"),  # gather route
+            (300, 1.0, 7, "last empty"),
+            (2, 0.02, 5, "no edges"),
+            (1, 1.0, 5, "none"),
+        ],
+    )
+    def test_streamed_bytes_across_block_and_chunk_boundaries(self, tmp_path, monkeypatch, n, rho, seed, blocks):
+        # blocks of one or two rows, and chunks of 7 edges that cut
+        # through them: generate's stream writes the bytes of the graph
+        monkeypatch.setattr(model, "SAMPLE_BLOCK", 5)
+        monkeypatch.setattr(io_formats, "_CHUNK_ROWS", 7)
+        argv = [
+            "--quiet", "generate", "--n", str(n), "--k", "3", "--n0", str(n // 5), "--profile", "random-half",
+            "--p-diag", "0.8", "--p-off", "0.1", "--rho", str(rho), "--seed", str(seed), "--out", str(tmp_path / "net"),
+        ]
+        assert run_cli(argv) == 0
+        pi = planted_memberships(n, 3, n // 5, "random-half", seed=seed)
+        omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 0.8, 0.1), rho=rho))
+        write_edge_list(sample_adjacency(omega, seed), tmp_path / "graph.edgelist")
+        assert (tmp_path / "net.edgelist").read_bytes() == (tmp_path / "graph.edgelist").read_bytes()
+        sizes = [len(block) for block in sample_edge_blocks(omega, seed)]
+        shapes = {
+            "last empty": len(sizes) > 100 and sizes[-1] == 0 and sum(sizes) > 7,
+            "last drawn": len(sizes) > 100 and sizes[-1] > 0 and sum(sizes) > 7,
+            "no edges": sizes == [0],
+            "none": sizes == [],
+        }
+        assert shapes[blocks]
 
 
 _PLAIN_ID = st.integers(0, 11).map(str)

@@ -176,7 +176,8 @@ def row_loop_sample(omega: PopulationMatrix, seed: int) -> Graph:
     n = omega.n
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     pairs = [np.empty((0, 2), dtype=np.int64)]
-    for r0, r1 in model._row_blocks(n):
+    starts = model._block_starts(n).tolist()
+    for r0, r1 in zip(starts, starts[1:]):
         bound = omega.bound(slice(r0, r1), slice(r0 + 1, n))
         if bound > model.GATHER_SHARE:
             for i in range(r0, r1):
@@ -232,8 +233,7 @@ class TestBlockSampler:
     def test_factored_blocks_above_the_share_draw_every_pair_as_dense(self, rho):
         # one uniform per pair: the same graph as the dense Omega, whose bound is 1
         omega = factored_omega(90, rho=rho, seed=90)
-        blocks = list(model._row_blocks(90))
-        assert min(model._block_bounds(omega, blocks)) > model.GATHER_SHARE
+        assert model._block_bounds(omega, model._block_starts(90)).min() > model.GATHER_SHARE
         dense = PopulationMatrix(factored_omega(90, rho=rho, seed=90).matrix)
         for seed in (0, 19):
             expected = row_loop_sample(dense, seed).edges()
@@ -242,7 +242,7 @@ class TestBlockSampler:
 
     def test_several_default_blocks_match_row_loop(self):
         omega = factored_omega(1600, rho=0.05, seed=4)
-        assert len(list(model._row_blocks(omega.n))) > 1
+        assert model._block_starts(omega.n).size > 2
         edges = sample_adjacency(omega, 8).edges()
         assert omega._matrix is None
         assert np.array_equal(edges, row_loop_sample(omega, 8).edges())
@@ -250,7 +250,8 @@ class TestBlockSampler:
     def test_blocks_cover_every_row_once(self, monkeypatch):
         for block in (1, 7, 50, 1 << 20):
             monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
-            runs = list(model._row_blocks(50))
+            starts = model._block_starts(50).tolist()
+            runs = list(zip(starts, starts[1:]))
             assert runs[0][0] == 0 and runs[-1][1] == 49
             assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
             assert all((r1 - r0) * (49 - r0) <= max(block, 49 - r0) for r0, r1 in runs)
@@ -677,8 +678,8 @@ class TestSamplerTileBound:
         # the generate-sparse and sweep-grid recipes
         omega = recipe_omega(*recipe)
         n = omega.n
-        blocks = list(model._row_blocks(n))
-        for (r0, r1), bound in zip(blocks, model._block_bounds(omega, blocks)):
+        starts = model._block_starts(n)
+        for r0, r1, bound in zip(starts.tolist(), starts[1:].tolist(), model._block_bounds(omega, starts).tolist()):
             rates = omega.entries(slice(r0, r1), slice(r0 + 1, n))
             assert rates[np.arange(n - r0 - 1) >= np.arange(r1 - r0)[:, None]].max() <= bound
             assert bound == omega.bound(slice(r0, r1), slice(r0 + 1, n))
@@ -778,7 +779,7 @@ class TestSamplerLaw:
         if block is not None:
             monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
         omega = law_omega()
-        assert max(model._block_bounds(omega, list(model._row_blocks(omega.n)))) <= model.GATHER_SHARE
+        assert model._block_bounds(omega, model._block_starts(omega.n)).max() <= model.GATHER_SHARE
         counts = edge_indicators(omega, self.SEEDS).sum(axis=0)
         rates = omega.matrix[np.triu_indices(omega.n, 1)]
         lo, hi = binom.interval(1.0 - self.ALPHA / rates.size, self.SEEDS, rates)
@@ -793,7 +794,7 @@ class TestSamplerLaw:
         from scipy.stats import binom
 
         omega = law_omega()
-        assert len(list(model._row_blocks(omega.n))) == 1
+        assert model._block_starts(omega.n).size == 2
         x = edge_indicators(omega, self.SEEDS)
         rates = omega.matrix[np.triu_indices(omega.n, 1)]
         both = (x[:, 1:] & x[:, :-1]).sum(axis=0)
@@ -801,8 +802,9 @@ class TestSamplerLaw:
         lo, hi = binom.interval(1.0 - self.ALPHA / joint.size, self.SEEDS, joint)
         assert ((lo <= both) & (both <= hi)).all()
 
-    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
     def test_suffix_maxima_give_each_block_its_bound(self, monkeypatch, block):
+        # 64 gives the bounds runs of 8 nodes, each of several blocks
         if block is not None:
             monkeypatch.setattr(model, "SAMPLE_BLOCK", block)
         rng = np.random.default_rng(17)
@@ -810,9 +812,9 @@ class TestSamplerLaw:
             for K in (1, 3):
                 for rows in FACTOR_ROWS:
                     omega = random_factored_omega(rng, n, K, rho=rng.choice([0.01, rng.random(), 1.0]), rows=rows)
-                    blocks = list(model._row_blocks(n))
-                    expected = [omega.bound(slice(r0, r1), slice(r0 + 1, n)) for r0, r1 in blocks]
-                    assert model._block_bounds(omega, blocks) == expected
+                    starts = model._block_starts(n).tolist()
+                    expected = [omega.bound(slice(r0, r1), slice(r0 + 1, n)) for r0, r1 in zip(starts, starts[1:])]
+                    assert model._block_bounds(omega, model._block_starts(n)).tolist() == expected
 
     def test_zero_bound_draws_nothing(self):
         pi = np.full((30, 2), 0.5)
