@@ -299,10 +299,7 @@ def _bound_terms(pi_cols: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
     pi`` summed in increasing k. Each column depends on its node alone, so
     a node's values do not depend on which other nodes are passed with
     it."""
-    pi_sum = pi_cols[0].copy()
-    for k in range(1, pi_cols.shape[0]):
-        pi_sum += pi_cols[k]
-    return np.vstack([pi_cols, b_cols, b_cols.max(axis=0), pi_sum])
+    return np.vstack([pi_cols, b_cols, b_cols.max(axis=0), pi_cols.sum(axis=0)])
 
 
 def _bound_from_maxima(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -744,18 +741,3 @@ def planted_memberships(n: int, K: int, n0: int, mixed_profile: str, seed: int =
             w[lo:, :K - 1] = head
             w[lo:, K - 1] = 1.0 - head.sum(axis=1)
     return MembershipMatrix(w)
-
-
-def check_population_rank(omega: PopulationMatrix, K: int) -> None:
-    """Verify Omega behaves as a rank-K matrix (full-rank connectivity and
-    at least one pure node per community both hold).
-
-    Raises :class:`NumericalError` when the K-th singular value is at or
-    below 1e-10 times the largest.
-    """
-    svals = np.linalg.svd(omega.matrix, compute_uv=False)
-    if K > svals.size or svals[K - 1] <= RANK_SV_TOL * max(svals[0], 1e-300):
-        raise NumericalError(
-            f"expected adjacency is not rank {K}: singular values decay to "
-            f"{svals[min(K, svals.size) - 1]:.3e}"
-        )

@@ -15,9 +15,9 @@ The two ``ideal_*`` functions run the plain pipelines on the expected
 adjacency instead of a sampled graph and recover the planted memberships
 exactly (up to column order).
 
-:func:`recover_each` holds the one copy of this chain, for every caller:
-``cluster``, sweep trials, the single-method functions and the oracles.
-It runs the methods on one shared eigendecomposition.
+:func:`recover_each` runs this chain for ``cluster``, sweep trials and
+the single-method functions, on one shared eigendecomposition; the
+oracles run its stages with a rank check after the eigensolve.
 
 Pipeline runs are pure; the one state they share is the process-wide
 BLAS thread count, held at one while any run is in progress, so
@@ -34,7 +34,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .corners import CornerSet, sp_select, svm_cone_select
 from .exceptions import MmsbkitError, NumericalError
-from .model import Graph, MembershipMatrix, PopulationMatrix, _readonly, check_population_rank
+from .model import RANK_SV_TOL, Graph, MembershipMatrix, PopulationMatrix, _readonly
 from .spectral import (
     ZERO_ROW_TOL,
     RegularizedLaplacian,
@@ -198,24 +198,29 @@ def recover_each(
     """Run several empirical pipelines on one regularized Laplacian and
     one eigendecomposition of it.
 
-    ``graph`` is a sampled graph or, for the oracles, the expected
-    adjacency. Each of ``methods`` (tags of :func:`recover_from_basis`)
-    gets, in order, its result or the error of its own ``corners`` or
-    ``reconstruct`` stage; a ``laplacian`` or ``eigensolve`` failure
-    raises. ``tau`` defaults to ``0.1 * ln(n)``; ``corner_seed`` feeds the
-    k-means restarts of the cone methods. The run holds each loaded
-    OpenBLAS to one thread, so on OpenBLAS builds the results do not
-    depend on the BLAS thread setting.
+    ``graph`` is a sampled graph or an expected adjacency. Each of
+    ``methods`` (tags of :func:`recover_from_basis`) gets, in order, its
+    result or the error of its own ``corners`` or ``reconstruct`` stage; a
+    ``laplacian`` or ``eigensolve`` failure raises. ``tau`` defaults to
+    ``0.1 * ln(n)``; ``corner_seed`` feeds the k-means restarts of the
+    cone methods. The run holds each loaded OpenBLAS to one thread, so on
+    OpenBLAS builds the results do not depend on the BLAS thread setting.
     """
+    with one_blas_thread():
+        lap, basis = _laplacian_basis(graph, K, tau)
+        return [_recover_or_error(basis, lap, m, corner_seed) for m in methods]
+
+
+def _laplacian_basis(graph, K: int, tau: float | None) -> tuple[RegularizedLaplacian, SpectralBasis]:
+    """The ``laplacian`` and ``eigensolve`` stages, ``tau`` defaulting to
+    ``0.1 * ln(n)``."""
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
     resolved = default_tau(graph.n) if tau is None else float(tau)
-    with one_blas_thread():
-        with stage("laplacian"):
-            lap = regularized_laplacian(graph, resolved)
-        with stage("eigensolve"):
-            basis = leading_eigenpairs(lap, K)
-        return [_recover_or_error(basis, lap, m, corner_seed) for m in methods]
+    with stage("laplacian"):
+        lap = regularized_laplacian(graph, resolved)
+    with stage("eigensolve"):
+        return lap, leading_eigenpairs(lap, K)
 
 
 def _recover_or_error(basis, lap, method: str, corner_seed: int) -> RecoveryResult | Exception:
@@ -274,20 +279,27 @@ def crsc_equivalence(graph: Graph, K: int, tau: float | None = None, corner_seed
 
 
 def _run_ideal(omega: PopulationMatrix, K: int, tau: float | None, method: str) -> RecoveryResult:
-    if K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
-    check_population_rank(omega, K)
-    result = run_methods(omega, K, [method], tau)[0]
+    with one_blas_thread():
+        lap, basis = _laplacian_basis(omega, K, tau)
+        top, last = np.abs(basis.eigenvalues[[0, -1]])
+        if last <= RANK_SV_TOL * top:
+            raise NumericalError(
+                f"expected adjacency is not rank {K}: |lambda_{K}| / |lambda_1| = {last:.3e} / {top:.3e}"
+            )
+        result = recover_from_basis(basis, lap, method)
     return replace(result, method=f"IDEAL-{method}")
 
 
 def ideal_srsc(omega: PopulationMatrix, K: int, tau: float | None = None) -> RecoveryResult:
     """Simplex pipeline on the expected adjacency; recovers the planted
-    memberships exactly up to column permutation."""
+    memberships exactly up to column permutation. A rank below K, read as
+    ``|lambda_K| <= 1e-10 |lambda_1|`` on the eigenvalues of the one
+    eigensolve's Laplacian, raises :class:`NumericalError` naming K."""
     return _run_ideal(omega, K, tau, "SRSC")
 
 
 def ideal_crsc(omega: PopulationMatrix, K: int, tau: float | None = None) -> RecoveryResult:
     """Cone pipeline on the expected adjacency; recovers the planted
-    memberships exactly up to column permutation."""
+    memberships exactly up to column permutation. The rank is checked as
+    in :func:`ideal_srsc`."""
     return _run_ideal(omega, K, tau, "CRSC")

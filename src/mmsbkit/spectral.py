@@ -204,9 +204,9 @@ def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> Regul
 def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     """The K eigenpairs of largest |eigenvalue|.
 
-    A CSR Laplacian is solved by ARPACK's implicitly restarted Lanczos
-    method for the K pairs; a dense or all-zero Laplacian, or K+1 >= n
-    (where the Krylov space would be the whole space), takes a full
+    A CSR or dense Laplacian alike is solved by ARPACK's implicitly
+    restarted Lanczos method for the K pairs; only K+1 >= n (where the
+    Krylov space would be the whole space) or all-zero values take a full
     LAPACK eigendecomposition. The found pairs are deflated and a second
     Lanczos run measures the largest |eigenvalue| left, which certifies
     the cut. It sees an eigenvalue whose magnitude meets the K-th (such
@@ -217,10 +217,11 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     clears a cut with a wide gap, and a cut it cannot clear is measured
     to 1e-2 and then to 1e-4, each stage started from the last one's
     Ritz vector. If what is left reaches the K-th magnitude at every
-    stage, or the runs fail, the dense decomposition is used instead. A
-    CSR Laplacian whose n x n dense form (8 n^2 bytes) exceeds the
-    machine's physical memory raises :class:`NumericalError` naming n and
-    the bytes needed, before anything is allocated.
+    stage, or the runs fail, the dense decomposition is used instead, as
+    for any K above the rank. A Laplacian whose n x n dense form (8 n^2
+    bytes) exceeds the machine's physical memory then raises
+    :class:`NumericalError` naming n and the bytes needed, before
+    anything is allocated.
 
     Magnitudes within 1e-12 of each other count as tied, because the
     solvers return an exact tie such as ``+-lambda`` only to rounding.
@@ -238,11 +239,10 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
 
     op = lap.operator
     try:
-        pairs = None
-        # an all-zero operator leaves Lanczos no Krylov space to build
-        if issparse(op) and op.nnz and K + 1 < n:
-            pairs = _lanczos_pairs(op, K)
-        if pairs is None and issparse(op):
+        # an all-zero operator leaves Lanczos no Krylov space to build,
+        # whether its zeros are stored or not
+        pairs = _lanczos_pairs(op, K) if K + 1 < n and (op.data if issparse(op) else op).any() else None
+        if pairs is None:
             _check_dense_fits(n)
         vals, vecs = pairs if pairs is not None else np.linalg.eigh(lap.matrix)
     except np.linalg.LinAlgError as exc:
@@ -260,9 +260,10 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     return SpectralBasis(eigenvalues=sel_vals, vectors=sel_vecs)
 
 
-def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _lanczos_pairs(op: np.ndarray | sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The K eigenpairs of largest magnitude by Lanczos, or ``None`` when
-    they cannot be certified to be the leading K.
+    they cannot be certified to be the leading K. ``op`` is a symmetric
+    CSR or dense array; the runs only multiply by it.
 
     The found pairs are deflated and a second Lanczos run measures the
     largest |eigenvalue| left: the one certificate of the cut. That value

@@ -131,17 +131,46 @@ class TestIdealPipelines:
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
 
-    def test_rank_violation_detected(self):
+    @pytest.mark.parametrize("design", ["pure", "mixed"])
+    def test_rank_violation_detected(self, design):
         # duplicate community columns: connectivity full rank but the
         # memberships never use community 2, so the product loses rank
-        w = np.zeros((40, 3))
-        w[:20, 0] = 1.0
-        w[20:, 1] = 1.0
+        if design == "pure":
+            w = np.zeros((40, 3))
+            w[:20, 0] = 1.0
+            w[20:, 1] = 1.0
+        else:
+            w = np.zeros((300, 3))
+            w[:, :2] = planted_memberships(300, 2, 60, "random-half", seed=0).weights
         pi = MembershipMatrix(w)
         block = BlockModel(np.eye(3) * 0.5 + 0.5, rho=1.0)
         omega = build_population_matrix(pi, block)
-        with pytest.raises(NumericalError, match="rank"):
-            ideal_srsc(omega, 3)
+        for fn in (ideal_srsc, ideal_crsc):
+            with pytest.raises(NumericalError, match="not rank 3"):
+                fn(omega, 3)
+
+    @pytest.mark.parametrize("profile", ["random-half", "four-profiles"])
+    @pytest.mark.parametrize("tau", [None, 0.0, 50.0])
+    def test_oracles_stay_on_lanczos(self, monkeypatch, profile, tau):
+        # the population Laplacian has rank K, so the certified K-pair
+        # Lanczos run clears the cut, four-profiles' repeated eigenvalue
+        # included, and the rank is read from its eigenvalues: no n x n
+        # eigh or svd is reached
+        n = 1500
+        pi, _, omega = three_block_setup(n=n, n0=n // 5, diag=0.8, off=0.1, rho=0.05, profile=profile, seed=3)
+
+        def small_only(solve):
+            def guarded(a, *args, **kwargs):
+                assert n not in np.shape(a), f"{solve.__name__} of an n x n matrix"
+                return solve(a, *args, **kwargs)
+
+            return guarded
+
+        monkeypatch.setattr(np.linalg, "eigh", small_only(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "svd", small_only(np.linalg.svd))
+        for fn in (ideal_srsc, ideal_crsc):
+            result = fn(omega, 3, tau=tau)
+            assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
 
 
 class TestEmpiricalPipelines:

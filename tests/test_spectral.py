@@ -274,8 +274,10 @@ def assert_matches_dense(lap, K):
 
 class TestSparseSolverMatchesDense:
     def cases(self):
-        """Seeded graphs with every regularizer they admit. The last graph
-        has five isolated nodes, where tau = 0 is undefined."""
+        """Seeded graphs with every regularizer they admit, then rank-3
+        expected adjacencies, whose Laplacians are dense. The last graph
+        has five isolated nodes, where tau = 0 is undefined. The
+        four-profiles expected adjacency has lambda_2 = lambda_3."""
         graphs = []
         for rho in (0.05, 0.8):
             _, _, omega = three_block_setup(n=300, n0=60, rho=rho, seed=4)
@@ -288,13 +290,20 @@ class TestSparseSolverMatchesDense:
         assert (isolated.degrees() == 0).sum() >= 5
         for tau in (base, 10 * base):
             yield isolated, tau
+        for profile in ("four-profiles", "random-half"):
+            _, _, omega = three_block_setup(n=120, n0=24, profile=profile, seed=4)
+            for tau in (0.0, default_tau(120), 50.0):
+                yield omega, tau
 
-    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("K", [1, 3, 4])
     def test_pairs_match_dense_eigh(self, K):
-        for graph, tau in self.cases():
-            lap = regularized_laplacian(graph, tau)
-            assert sp.issparse(lap.operator)
+        for source, tau in self.cases():
+            lap = regularized_laplacian(source, tau)
+            assert sp.issparse(lap.operator) == isinstance(source, Graph)
             assert_matches_dense(lap, K)
+            if isinstance(source, PopulationMatrix):
+                # Lanczos certifies up to the rank; K = 4 needs the dense fallback
+                assert (spectral._lanczos_pairs(lap.operator, K) is None) == (K > 3)
 
     @pytest.mark.parametrize(
         "detached, tau, K",
@@ -324,6 +333,16 @@ class TestSparseSolverMatchesDense:
         # star has rank 2, so nothing is left once the pairs are deflated
         graph = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
         assert_matches_dense(regularized_laplacian(graph, 0.7), K)
+
+    def test_stored_zeros_take_the_dense_route(self, eigsh_runs):
+        # two explicitly stored zeros are an all-zero operator, as an
+        # edgeless one is: no Lanczos run, zero eigenpairs
+        m = sp.csr_matrix((np.zeros(2), ([0, 1], [1, 0])), shape=(6, 6))
+        assert m.nnz == 2
+        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(6), matrix=m)
+        assert_matches_dense(lap, 2)
+        assert np.array_equal(leading_eigenpairs(lap, 2).eigenvalues, [0.0, 0.0])
+        assert eigsh_runs == []
 
     def test_mirror_symmetric_path_matches_dense(self):
         # the antisymmetric eigenvector of a path is orthogonal to the
