@@ -10,7 +10,6 @@ from .io_formats import (
     read_memberships,
     write_edge_blocks,
     write_edge_list,
-    write_edge_pairs,
     write_matrix_csv,
     write_memberships,
 )
@@ -24,7 +23,6 @@ from .model import (
     planted_memberships,
     sample_adjacency,
     sample_edge_blocks,
-    sample_edge_pairs,
 )
 from .recovery import (
     RecoveryResult,
@@ -100,14 +98,12 @@ __all__ = [
     "run_sweep",
     "sample_adjacency",
     "sample_edge_blocks",
-    "sample_edge_pairs",
     "sp_select",
     "srsc",
     "srsc_equivalence",
     "svm_cone_select",
     "write_edge_blocks",
     "write_edge_list",
-    "write_edge_pairs",
     "write_matrix_csv",
     "write_memberships",
 ]

@@ -11,10 +11,12 @@ standard error (silenced by --quiet). Exit codes: 0 success, 1 usage
 error, 2 data/format error, 3 numerical failure, a sweep trial process
 that died, or memory that could not be allocated (``MemoryError``).
 Identical arguments, files, and seeds produce byte-identical outputs.
-The environment variable ``MMSBKIT_THREADS`` sets how many sweep trials
-run at once, each in its own worker process (default: the number of
-cores this process may run on); ``cluster`` and each sweep trial run on
-one BLAS thread.
+Every text file read, an edge list, a membership CSV or a sweep config,
+is UTF-8 with lines ending in LF or CR LF; a fault exits 2 naming
+``path:line``. ``sweep --workers`` sets how many sweep trials run at
+once, each in its own worker process (default: the number of cores this
+process may run on); ``cluster`` and each sweep trial run on one BLAS
+thread.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from .exceptions import DataFormatError, NumericalError
 from .io_formats import (
     read_edge_list,
     read_memberships,
+    text_lines,
     write_edge_blocks,
     write_edge_list,  # noqa: F401 (benchmarks/spans.py wraps this name here)
+    write_matrix_csv,
     write_memberships,
 )
 from .model import (
@@ -131,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--out", required=True, help="output CSV path")
     sw.add_argument("--seed", type=int, default=None, help="override the config base seed")
     sw.add_argument("--reps", type=int, default=None, help="override the config repetition count")
-    sw.add_argument("--workers", type=int, default=None, help="trial parallelism (default: MMSBKIT_THREADS or usable cores)")
+    sw.add_argument("--workers", type=int, default=None, help="trial parallelism (default: usable cores)")
 
     st = sub.add_parser("stats", help="summary statistics of a network")
     st.add_argument("--edges", required=True, help="edge-list file")
@@ -158,12 +162,13 @@ def _cmd_generate(args) -> int:
     pi = planted_memberships(args.n, args.k, args.n0, args.profile, seed=args.seed)
     block = BlockModel(diag_off_block(args.k, args.p_diag, args.p_off), rho=args.rho)
     omega = build_population_matrix(pi, block)
+    del pi  # Omega holds its own copy, written out below
     edge_path = Path(f"{args.out}.edgelist")
     pi_path = Path(f"{args.out}.memberships.csv")
     # each block of the sampler's row-major pairs is written as it is
     # drawn, with no graph built and no array of all the edges
     edges = write_edge_blocks(args.n, sample_edge_blocks(omega, args.seed), edge_path)
-    write_memberships(pi, pi_path)
+    write_matrix_csv(omega.pi, pi_path)
     _say(args, f"wrote {edge_path} ({edges} edges) and {pi_path}")
     return EXIT_OK
 
@@ -212,39 +217,24 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
+def _sweep_workers(args) -> int:
+    """``--workers``, where a count below 1 is a usage error, else the
+    cores this process may run on: its CPU affinity where the platform
     reports one, else the logical core count."""
+    if args.workers is not None:
+        if args.workers < 1:
+            raise SystemExit2(f"--workers must be positive, got {args.workers}")
+        return args.workers
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _sweep_workers(args) -> int:
-    """``--workers``, else ``MMSBKIT_THREADS``, else the usable cores; a
-    count that is not a positive integer is a usage error naming where it
-    came from."""
-    text = os.environ.get("MMSBKIT_THREADS")
-    if args.workers is not None:
-        workers, source = args.workers, "--workers"
-    elif text:
-        source = "MMSBKIT_THREADS"
-        try:
-            workers = int(text)
-        except ValueError:
-            raise SystemExit2(f"{source} must be a positive integer, got {text!r}") from None
-    else:
-        return _usable_cores()
-    if workers < 1:
-        raise SystemExit2(f"{source} must be positive, got {workers}")
-    return workers
 
 
 def _cmd_sweep(args) -> int:
     if args.reps is not None and args.reps < 1:
         raise SystemExit2(f"--reps must be positive, got {args.reps}")
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = "\n".join(line for _, line in text_lines(Path(args.config)))
     except OSError as exc:
         raise DataFormatError(f"cannot read config: {exc}") from exc
     config = SweepConfig.from_json(text)

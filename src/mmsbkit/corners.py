@@ -233,8 +233,10 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     non-empty clusters; the row nearest each cluster center is returned.
     ``scipy.cluster.vq.kmeans`` keeps the best of ``KMEANS_RESTARTS``
     runs started from rows drawn with ``seed``, and ``vq`` assigns the
-    rows; a codebook short of K centers or an empty cluster moves on to
-    the next margin step. Rows within ``CORNER_TIE_TOL`` of the nearest
+    rows. With exactly K rows it runs once: every run would start from
+    the same rows and reach distortion 0, and the first is kept anyway.
+    A codebook short of K centers or an empty cluster moves on to the
+    next margin step. Rows within ``CORNER_TIE_TOL`` of the nearest
     squared distance to a center tie, and the lowest index wins. Raises
     :class:`NumericalError` when the margin schedule is exhausted without
     finding K clusters.
@@ -258,7 +260,8 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
             continue
         points = s[candidates]
         rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        centers, _ = kmeans(points, K, iter=KMEANS_RESTARTS, rng=rng)
+        restarts = 1 if candidates.size == K else KMEANS_RESTARTS
+        centers, _ = kmeans(points, K, iter=restarts, rng=rng)
         if centers.shape[0] < K:
             continue
         labels, _ = vq(points, centers)

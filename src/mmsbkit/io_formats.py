@@ -1,7 +1,10 @@
 """Stable text formats for graphs, membership matrices, and result tables.
 
-Edge lists are UTF-8 text. A line ends in LF or CR LF; a CR anywhere
-else is an error. Stripped of leading and trailing spaces and tabs, a
+Every text file the package reads, an edge list, a membership CSV or a
+sweep config, is UTF-8, and its lines end in LF or CR LF; a byte that is
+not UTF-8 or a CR anywhere else raises :class:`DataFormatError` naming
+``path:line``. One walker, :func:`text_lines`, decodes and splits them.
+In an edge list, stripped of leading and trailing spaces and tabs, a
 line is blank, a whole-line ``#`` comment, or two 0-indexed node ids
 ``-?[0-9]+`` (ASCII, within int64) separated by spaces or tabs. The
 writer emits a ``# n=<count>`` comment (ASCII digits) so isolated
@@ -26,20 +29,21 @@ strictly increasing row-major order, the blocks the sampler draws one at
 a time, and regroups them into chunks of ``_CHUNK_ROWS`` edges. It
 checks each chunk's order, then writes it from one gather of a uint8
 digit table that holds one fixed-width record per node id, so no number
-is formatted and no Python code runs per edge. A write that fails
-removes its partial file. The CSV writer
-formats a chunk of rows with one ``%`` over a repeated row template
+is formatted and no Python code runs per edge. The CSV writer formats
+a chunk of rows with one ``%`` over a repeated row template
 (``%.17g`` per value, the same bytes as ``format(v, ".17g")``), so no
-Python loop runs per cell.
+Python loop runs per cell. A write of either kind that fails removes its
+partial file when the path names a regular file (see :func:`_created`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import BinaryIO, NoReturn
+from typing import IO, NoReturn
 
 import numpy as np
 
@@ -51,8 +55,6 @@ _N_COMMENT = re.compile(r"#[ \t]*n[ \t]*=[ \t]*([0-9]+)[ \t]*")
 #: A node id of an edge line, matched whole, and the blanks between ids.
 _ID = re.compile(r"-?[0-9]+")
 _BLANKS = re.compile(r"[ \t]+")
-#: Where ``surrogateescape`` decoding puts each byte that is not UTF-8.
-_UNDECODED = re.compile("[\udc80-\udcff]")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: Every byte the fast path parses outside comment lines.
 _PLAIN_BYTES = b"0123456789- \t\r\n"
@@ -147,17 +149,10 @@ def _ascii_int(token: str) -> int:
 
 def _diagnose(path: Path, data: bytes) -> NoReturn:
     """Raise :class:`DataFormatError` naming the first line of ``data``,
-    the bytes of ``path``, outside the grammar; a lone CR stays in its line."""
-    lines = data.split(b"\n")
-    for lineno, raw in enumerate(lines, start=1):
+    the bytes of ``path``, outside the grammar."""
+    for lineno, line in text_lines(path, data):
         where = f"{path}:{lineno}:"
-        raw = raw.removesuffix(b"\r") if lineno < len(lines) else raw  # the last line has no LF
-        try:
-            line = raw.decode("utf-8").strip(" \t")
-        except UnicodeDecodeError as exc:
-            raise DataFormatError(f"{where} byte 0x{raw[exc.start]:02x} is not UTF-8") from None
-        if "\r" in line:
-            raise DataFormatError(f"{where} CR not followed by LF in {line!r}")
+        line = line.strip(" \t")
         if (match := _N_COMMENT.fullmatch(line)) and _ascii_int(match[1]) > _INT64_MAX:
             raise DataFormatError(f"{where} node count does not fit in int64 in {line!r}")
         if not line or line.startswith("#"):
@@ -176,31 +171,46 @@ def _diagnose(path: Path, data: bytes) -> NoReturn:
     raise DataFormatError(f"{path}: numpy refused the file, yet no line breaks the edge-list format")
 
 
-def _text_lines(path: Path, stream: BinaryIO) -> Iterator[tuple[int, str]]:
-    """Number and stripped text of each nonblank line of ``stream``, the
-    UTF-8 bytes of ``path``, split as text mode splits a file and read
-    one line at a time. A byte that is not UTF-8 raises
-    :class:`DataFormatError` naming its line."""
-    with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            bad = _UNDECODED.search(raw)
-            if bad:
-                raise DataFormatError(f"{path}:{lineno}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
-            line = raw.strip()
-            if line:
-                yield lineno, line
+def text_lines(path: Path, data: bytes | None = None) -> Iterator[tuple[int, str]]:
+    """Number and text of each line of the file ``path``, read one line at
+    a time, or of ``data``, its bytes in hand. A line ends in LF or CR LF,
+    which is not part of its text, or where the bytes end. A byte that is
+    not UTF-8, then a CR left in the text, raises
+    :class:`DataFormatError` naming the line."""
+    with path.open("rb") if data is None else io.BytesIO(data) as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            line = raw.removesuffix(b"\r\n") if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: byte 0x{line[exc.start]:02x} is not UTF-8") from None
+            if "\r" in text:
+                stripped = text.strip(" \t")
+                raise DataFormatError(f"{path}:{lineno}: CR not followed by LF in {stripped!r}")
+            yield lineno, text
+
+
+@contextlib.contextmanager
+def _created(path: Path, mode: str = "wb", **options) -> Iterator[IO]:
+    """``path`` opened for writing and closed on the way out. When
+    anything raises, closing included, a regular file at ``path`` is
+    removed with what was written to it; a device or a pipe named as the
+    path, or a link, is left be."""
+    handle = path.open(mode, **options)
+    regular = path.is_file() and not path.is_symlink()
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        if regular:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:
     """Write a graph in canonical order: ``# n=<count>`` then edges
-    sorted with i < j (see :func:`write_edge_pairs`)."""
-    write_edge_pairs(graph.n, graph.edges(), path)
-
-
-def write_edge_pairs(n: int, pairs: np.ndarray, path: str | Path) -> None:
-    """Write the edge list of an ``n``-node graph from its edges as one
-    (m, 2) array: :func:`write_edge_blocks` of that one block."""
-    write_edge_blocks(n, (pairs,), path)
+    sorted with i < j (see :func:`write_edge_blocks`)."""
+    write_edge_blocks(graph.n, (graph.edges(),), path)
 
 
 def write_edge_blocks(n: int, blocks: Iterable[np.ndarray], path: str | Path) -> int:
@@ -215,7 +225,7 @@ def write_edge_blocks(n: int, blocks: Iterable[np.ndarray], path: str | Path) ->
     checked and then written. Pairs out of range, self-loops, reversed,
     repeated or unsorted pairs, within a chunk or against the previous
     chunk's last pair, raise ``ValueError``. When anything raises, a
-    regular file at ``path`` is removed with what was written to it.
+    regular file at ``path`` is removed (see :func:`_created`).
 
     Each id 0 .. n-1 has one fixed-width record in a uint8 table: its
     decimal digits right-aligned in as many bytes as ``n - 1`` has
@@ -228,23 +238,15 @@ def write_edge_blocks(n: int, blocks: Iterable[np.ndarray], path: str | Path) ->
     width = len(str(max(n - 1, 0)))
     records = _digit_table(n, width).view(f"V{width + 1}").ravel()
     edges, last = 0, None
-    handle = path.open("wb")
-    # a device or a pipe named as the path, or a link to one, is left be
-    regular = path.is_file() and not path.is_symlink()
-    try:
-        with handle:
-            handle.write(b"# n=%d\n" % n)
-            for chunk in _chunks(blocks):
-                last = _check_chunk(n, chunk, last)
-                text = records[chunk].view(np.uint8).reshape(-1, 2, width + 1)
-                text[:, :, width] = (ord(" "), ord("\n"))
-                handle.write(text[text != 0])
-                edges += len(chunk)
-                del chunk, text  # before the next blocks are drawn
-    except BaseException:
-        if regular:
-            path.unlink(missing_ok=True)
-        raise
+    with _created(path) as handle:
+        handle.write(b"# n=%d\n" % n)
+        for chunk in _chunks(blocks):
+            last = _check_chunk(n, chunk, last)
+            text = records[chunk].view(np.uint8).reshape(-1, 2, width + 1)
+            text[:, :, width] = (ord(" "), ord("\n"))
+            handle.write(text[text != 0])
+            edges += len(chunk)
+            del chunk, text  # before the next blocks are drawn
     return edges
 
 
@@ -306,20 +308,21 @@ def _check_chunk(n: int, chunk: np.ndarray, last: tuple[int, int] | None) -> tup
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
-    """Read a UTF-8 numeric CSV into a float matrix; an empty file gives a
-    0x0 array. Ragged or non-numeric rows and bytes that are not UTF-8
-    raise :class:`DataFormatError` naming the line."""
+    """Read a UTF-8 numeric CSV into a float matrix, skipping blank lines;
+    an empty file gives a 0x0 array. Ragged or non-numeric rows and the
+    faults of :func:`text_lines` raise :class:`DataFormatError` naming
+    the line."""
     path = Path(path)
     rows: list[list[float]] = []
     width = None
-    for lineno, line in _text_lines(path, path.open("rb")):
+    for lineno, line in text_lines(path):
+        if not (line := line.strip()):
+            continue
         cells = line.split(",")
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {width} columns, found {len(cells)}"
-            )
+            raise DataFormatError(f"{path}:{lineno}: expected {width} columns, found {len(cells)}")
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
@@ -343,7 +346,7 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     # one % per chunk over the repeated row template runs the per-value
     # work in C; Python floats from tolist format faster than numpy scalars
     row_fmt = ",".join(["%.17g"] * m.shape[1]) + "\n"
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
+    with _created(Path(path), "w", encoding="utf-8", newline="\n") as handle:
         for start in range(0, len(m), _CHUNK_ROWS):
             chunk = m[start:start + _CHUNK_ROWS]
             handle.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -535,16 +535,14 @@ def _block_starts(n: int) -> np.ndarray:
 
 
 def sample_adjacency(omega: PopulationMatrix, seed: int) -> Graph:
-    """The graph of the edges :func:`sample_edge_pairs` draws; the pairs
-    are freed once their upper triangle is built, before the graph is
+    """The graph of the edges :func:`sample_edge_blocks` draws. Its blocks
+    are concatenated into one (m, 2) array of pairs in row-major order,
+    freed once their upper triangle is built, before the graph is
     assembled."""
-    return Graph.from_upper(upper_triangle(omega.n, sample_edge_pairs(omega, seed)))
-
-
-def sample_edge_pairs(omega: PopulationMatrix, seed: int) -> np.ndarray:
-    """The edges :func:`sample_edge_blocks` draws, concatenated into one
-    (m, 2) int64 array of pairs in strictly increasing row-major order."""
-    return np.concatenate([np.empty((0, 2), dtype=np.int64), *sample_edge_blocks(omega, seed)])
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.int64), *sample_edge_blocks(omega, seed)])
+    upper = upper_triangle(omega.n, pairs)
+    del pairs  # before the graph is assembled
+    return Graph.from_upper(upper)
 
 
 def sample_edge_blocks(omega: PopulationMatrix, seed: int) -> Iterator[np.ndarray]:

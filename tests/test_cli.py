@@ -392,15 +392,13 @@ class TestSweepCommand:
         code = run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
-    def test_thread_env_var_caps_workers(self, tmp_path, monkeypatch):
+    def test_worker_count_leaves_the_csv_as_it_is(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(TINY_SWEEP))
-        serial, threaded = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        monkeypatch.setenv("MMSBKIT_THREADS", "1")
-        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(serial)]) == 0
-        monkeypatch.setenv("MMSBKIT_THREADS", "4")
-        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(serial), "--workers", "1"]) == 0
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(pooled), "--workers", "4"]) == 0
+        assert serial.read_bytes() == pooled.read_bytes()
 
     def test_csv_byte_identical_across_blas_threads_and_workers(self, tmp_path):
         # about the smallest grid whose -EQ rows change in their last
@@ -437,22 +435,6 @@ class TestSweepCommand:
                 outputs.add(out.read_bytes())
         assert len(outputs) == 1
 
-    @pytest.mark.parametrize(
-        "value, message",
-        [
-            ("abc", "error: MMSBKIT_THREADS must be a positive integer, got 'abc'"),
-            ("0", "error: MMSBKIT_THREADS must be positive, got 0"),
-        ],
-    )
-    def test_bad_thread_env_var_is_usage_error_naming_it(self, tmp_path, monkeypatch, capsys, value, message):
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(TINY_SWEEP))
-        out = tmp_path / "o.csv"
-        monkeypatch.setenv("MMSBKIT_THREADS", value)
-        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [message]
-        assert not out.exists()
-
     def test_default_workers_follow_cpu_affinity(self, tmp_path, monkeypatch):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps(TINY_SWEEP))
@@ -461,15 +443,11 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "run_sweep", lambda config, workers: seen.append(workers) or SweepResult(rows=()))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.delenv("MMSBKIT_THREADS", raising=False)
         assert run_cli(argv) == 0
         assert run_cli(argv + ["--workers", "5"]) == 0
-        monkeypatch.setenv("MMSBKIT_THREADS", "3")
-        assert run_cli(argv) == 0
-        monkeypatch.delenv("MMSBKIT_THREADS")
         monkeypatch.delattr(os, "sched_getaffinity")
         assert run_cli(argv) == 0
-        assert seen == [1, 5, 3, 8]
+        assert seen == [1, 5, 8]
 
     @pytest.mark.parametrize("tau", [[[1]], None, "fast", float("nan"), True])
     def test_tau_that_is_not_a_number_is_data_error(self, tmp_path, capsys, tau):
@@ -557,11 +535,27 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert f"{estimate}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
+    def test_non_utf8_sweep_config_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_bytes(b'{\n "base_seed": 3,\n "note": "caf\xff"\n}\n')
+        out = tmp_path / "o.csv"
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: {cfg}:3: byte 0xff is not UTF-8\n"
+        assert not out.exists()
+
+    def test_lone_cr_membership_csv_is_data_error(self, tmp_path, capsys):
+        # text mode would read two rows here
+        f = tmp_path / "est.csv"
+        f.write_bytes(b"1,0\r0,1\r")
+        assert run_cli(["--quiet", "evaluate", "--estimate", str(f), "--truth", str(f)]) == 2
+        assert capsys.readouterr().err == f"data error: {f}:1: CR not followed by LF in '1,0\\r0,1\\r'\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["sweep", "--config", "sweep.json", "--out", "o.csv", "--reps", "0"], "--reps must be positive, got 0"),
             (["sweep", "--config", "sweep.json", "--out", "o.csv", "--reps", "-2"], "--reps must be positive, got -2"),
+            (["sweep", "--config", "sweep.json", "--out", "o.csv", "--workers", "0"], "--workers must be positive, got 0"),
             (
                 ["cluster", "--edges", "g.edgelist", "--n", "-1", "--k", "2", "--method", "srsc", "--out", "run"],
                 "--n must be nonnegative, got -1",
@@ -585,7 +579,7 @@ class TestExitCodes:
             ),
         ],
         ids=[
-            "sweep-reps-0", "sweep-reps-negative", "cluster-n", "stats-n", "cluster-n-int64", "stats-n-int64",
+            "sweep-reps-0", "sweep-reps-negative", "sweep-workers-0", "cluster-n", "stats-n", "cluster-n-int64", "stats-n-int64",
             "generate-n-int64", "generate-k-int64",
         ],
     )

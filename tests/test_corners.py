@@ -13,6 +13,7 @@ from mmsbkit import (
     sp_select,
     svm_cone_select,
 )
+from mmsbkit.corners import KMEANS_RESTARTS
 from conftest import demo_cone_setup, pure_corner_indices, three_block_setup
 from test_acceptance import _random_cone_instance
 
@@ -384,6 +385,28 @@ class TestSvmConeSelect:
         a = svm_cone_select(normalized, 3, seed=9)
         b = svm_cone_select(normalized, 3, seed=9)
         assert a.indices == b.indices
+
+    def test_kmeans_runs_once_on_exactly_k_rows(self, monkeypatch):
+        # a run from each spied call's generator state, with all restarts,
+        # must give the same centers
+        import copy
+
+        import scipy.cluster.vq
+
+        kmeans, calls = scipy.cluster.vq.kmeans, []
+
+        def spy(points, k, iter, rng):
+            twin = copy.deepcopy(rng)
+            centers = kmeans(points, k, iter=iter, rng=rng)
+            assert np.array_equal(centers[0], kmeans(points, k, iter=KMEANS_RESTARTS, rng=twin)[0])
+            calls.append((len(points), iter))
+            return centers
+
+        monkeypatch.setattr(scipy.cluster.vq, "kmeans", spy)
+        rows = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1], [0, 2, 1]], dtype=float)
+        assert sorted(svm_cone_select(rows / np.linalg.norm(rows, axis=1, keepdims=True), 3, seed=9).indices) == [0, 2, 4]
+        svm_cone_select(np.vstack([np.eye(3)] * 4), 3)
+        assert calls == [(3, 1), (12, KMEANS_RESTARTS)]
 
     def test_checks_the_unit_rows_once(self, monkeypatch):
         from mmsbkit import corners

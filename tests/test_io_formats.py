@@ -1,3 +1,7 @@
+import contextlib
+import errno
+import io
+import json
 import os
 import re
 from pathlib import Path
@@ -18,14 +22,14 @@ from mmsbkit import (
     read_memberships,
     sample_adjacency,
     sample_edge_blocks,
-    sample_edge_pairs,
+    write_edge_blocks,
     write_edge_list,
-    write_edge_pairs,
     write_matrix_csv,
     write_memberships,
 )
-from mmsbkit import io_formats, model
+from mmsbkit import cli, io_formats, model
 from mmsbkit.cli import run_cli
+from mmsbkit.sweep import SweepConfig, SweepResult
 from conftest import three_block_setup
 
 
@@ -170,7 +174,7 @@ class TestGraphRoundTrip:
         assert read_edge_list(f).n == 4
 
 
-#: Edges ``write_edge_pairs`` refuses for a 5-node graph, and the
+#: Edges ``write_edge_blocks`` refuses for a 5-node graph, and the
 #: message that names why.
 BAD_PAIRS = [
     ([[0, 2], [0, 1]], "row-major"),  # unsorted within a row
@@ -188,7 +192,7 @@ class TestWriteEdgePairs:
     def test_rejects_pairs_out_of_row_major_order(self, tmp_path, pairs, message):
         f = tmp_path / "g.edgelist"
         with pytest.raises(ValueError, match=message):
-            write_edge_pairs(5, np.array(pairs), f)
+            write_edge_blocks(5, [np.array(pairs)], f)
         assert not f.exists()
 
     @pytest.mark.parametrize("pairs, message", BAD_PAIRS)
@@ -214,7 +218,7 @@ class TestWriteEdgePairs:
         assert run_cli(argv) == 0
         pi = planted_memberships(1200, 3, 240, "random-half", seed=5)
         omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 0.8, 0.1), rho=rho))
-        write_edge_pairs(1200, sample_edge_pairs(omega, 5), tmp_path / "pairs.edgelist")
+        write_edge_blocks(1200, sample_edge_blocks(omega, 5), tmp_path / "pairs.edgelist")
         write_edge_list(sample_adjacency(omega, 5), tmp_path / "graph.edgelist")
         expected = (tmp_path / "graph.edgelist").read_bytes()
         assert (tmp_path / "pairs.edgelist").read_bytes() == expected
@@ -287,19 +291,61 @@ _COMMENT_LINE = st.builds(
 _BLANK_LINE = st.sampled_from(["", " ", "\t", " \t "])
 
 
+#: Bytes that are not UTF-8: stray, truncated, a surrogate, overlong.
+_NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xe9", b"\xc3", b"\xed\xa0\x80", b"\xc0\xaf"])
+
+
+@st.composite
+def _text_files(draw, lines):
+    """Bytes of a random text file whose lines come from ``lines(plain)``,
+    a strategy for a list of them. Half the files are plain, with LF or
+    CR LF endings; the others may also end their lines in a lone CR,
+    hold bytes that are not UTF-8 in one line, and take lines that
+    ``lines`` draws when not plain."""
+    plain = draw(st.booleans())
+    body = [line.encode("utf-8") for line in draw(lines(plain))]
+    eol = draw(st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"])).encode()
+    if not plain and body and draw(st.booleans()):
+        k = draw(st.integers(0, len(body) - 1))
+        at = draw(st.integers(0, len(body[k])))
+        body[k] = body[k][:at] + draw(_NOT_UTF8) + body[k][at:]
+    return eol.join(body) + draw(st.sampled_from([b"", eol]))
+
+
+def _edge_list_lines(plain):
+    """Lines of an edge list for :func:`_text_files`: plain ones only, or
+    lines that may break the grammar anywhere. Ids stay small or exceed
+    int64, so no graph is large."""
+    return st.lists(st.one_of(_edge_line(plain), _edge_line(plain), _COMMENT_LINE, _BLANK_LINE), max_size=10)
+
+
 @st.composite
 def _edge_list_files(draw):
-    """Bytes of a random edge-list file and an explicit node count or None.
-    Half the files use only plain lines and LF or CR LF endings; the
-    others may break the grammar anywhere. Ids stay small or exceed
-    int64, so no graph is large."""
-    plain = draw(st.booleans())
-    line = st.one_of(_edge_line(plain), _edge_line(plain), _COMMENT_LINE, _BLANK_LINE)
-    lines = draw(st.lists(line, max_size=10))
-    eol = draw(st.sampled_from(["\n", "\r\n"] if plain else ["\n", "\r\n", "\r"]))
-    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
-    n = draw(st.one_of(st.none(), st.none(), st.integers(0, 12)))
-    return text.encode("utf-8"), n
+    """Bytes of a random edge-list file and an explicit node count or None."""
+    return draw(_text_files(_edge_list_lines)), draw(st.one_of(st.none(), st.none(), st.integers(0, 12)))
+
+
+def _csv_lines(plain):
+    """Lines of a two-column membership CSV for :func:`_text_files`, rows
+    and blank lines, each well formed."""
+    rows = st.sampled_from(["1,0", "0,1", "0.5,0.5", " 0.25 , 0.75 ", "1e-1,9e-1"])
+    return st.lists(st.one_of(rows, _BLANK_LINE), max_size=10)
+
+
+_CONFIG = {
+    "base_seed": 3,
+    "reps": 1,
+    "methods": ["srsc"],
+    "grid": {
+        "n": [60], "k": [3], "n0": [12], "rho": [0.9], "tau": [0.5], "profile": ["uniform"],
+        "block": [{"diag": 1.0, "off": 0.5}],
+    },
+}
+
+
+def _config_lines(plain):
+    """The lines of ``_CONFIG`` as indented JSON, for :func:`_text_files`."""
+    return st.just(json.dumps(_CONFIG, indent=1).split("\n"))
 
 
 _GRAMMAR_LINE = re.compile(r"[ \t]*(#[^\r]*|(-?[0-9]+)[ \t]+(-?[0-9]+))?[ \t]*")
@@ -312,11 +358,15 @@ def grammar_outcome(data: bytes, n: int | None):
     lines by regular expressions: ``("graph", n, pairs)``, ``("line", k)``
     for a first bad line k, or ``("edge", i, j, n)`` for a first edge out
     of range."""
-    lines = data.decode("utf-8").split("\n")
+    lines = data.split(b"\n")
     pairs, declared = [], None
-    for k, line in enumerate(lines, start=1):
+    for k, raw in enumerate(lines, start=1):
         if k < len(lines):
-            line = line.removesuffix("\r")
+            raw = raw.removesuffix(b"\r")
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return "line", k
         match = _GRAMMAR_LINE.fullmatch(line)
         count = _COUNT_COMMENT.fullmatch(line)
         if not match or count and int(count[1]) > _INT64_MAX:
@@ -334,6 +384,58 @@ def grammar_outcome(data: bytes, n: int | None):
         if max(i, j) >= n:
             return "edge", i, j, n
     return "graph", n, pairs
+
+
+def text_fault(data: bytes) -> int | None:
+    """The first line of ``data`` that is not UTF-8 or holds a CR not
+    followed by LF, or None."""
+    lines = data.split(b"\n")
+    for k, raw in enumerate(lines, start=1):
+        if k < len(lines):
+            raw = raw.removesuffix(b"\r")
+        try:
+            if "\r" in raw.decode("utf-8"):
+                return k
+        except UnicodeDecodeError:
+            return k
+    return None
+
+
+class TestTextFiles:
+    """Membership CSVs and sweep configs are split and decoded by the
+    edge-list rule: UTF-8 lines ending in LF or CR LF, a fault naming
+    ``path:line``."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=_text_files(_csv_lines))
+    def test_membership_csv_lines(self, tmp_path_factory, data):
+        f = tmp_path_factory.getbasetemp() / "m.csv"
+        f.write_bytes(data)
+        fault = text_fault(data)
+        if fault is not None:
+            with pytest.raises(DataFormatError) as exc:
+                read_matrix_csv(f)
+            assert str(exc.value).startswith(f"{f}:{fault}: ")
+            return
+        lines = data.decode("utf-8").replace("\r\n", "\n").split("\n")
+        rows = [[float(cell) for cell in line.split(",")] for line in lines if line.strip()]
+        assert read_matrix_csv(f).tolist() == rows
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=_text_files(_config_lines))
+    def test_sweep_config_lines(self, tmp_path_factory, data):
+        cfg = tmp_path_factory.getbasetemp() / "sweep.json"
+        cfg.write_bytes(data)
+        argv = ["--quiet", "sweep", "--config", str(cfg), "--out", str(cfg.with_suffix(".csv")), "--workers", "1"]
+        seen, err = [], io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(cli, "run_sweep", lambda config, workers: seen.append(config) or SweepResult(rows=()))
+            code = run_cli(argv)
+        fault = text_fault(data)
+        if fault is None:
+            assert code == 0 and seen == [SweepConfig.from_dict(_CONFIG)]
+        else:
+            assert code == 2 and err.getvalue().startswith(f"data error: {cfg}:{fault}: ")
 
 
 class TestParseRoutes:
@@ -644,7 +746,7 @@ class TestBulkWriters:
         f = tmp_path_factory.getbasetemp() / "pairs.edgelist"
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io_formats, "_CHUNK_ROWS", data.draw(st.integers(1, 20)))
-            write_edge_pairs(n, pairs, f)
+            write_edge_blocks(n, [pairs], f)
         assert f.read_bytes() == f"# n={n}\n".encode() + "".join(f"{i} {j}\n" for i, j in pairs.tolist()).encode()
 
     @pytest.mark.parametrize("rows", [13, 14, 15, 27, 28, 29])
@@ -680,6 +782,61 @@ class TestBulkWriters:
         with pytest.raises(ValueError, match="non-finite"):
             write_matrix_csv(np.array([[0.5, np.nan]]), f)
         assert not f.exists()
+
+
+@contextlib.contextmanager
+def second_write_fails():
+    """Every file opened for writing keeps its first write, flushed to
+    disk, and raises ``ENOSPC`` on the next; the writers' chunks are 4
+    rows."""
+    opened = Path.open
+
+    def open_failing(path, *args, **kwargs):
+        handle = opened(path, *args, **kwargs)
+        write, done = handle.write, []
+
+        def write_once(data):
+            if done:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            done.append(write(data))
+            handle.flush()
+            return done[0]
+
+        handle.write = write_once
+        return handle
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_formats, "_CHUNK_ROWS", 4)
+        mp.setattr(Path, "open", open_failing)
+        yield
+
+
+#: Each writer, on a file that takes several writes.
+WRITERS = {
+    "edge-list": lambda path: write_edge_blocks(40, [np.array([[i, i + 1]]) for i in range(39)], path),
+    "csv": lambda path: write_matrix_csv(np.eye(40), path),
+}
+
+
+class TestFailedWrites:
+    """Both writers follow one rule when a write raises: a regular file at
+    the path is removed, with what was there before; a link is left be."""
+
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_partial_file_is_removed(self, tmp_path, writer):
+        f = tmp_path / "out"
+        f.write_bytes(b"a file that was there before\n")
+        with second_write_fails(), pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            writer(f)
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS)
+    def test_link_is_left_be(self, tmp_path, writer):
+        target, link = tmp_path / "target", tmp_path / "link"
+        link.symlink_to(target)
+        with second_write_fails(), pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            writer(link)
+        assert link.is_symlink() and target.stat().st_size > 0
 
 
 class TestMemberships:

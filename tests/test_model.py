@@ -666,7 +666,8 @@ class TestSamplerTileBound:
 
         spy("_block_hits")
         spy("_skip_candidates")
-        model.sample_edge_pairs(omega, 5)
+        for _ in model.sample_edge_blocks(omega, 5):
+            pass
         assert set(routes) == {"_skip_candidates" if skips else "_block_hits"}
 
     @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from mmsbkit import (
     sample_adjacency,
 )
 from mmsbkit import spectral
-from mmsbkit.io_formats import read_edge_list, write_edge_pairs
+from mmsbkit.io_formats import read_edge_list, write_edge_blocks
 from mmsbkit.spectral import _leading_positions
 from mmsbkit.sweep import STREAM_SPLIT
 from conftest import pure_corner_indices, three_block_setup
@@ -114,7 +114,7 @@ class TestRegularizedLaplacian:
         i, j = np.triu_indices(n, 1)
         keep = rng.random(i.size) < 0.5
         path = tmp_path / "g.edgelist"
-        write_edge_pairs(n, np.column_stack([i[keep], j[keep]]), path)
+        write_edge_blocks(n, [np.column_stack([i[keep], j[keep]])], path)
         del i, j, keep
         tracemalloc.start()
         try:
