@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Graph, MembershipMatrix, PopulationMatrix, _readonly
-from .spectral import regularized_laplacian
+from .spectral import _regularized_degrees, regularized_laplacian
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,11 @@ def network_stats(graph: Graph, pi: MembershipMatrix | None = None) -> NetworkSt
 
 def laplacian_concentration(graph: Graph, omega: PopulationMatrix, tau: float) -> float:
     """Spectral norm of the difference between the sampled and expected
-    regularized Laplacians, via a symmetric eigendecomposition."""
+    regularized Laplacians, both dense, via a symmetric eigendecomposition."""
     if graph.n != omega.n:
         raise ValueError(f"graph has {graph.n} nodes but the expected adjacency has {omega.n}")
     sampled = regularized_laplacian(graph, tau).matrix
-    expected = regularized_laplacian(omega, tau).matrix
-    eigenvalues = np.linalg.eigvalsh(sampled - expected)
+    scale = 1.0 / np.sqrt(_regularized_degrees(omega.degrees(), tau))
+    expected = scale[:, None] * omega.matrix * scale[None, :]
+    eigenvalues = np.linalg.eigvalsh(sampled - (expected + expected.T) / 2.0)
     return float(np.abs(eigenvalues).max())

@@ -60,6 +60,10 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _PLAIN_BYTES = b"0123456789- \t\r\n"
 #: A byte of a plain edge line that is not blank.
 _NONBLANK = re.compile(rb"[^ \t\r\n]")
+#: Every byte the whole-file parse of a CSV reads alike to ``float()``:
+#: printable ASCII, tab, CR and LF. numpy also strips 0x1c .. 0x1f
+#: around a number, which ``float()`` refuses.
+_CSV_BYTES = bytes(range(0x20, 0x7F)) + b"\t\r\n"
 #: Rows written at once by :func:`write_edge_blocks` and :func:`write_matrix_csv`.
 _CHUNK_ROWS = 1 << 14
 
@@ -311,11 +315,28 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     """Read a UTF-8 numeric CSV into a float matrix, skipping blank lines;
     an empty file gives a 0x0 array. Ragged or non-numeric rows and the
     faults of :func:`text_lines` raise :class:`DataFormatError` naming
-    the line."""
+    the line.
+
+    The bytes are read once. numpy's C reader parses a file of
+    ``_CSV_BYTES`` with LF or CR LF line ends whole (a regular file again
+    from disk, a pipe from the bytes in hand). Any other file, one with
+    no data, and one numpy refuses are walked line by line with each cell
+    read by ``float()``, which names the bad line or reads what numpy
+    does not (``1_0``, whitespace-only lines, non-ASCII digits). Where
+    both read a file, they give the same values.
+    """
     path = Path(path)
+    data = path.read_bytes()
+    plain = not data.translate(None, _CSV_BYTES) and data.count(b"\r") == data.count(b"\r\n")
+    if plain and _NONBLANK.search(data):
+        source = path if path.is_file() else io.StringIO(data.decode("ascii"))
+        try:
+            return np.loadtxt(source, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+        except ValueError:
+            pass
     rows: list[list[float]] = []
     width = None
-    for lineno, line in text_lines(path):
+    for lineno, line in text_lines(path, data):
         if not (line := line.strip()):
             continue
         cells = line.split(",")

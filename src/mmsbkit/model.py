@@ -5,7 +5,7 @@ A network with ``n`` nodes and ``K`` overlapping communities is described
 by a row-stochastic membership matrix ``Pi`` (n x K) and a symmetric
 connectivity matrix ``P = rho * tilde_p`` (K x K) whose entries are edge
 probabilities between communities. The expected adjacency is
-``Omega = Pi @ P @ Pi.T``; it is kept factored, as ``Pi`` and
+``Omega = Pi @ P @ Pi.T``; it is held only as its factors ``Pi`` and
 ``B = Pi @ P``, and its entries are computed a block of rows at a time,
 so generating a graph needs O(nK) memory rather than an n x n array.
 Observed graphs draw each upper-triangular entry independently as
@@ -16,7 +16,7 @@ skips, and keeps a candidate with probability ``Omega[i, j] / r``; so it
 costs time in the number of candidates, not of pairs. Otherwise it draws
 one uniform per pair.
 
-The bound ``r`` of a factored ``Omega`` is the smaller of two. One
+The bound ``r`` of a block is the smaller of two. One
 replaces each factor column by its maximum over the block. The other is
 Hölder's inequality: the factors are nonnegative, so
 ``sum_k B[i,k] Pi[j,k] <= (max_k B[i,k]) (sum_k Pi[j,k])``, and the
@@ -52,8 +52,8 @@ PURITY_TOL = 1e-12
 _EPS = float(np.finfo(np.float64).eps)
 _SMALLEST_NORMAL = float(np.finfo(np.float64).smallest_normal)
 
-#: Most entries of ``Omega`` computed at once: per block of rows in
-#: :func:`sample_edge_blocks`, and when a factored ``Omega`` is densified.
+#: Most entries of ``Omega`` computed at once per block of rows in
+#: :func:`sample_edge_blocks`.
 SAMPLE_BLOCK = 1 << 20
 
 #: Eps per community by which the Hölder rate bound is grown. The entry's
@@ -170,104 +170,69 @@ class BlockModel:
 
 @dataclass(frozen=True, init=False)
 class PopulationMatrix:
-    """Expected adjacency ``Omega``: symmetric, entries in [0, 1].
-
-    ``PopulationMatrix(matrix)`` wraps a dense array.
-    ``PopulationMatrix(pi=..., b=...)`` is the factored form that
-    :func:`build_population_matrix` returns: it keeps only the memberships
-    ``pi`` and ``b = Pi @ P`` (n x K each), and :meth:`entries` computes
+    """Expected adjacency ``Omega``, held as the memberships ``pi`` and
+    ``b = Pi @ P`` (n x K each, nonnegative, n and K at least 1), as
+    :func:`build_population_matrix` returns them; :meth:`entries` computes
     blocks or single entries of ``Omega`` from them. Each factor is stored
     once, as a contiguous (K, n) copy of its columns; ``pi`` and ``b`` are
-    (n, K) views of those copies. ``matrix`` is
-    always a dense read-only (n, n) array; a factored ``Omega`` builds it
-    on first access, from the same kernel as :meth:`entries`, and keeps it.
+    (n, K) views of those copies. A symmetric ``m`` with entries in [0, 1]
+    is ``PopulationMatrix(pi=np.eye(n), b=m)``. ``matrix`` builds the dense
+    read-only (n, n) array on each access, as ``Graph.adjacency`` does.
     """
 
-    _pi_cols: np.ndarray | None  # (K, n) memberships of a factored Omega, else None
-    _b_cols: np.ndarray | None  # (K, n) Pi @ P of a factored Omega, else None
+    _pi_cols: np.ndarray  # (K, n) memberships
+    _b_cols: np.ndarray  # (K, n) Pi @ P
 
-    def __init__(
-        self,
-        matrix: np.ndarray | None = None,
-        *,
-        pi: np.ndarray | None = None,
-        b: np.ndarray | None = None,
-    ):
-        given = (matrix is not None, pi is not None, b is not None)
-        if given not in ((True, False, False), (False, True, True)):
-            raise ValueError("give either the dense matrix or both factors pi and b")
-        if matrix is not None:
-            m = np.asarray(matrix, dtype=np.float64)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"expected adjacency must be square, got shape {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError("expected adjacency contains non-finite entries")
-            if np.abs(m - m.T).max() > SYMMETRY_TOL:
-                raise ValueError("expected adjacency must be symmetric within 1e-12")
-            if m.min() < 0.0 or m.max() > 1.0:
-                raise ValueError("expected adjacency entries must lie in [0, 1]")
-            m = _readonly(m)
-        else:
-            m = None
-            pi, b = np.asarray(pi), np.asarray(b)
-            if pi.ndim != 2 or pi.shape != b.shape or pi.shape[0] < 1:
-                raise ValueError(f"factors must share one (n, K) shape, got {pi.shape} and {b.shape}")
-            pi, b = _readonly(pi.T), _readonly(b.T)
-            if not (np.isfinite(pi).all() and np.isfinite(b).all()):
-                raise ValueError("expected adjacency factors contain non-finite entries")
-            if pi.min() < 0.0 or b.min() < 0.0:
-                raise ValueError("expected adjacency factors must be nonnegative")
+    def __init__(self, *, pi: np.ndarray, b: np.ndarray):
+        pi, b = np.asarray(pi), np.asarray(b)
+        if pi.ndim != 2 or pi.shape != b.shape or min(pi.shape) < 1:
+            raise ValueError(f"factors must share one (n, K) shape with n, K >= 1, got {pi.shape} and {b.shape}")
+        pi, b = _readonly(pi.T), _readonly(b.T)
+        if not (np.isfinite(pi).all() and np.isfinite(b).all()):
+            raise ValueError("expected adjacency factors contain non-finite entries")
+        if pi.min() < 0.0 or b.min() < 0.0:
+            raise ValueError("expected adjacency factors must be nonnegative")
         object.__setattr__(self, "_pi_cols", pi)
         object.__setattr__(self, "_b_cols", b)
-        object.__setattr__(self, "_matrix", m)
 
     @property
-    def pi(self) -> np.ndarray | None:
-        """(n, K) memberships of a factored ``Omega``, else None."""
-        return None if self._pi_cols is None else self._pi_cols.T
+    def pi(self) -> np.ndarray:
+        """(n, K) memberships."""
+        return self._pi_cols.T
 
     @property
-    def b(self) -> np.ndarray | None:
-        """(n, K) ``Pi @ P`` of a factored ``Omega``, else None."""
-        return None if self._b_cols is None else self._b_cols.T
+    def b(self) -> np.ndarray:
+        """(n, K) ``Pi @ P``."""
+        return self._b_cols.T
 
     @property
     def n(self) -> int:
-        return self._pi_cols.shape[1] if self._pi_cols is not None else self._matrix.shape[0]
+        return self._pi_cols.shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
-        """``Omega`` as a dense read-only (n, n) array."""
-        if self._matrix is None:
-            n = self.n
-            m = np.empty((n, n))
-            step = max(1, SAMPLE_BLOCK // n)
-            for r0 in range(0, n, step):
-                m[r0:r0 + step] = self.entries(slice(r0, r0 + step), slice(None))
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
+        """``Omega`` as a dense read-only (n, n) array, built on each access."""
+        m = self.entries(slice(None), slice(None))
+        m.setflags(write=False)
+        return m
 
     def entries(self, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
         """``Omega[rows, cols]`` as numpy indexes it: two slices give a
-        block (a view of a dense ``Omega``), two broadcastable integer
-        arrays give the entries at the pairs ``(rows, cols)``. A factored
-        ``Omega`` computes either from its factors with one kernel, so an
-        entry has the same value whichever way it is asked for."""
-        if self._matrix is not None:
-            return self._matrix[rows, cols]
+        block, two broadcastable integer arrays give the entries at the
+        pairs ``(rows, cols)``. Either is computed from the factors with
+        one kernel, so an entry has the same value whichever way it is
+        asked for."""
         if isinstance(rows, slice):
             index = np.arange(self.n)
             rows, cols = index[rows][:, None], index[cols][None, :]
         return _factored_entries(self._pi_cols, self._b_cols, rows, cols)
 
     def bound(self, rows: slice, cols: slice) -> float:
-        """A number at least every entry of the block ``Omega[rows, cols]``
-        (1 for a dense ``Omega``).
+        """A number at least every entry of the block ``Omega[rows, cols]``.
 
-        For a factored ``Omega`` it is the smaller of two bounds, each
-        capped at 1. The column bound replaces each factor column by its
-        maximum over the block's rows or columns and takes the sums as in
+        It is the smaller of two bounds, each capped at 1. The column
+        bound replaces each factor column by its maximum over the block's
+        rows or columns and takes the sums as in
         :func:`_factored_entries`; the factors are nonnegative and
         rounding is monotone, so it holds exactly. The Hölder bound is
         ``((max_i max_k b_ik)(max_j sum_k pi_jk) + (max_i sum_k pi_ik)
@@ -277,8 +242,6 @@ class PopulationMatrix:
         eps, which covers both roundings, plus ``K`` times the smallest
         normal double, which covers products that underflow.
         """
-        if self._matrix is not None:
-            return 1.0
         pi, b = self._pi_cols, self._b_cols
         return float(
             _bound_from_maxima(
@@ -288,8 +251,15 @@ class PopulationMatrix:
         )
 
     def degrees(self) -> np.ndarray:
-        """Expected degree vector (full row sums, diagonal included)."""
-        return self.matrix.sum(axis=1)
+        """Expected degree vector (full row sums, diagonal included) from the
+        factors, ``(B (Pi^T 1) + Pi (B^T 1)) / 2`` summed in increasing k."""
+        pi, b = self._pi_cols, self._b_cols
+        pi_sums, b_sums = pi.sum(axis=1), b.sum(axis=1)
+        left, right = b[0] * pi_sums[0], pi[0] * b_sums[0]
+        for k in range(1, pi.shape[0]):
+            left += b[k] * pi_sums[k]
+            right += pi[k] * b_sums[k]
+        return (left + right) / 2.0
 
 
 def _bound_terms(pi_cols: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
@@ -504,7 +474,7 @@ def build_population_matrix(pi: MembershipMatrix, block: BlockModel) -> Populati
     """Expected adjacency ``Omega = Pi @ (rho * tilde_p) @ Pi.T``, factored.
 
     The result keeps ``Pi`` and ``B = Pi @ P`` (n x K), with ``B`` summed
-    in increasing k without BLAS; no n x n array is built until something
+    in increasing k without BLAS; no n x n array is built unless something
     reads ``matrix``. Raises ``ValueError`` when the community counts of
     ``pi`` and ``block`` disagree.
     """
@@ -556,8 +526,8 @@ def sample_edge_blocks(omega: PopulationMatrix, seed: int) -> Iterator[np.ndarra
     the blocks of whole rows (up to ``SAMPLE_BLOCK`` pairs each, rows in
     increasing order) in turn. A block's pairs are numbered in row-major
     order (row i covers columns i+1 .. n-1), and its rates are bounded by
-    ``r``, :meth:`PopulationMatrix.bound` of the block (1 for a dense
-    ``Omega``). Then the block takes one of two routes:
+    ``r``, :meth:`PopulationMatrix.bound` of the block. Then the block
+    takes one of two routes:
 
     - ``r > GATHER_SHARE``: one uniform per pair, in pair order; the pair
       is an edge when its uniform is below ``Omega[i, j]``.
@@ -575,8 +545,8 @@ def sample_edge_blocks(omega: PopulationMatrix, seed: int) -> Iterator[np.ndarra
     block is drawn (see :func:`_block_bounds`). Beside the factors of
     ``Omega`` the generator holds the blocks' starts and bounds, one
     number each, and one block of uniforms, rates and edges at a time, so
-    a factored ``Omega`` is never built as an n x n array and the drawn
-    edges are never all held at once. The diagonal is never sampled.
+    ``Omega`` is never built as an n x n array and the drawn edges are
+    never all held at once. The diagonal is never sampled.
     """
     rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
     starts = _block_starts(omega.n)
@@ -598,8 +568,6 @@ def _block_bounds(omega: PopulationMatrix, starts: np.ndarray) -> np.ndarray:
     entries, from the last run back, and only the maxima at each block's
     start are carried, never terms of all n nodes at once."""
     blocks = starts.size - 1
-    if omega.pi is None:
-        return np.ones(blocks)
     bounds = np.empty(blocks)
     pi, b = omega._pi_cols, omega._b_cols
     nodes = max(1, SAMPLE_BLOCK // (2 * pi.shape[0] + 2))

@@ -17,7 +17,7 @@ exactly (up to column order).
 
 :func:`recover_each` runs this chain for ``cluster``, sweep trials and
 the single-method functions, on one shared eigendecomposition; the
-oracles run its stages with a rank check after the eigensolve.
+oracles run its stages on the K x K population solve, with a rank check.
 
 Pipeline runs are pure; the one state they share is the process-wide
 BLAS thread count, held at one while any run is in progress, so
@@ -42,6 +42,7 @@ from .spectral import (
     default_tau,
     leading_eigenpairs,
     normalize_rows,
+    population_eigenpairs,
     regularized_laplacian,
 )
 
@@ -140,12 +141,14 @@ def _memberships_from_z(z: np.ndarray) -> tuple[MembershipMatrix, np.ndarray, in
 
 def recover_from_basis(
     basis: SpectralBasis,
-    lap: RegularizedLaplacian,
+    dtau: np.ndarray,
     method: str,
     corner_seed: int = 0,
+    *,
+    tau: float,
 ) -> RecoveryResult:
     """Run the corner-hunting and reconstruction stages of one pipeline on
-    an already-computed eigenbasis.
+    an already-computed eigenbasis and its regularized degrees ``dtau``.
 
     This is the entry point for callers that reuse one eigendecomposition
     across several methods (:func:`recover_each`) or that need to perturb
@@ -165,7 +168,7 @@ def recover_from_basis(
         raise ValueError(f"unknown method {method!r}")
     v = basis.vectors
     rows = basis.projector if method.endswith("-EQ") else v
-    root_d = np.sqrt(lap.dtau)
+    root_d = np.sqrt(dtau)
     with stage("corners"):
         if method.startswith("SRSC"):
             corners = sp_select(root_d[:, None] * rows, basis.K)
@@ -180,7 +183,7 @@ def recover_from_basis(
         pi_hat=pi_hat,
         corners=corners,
         basis=basis,
-        tau=lap.tau,
+        tau=tau,
         method=method,
         clipped_rows=clipped,
         fallback_rows=fallback,
@@ -189,7 +192,7 @@ def recover_from_basis(
 
 
 def recover_each(
-    graph: Graph | PopulationMatrix,
+    graph: Graph,
     K: int,
     methods: list[str],
     tau: float | None = None,
@@ -198,8 +201,7 @@ def recover_each(
     """Run several empirical pipelines on one regularized Laplacian and
     one eigendecomposition of it.
 
-    ``graph`` is a sampled graph or an expected adjacency. Each of
-    ``methods`` (tags of :func:`recover_from_basis`) gets, in order, its
+    Each of ``methods`` (tags of :func:`recover_from_basis`) gets, in order, its
     result or the error of its own ``corners`` or ``reconstruct`` stage; a
     ``laplacian`` or ``eigensolve`` failure raises. ``tau`` defaults to
     ``0.1 * ln(n)``; ``corner_seed`` feeds the k-means restarts of the
@@ -211,7 +213,7 @@ def recover_each(
         return [_recover_or_error(basis, lap, m, corner_seed) for m in methods]
 
 
-def _laplacian_basis(graph, K: int, tau: float | None) -> tuple[RegularizedLaplacian, SpectralBasis]:
+def _laplacian_basis(graph: Graph, K: int, tau: float | None) -> tuple[RegularizedLaplacian, SpectralBasis]:
     """The ``laplacian`` and ``eigensolve`` stages, ``tau`` defaulting to
     ``0.1 * ln(n)``."""
     if K < 1:
@@ -228,13 +230,13 @@ def _recover_or_error(basis, lap, method: str, corner_seed: int) -> RecoveryResu
     caller, the error's traceback would hold the caller's frame, whose
     list holds the error: a cycle that keeps the run's arrays alive."""
     try:
-        return recover_from_basis(basis, lap, method, corner_seed=corner_seed)
+        return recover_from_basis(basis, lap.dtau, method, corner_seed=corner_seed, tau=lap.tau)
     except STAGE_ERRORS as exc:
         return exc
 
 
 def run_methods(
-    graph: Graph | PopulationMatrix, K: int, methods: list[str], tau: float | None = None, corner_seed: int = 0
+    graph: Graph, K: int, methods: list[str], tau: float | None = None, corner_seed: int = 0
 ) -> list[RecoveryResult]:
     """:func:`recover_each`, raising the first failure in method order, so
     that a caller such as ``mmsbkit cluster`` writes nothing on one."""
@@ -279,22 +281,23 @@ def crsc_equivalence(graph: Graph, K: int, tau: float | None = None, corner_seed
 
 
 def _run_ideal(omega: PopulationMatrix, K: int, tau: float | None, method: str) -> RecoveryResult:
+    resolved = default_tau(omega.n) if tau is None else float(tau)
     with one_blas_thread():
-        lap, basis = _laplacian_basis(omega, K, tau)
+        dtau, basis = population_eigenpairs(omega, K, resolved)
         top, last = np.abs(basis.eigenvalues[[0, -1]])
         if last <= RANK_SV_TOL * top:
             raise NumericalError(
                 f"expected adjacency is not rank {K}: |lambda_{K}| / |lambda_1| = {last:.3e} / {top:.3e}"
             )
-        result = recover_from_basis(basis, lap, method)
+        result = recover_from_basis(basis, dtau, method, tau=resolved)
     return replace(result, method=f"IDEAL-{method}")
 
 
 def ideal_srsc(omega: PopulationMatrix, K: int, tau: float | None = None) -> RecoveryResult:
     """Simplex pipeline on the expected adjacency; recovers the planted
     memberships exactly up to column permutation. A rank below K, read as
-    ``|lambda_K| <= 1e-10 |lambda_1|`` on the eigenvalues of the one
-    eigensolve's Laplacian, raises :class:`NumericalError` naming K."""
+    ``|lambda_K| <= 1e-10 |lambda_1|`` on the population eigenvalues, or a
+    K above the factors' width, raises :class:`NumericalError` naming K."""
     return _run_ideal(omega, K, tau, "SRSC")
 
 

@@ -3,7 +3,9 @@
 Both clustering pipelines start from the same object: the symmetric
 matrix ``L = Dtau^{-1/2} M Dtau^{-1/2}`` where ``M`` is either a sampled
 adjacency matrix or an expected one, and ``Dtau = D + tau*I`` adds a
-ridge ``tau`` to the degrees. "Leading" eigenpairs are ranked by
+ridge ``tau`` to the degrees. A sampled graph's Laplacian is CSR; the
+expected one, of rank K, is never formed: its eigenpairs come from a
+K x K problem on the factors of ``Omega``. "Leading" eigenpairs are ranked by
 eigenvalue magnitude, not signed value, because block structure with
 disassortative connectivity puts informative eigenvalues on the negative
 side of the spectrum.
@@ -41,11 +43,10 @@ LAPLACIAN_CHUNK = 1 << 16
 
 @dataclass(frozen=True, init=False)
 class RegularizedLaplacian:
-    """Symmetric ``Dtau^{-1/2} M Dtau^{-1/2}`` with its inputs.
+    """Symmetric ``Dtau^{-1/2} A Dtau^{-1/2}`` with its inputs.
 
-    ``operator`` keeps the storage it was built with: CSR for a sampled
-    graph, a dense array for an expected adjacency. ``matrix`` is always
-    a dense read-only array; a CSR operator is densified on each access.
+    ``operator`` is CSR, a dense argument converted by ``sp.csr_matrix``;
+    ``matrix`` densifies it on each access into a read-only array.
     The matrix must be symmetric within 1e-12. The constructor freezes
     copies of the caller's matrix and degrees, which stay writable.
     ``_owned=True`` is :func:`regularized_laplacian`'s path: its matrix
@@ -56,7 +57,7 @@ class RegularizedLaplacian:
 
     tau: float
     dtau: np.ndarray  # regularized degrees D(i,i) + tau, shape (n,)
-    operator: np.ndarray | sp.csr_matrix  # (n, n) symmetric
+    operator: sp.csr_matrix  # (n, n) symmetric
 
     def __init__(
         self, tau: float, dtau: np.ndarray, matrix: np.ndarray | sp.spmatrix, *, _owned: bool = False
@@ -65,19 +66,15 @@ class RegularizedLaplacian:
         # the commands that cluster
         import scipy.sparse as sp
 
-        if sp.issparse(matrix):
-            m = sp.csr_matrix(matrix, dtype=np.float64, copy=not _owned)
-            entries = m.data
-        else:
-            m = entries = matrix if _owned else _readonly(matrix)
+        m = sp.csr_matrix(matrix, dtype=np.float64, copy=not _owned)
         d = dtau if _owned else _readonly(dtau)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or d.shape != (m.shape[0],):
+        if m.shape[0] != m.shape[1] or d.shape != (m.shape[0],):
             raise ValueError("laplacian matrix must be square with one regularized degree per node")
-        if not (_all_finite(entries) and _all_finite(d)):
+        if not (_all_finite(m.data) and _all_finite(d)):
             raise ValueError("laplacian contains non-finite entries")
         if not _owned and abs(m - m.T).max() > 1e-12:
             raise ValueError("laplacian must be symmetric within 1e-12")
-        for part in (m.data, m.indices, m.indptr, d) if sp.issparse(m) else (m, d):
+        for part in (m.data, m.indices, m.indptr, d):
             part.setflags(write=False)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "operator", m)
@@ -86,8 +83,6 @@ class RegularizedLaplacian:
     @property
     def matrix(self) -> np.ndarray:
         """The Laplacian as a dense read-only (n, n) array."""
-        if isinstance(self.operator, np.ndarray):
-            return self.operator
         dense = self.operator.toarray()
         dense.setflags(write=False)
         return dense
@@ -151,61 +146,92 @@ def default_tau(n: int) -> float:
     return 0.1 * math.log(n)
 
 
-def regularized_laplacian(source: Graph | PopulationMatrix, tau: float) -> RegularizedLaplacian:
-    """Build ``Dtau^{-1/2} M Dtau^{-1/2}`` from a graph or expected adjacency.
-
-    A sampled graph gives a CSR Laplacian over the graph's own read-only
-    ``indptr`` and ``indices``, read from its pattern with no adjacency
-    built: its degrees are the row counts ``np.diff(indptr)`` and entry
-    (i, j) is ``scale_i * scale_j`` with ``scale = Dtau^{-1/2}``, the same
-    bits as scaling the adjacency, whose entries are exactly 1. Its one
-    new nnz-sized array is the float64 values. The expected adjacency
-    gives a dense Laplacian. Both are symmetric bit for bit and are
-    frozen in place, uncopied and unchecked. ``tau`` must be finite
-    and nonnegative; with ``tau = 0`` every node needs a strictly positive
-    degree, otherwise a :class:`NumericalError` is raised (an isolated
-    node makes the unregularized scaling undefined).
-    """
+def _regularized_degrees(degrees: np.ndarray, tau: float) -> np.ndarray:
+    """``degrees + tau`` for a finite and nonnegative ``tau``; with ``tau = 0``
+    every node needs a strictly positive degree, otherwise a
+    :class:`NumericalError` is raised (an isolated node makes the
+    unregularized scaling undefined)."""
     if not math.isfinite(tau):
         raise ValueError(f"regularizer tau must be finite, got {tau}")
     if tau < 0:
         raise ValueError(f"regularizer tau must be nonnegative, got {tau}")
-    if not isinstance(source, (Graph, PopulationMatrix)):
-        raise TypeError(f"cannot build a laplacian from {type(source).__name__}")
-    dtau = source.degrees() + tau
+    dtau = degrees + tau
     if dtau.min() <= 0.0:
         raise NumericalError(
             "zero regularized degree: tau = 0 requires every node to have positive degree"
         )
-    scale = 1.0 / np.sqrt(dtau)
-    if isinstance(source, Graph):
-        import scipy.sparse as sp  # loaded with the graph
+    return dtau
 
-        indptr, indices = source.indptr, source.indices
-        # scale_i * scale_j is symmetric bit for bit: no averaging needed.
-        # The entries are filled a run of rows at a time, with temporaries
-        # of at most LAPLACIAN_CHUNK entries plus one row, and the index
-        # arrays are the graph's own, which are read-only.
-        data = np.empty(indices.size)
-        r0 = 0
-        while r0 < source.n:
-            r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + LAPLACIAN_CHUNK, side="right")) - 1)
-            s, e = indptr[r0], indptr[r1]
-            rows = np.repeat(scale[r0:r1], np.diff(indptr[r0:r1 + 1]))
-            np.multiply(rows, scale[indices[s:e]], out=data[s:e])
-            r0 = r1
-        lap = sp.csr_matrix((data, indices, indptr), shape=(source.n, source.n))
-        return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _owned=True)
-    lap = scale[:, None] * source.matrix * scale[None, :]
-    lap = (lap + lap.T) / 2.0
+
+def regularized_laplacian(graph: Graph, tau: float) -> RegularizedLaplacian:
+    """Build the CSR ``Dtau^{-1/2} A Dtau^{-1/2}`` of a sampled graph.
+
+    It is over the graph's own read-only ``indptr`` and ``indices``, read
+    from its pattern with no adjacency built: its degrees are the row
+    counts ``np.diff(indptr)`` and entry (i, j) is ``scale_i * scale_j``
+    with ``scale = Dtau^{-1/2}``, the same bits as scaling the adjacency,
+    whose entries are exactly 1. Its one new nnz-sized array is the
+    float64 values. It is symmetric bit for bit and is frozen in place,
+    uncopied and unchecked. ``tau`` is checked by
+    :func:`_regularized_degrees`.
+    """
+    import scipy.sparse as sp  # loaded with the graph
+
+    dtau = _regularized_degrees(graph.degrees(), tau)
+    scale = 1.0 / np.sqrt(dtau)
+    indptr, indices = graph.indptr, graph.indices
+    # scale_i * scale_j is symmetric bit for bit: no averaging needed.
+    # The entries are filled a run of rows at a time, with temporaries
+    # of at most LAPLACIAN_CHUNK entries plus one row, and the index
+    # arrays are the graph's own, which are read-only.
+    data = np.empty(indices.size)
+    r0 = 0
+    while r0 < graph.n:
+        r1 = max(r0 + 1, int(np.searchsorted(indptr, indptr[r0] + LAPLACIAN_CHUNK, side="right")) - 1)
+        s, e = indptr[r0], indptr[r1]
+        rows = np.repeat(scale[r0:r1], np.diff(indptr[r0:r1 + 1]))
+        np.multiply(rows, scale[indices[s:e]], out=data[s:e])
+        r0 = r1
+    lap = sp.csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
     return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _owned=True)
+
+
+def population_eigenpairs(omega: PopulationMatrix, K: int, tau: float) -> tuple[np.ndarray, SpectralBasis]:
+    """The regularized degrees ``dtau`` of the expected adjacency and the K
+    pairs of largest |eigenvalue| of ``L = Dtau^{-1/2} Omega Dtau^{-1/2}``,
+    in O(n K^2) time and memory O(n K), ``tau`` checked as for a graph.
+
+    With ``X = Dtau^{-1/2} Pi = Q R`` (thin QR) and ``Y = Dtau^{-1/2} B =
+    X P``, ``L = Q M Q^T`` for ``M = (Q^T Y R^T + R Y^T Q) / 2``, so each
+    eigenpair ``(mu, w)`` of ``M`` is ``(mu, Q w)`` of ``L``; the others
+    are 0. The pairs are ranked and verified as :func:`leading_eigenpairs`
+    does, ``L`` applied through the factors. A K above the factors' rank
+    raises :class:`NumericalError`.
+    """
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    dtau = _regularized_degrees(omega.degrees(), tau)
+    width = min(omega.pi.shape)
+    if K > width:
+        raise NumericalError(f"expected adjacency is not rank {K}: its factors have rank at most {width}")
+    scale = 1.0 / np.sqrt(dtau)
+    x, y = scale[:, None] * omega.pi, scale[:, None] * omega.b
+    q, r = np.linalg.qr(x)
+    m = q.T @ y @ r.T
+    vals, w = np.linalg.eigh((m + m.T) / 2.0)
+    take = _leading_positions(vals, K)
+    vals, vecs = vals[take], q @ w[:, take]
+    residual = np.linalg.norm((y @ (x.T @ vecs) + x @ (y.T @ vecs)) / 2.0 - vecs * vals, axis=0)
+    if residual.max() > RESIDUAL_TOL:
+        raise NumericalError(f"eigenpair residual {residual.max():.3e} exceeds {RESIDUAL_TOL}")
+    return dtau, SpectralBasis(eigenvalues=vals, vectors=vecs)
 
 
 def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     """The K eigenpairs of largest |eigenvalue|.
 
-    A CSR or dense Laplacian alike is solved by ARPACK's implicitly
-    restarted Lanczos method for the K pairs; only K+1 >= n (where the
+    The CSR Laplacian is solved by ARPACK's implicitly restarted Lanczos
+    method for the K pairs; only K+1 >= n (where the
     Krylov space would be the whole space) or all-zero values take a full
     LAPACK eigendecomposition. The found pairs are deflated and a second
     Lanczos run measures the largest |eigenvalue| left, which certifies
@@ -234,14 +260,13 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
     # imported here: scipy.sparse.linalg adds about 0.13 s and 10 MB to the
     # start of every command, and only this solve needs it
-    from scipy.sparse import issparse
     from scipy.sparse.linalg import ArpackError
 
     op = lap.operator
     try:
         # an all-zero operator leaves Lanczos no Krylov space to build,
         # whether its zeros are stored or not
-        pairs = _lanczos_pairs(op, K) if K + 1 < n and (op.data if issparse(op) else op).any() else None
+        pairs = _lanczos_pairs(op, K) if K + 1 < n and op.data.any() else None
         if pairs is None:
             _check_dense_fits(n)
         vals, vecs = pairs if pairs is not None else np.linalg.eigh(lap.matrix)
@@ -260,10 +285,10 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     return SpectralBasis(eigenvalues=sel_vals, vectors=sel_vecs)
 
 
-def _lanczos_pairs(op: np.ndarray | sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The K eigenpairs of largest magnitude by Lanczos, or ``None`` when
     they cannot be certified to be the leading K. ``op`` is a symmetric
-    CSR or dense array; the runs only multiply by it.
+    CSR matrix; the runs only multiply by it.
 
     The found pairs are deflated and a second Lanczos run measures the
     largest |eigenvalue| left: the one certificate of the cut. That value

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from mmsbkit import (
     BlockModel,
+    PopulationMatrix,
     build_population_matrix,
     diag_off_block,
     planted_memberships,
@@ -25,6 +26,20 @@ def three_block_setup(n=300, n0=60, diag=1.0, off=0.5, rho=0.5, profile="four-pr
     block = BlockModel(diag_off_block(3, diag, off), rho=rho)
     omega = build_population_matrix(pi, block)
     return pi, block, omega
+
+
+def dense_omega(m) -> PopulationMatrix:
+    """The expected adjacency equal to the symmetric array ``m`` entry for
+    entry: the factors ``pi = I`` and ``b = m``, so K = n."""
+    m = np.asarray(m, dtype=np.float64)
+    return PopulationMatrix(pi=np.eye(len(m)), b=m)
+
+
+def constant_omega(n, p) -> PopulationMatrix:
+    """Every pair an edge with probability ``p``, from K = 1 factors. The
+    diagonal is ``p`` too, which the sampler never reads, but which counts
+    in the expected degrees ``n p``."""
+    return PopulationMatrix(pi=np.ones((n, 1)), b=np.full((n, 1), p))
 
 
 def demo_cone_setup(seed=11):

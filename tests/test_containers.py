@@ -13,8 +13,8 @@ from mmsbkit.spectral import SpectralBasis
 
 def laplacian():
     dtau, matrix = np.ones(2), np.array([[0.0, 0.5], [0.5, 0.0]])
-    lap = RegularizedLaplacian(tau=0.0, dtau=dtau, matrix=matrix)
-    return (dtau, matrix), (lap.dtau, lap.operator)
+    held = RegularizedLaplacian(tau=0.0, dtau=dtau, matrix=matrix)
+    return (dtau, matrix), (held.dtau, held.operator.data, held.operator.indices, held.operator.indptr)
 
 
 def laplacian_csr():

@@ -6,10 +6,9 @@ from mmsbkit import (
     NumericalError,
     cone_closed_form,
     default_tau,
-    leading_eigenpairs,
     normalize_rows,
     one_class_svm,
-    regularized_laplacian,
+    population_eigenpairs,
     sp_select,
     svm_cone_select,
 )
@@ -69,15 +68,13 @@ def sp_inputs(draw):
 
 def ideal_simplex_matrix(n=150, n0=30):
     pi, _, omega = three_block_setup(n=n, n0=n0)
-    lap = regularized_laplacian(omega, default_tau(n))
-    basis = leading_eigenpairs(lap, 3)
-    return pi, np.sqrt(lap.dtau)[:, None] * basis.vectors
+    dtau, basis = population_eigenpairs(omega, 3, default_tau(n))
+    return pi, np.sqrt(dtau)[:, None] * basis.vectors
 
 
 def ideal_cone_matrix(seed=11):
     pi, _, omega = demo_cone_setup(seed=seed)
-    lap = regularized_laplacian(omega, default_tau(omega.n))
-    basis = leading_eigenpairs(lap, 3)
+    _, basis = population_eigenpairs(omega, 3, default_tau(omega.n))
     normalized, _ = normalize_rows(basis.vectors)
     return pi, normalized
 
@@ -310,8 +307,7 @@ class TestIdealConeGeometry:
         # normalized population eigenvector rows are nonnegative scaled
         # combinations of the corner rows, with no zero combination
         pi, _, omega = three_block_setup(n=150, n0=30)
-        lap = regularized_laplacian(omega, default_tau(150))
-        basis = leading_eigenpairs(lap, 3)
+        _, basis = population_eigenpairs(omega, 3, default_tau(150))
         normalized, _ = normalize_rows(basis.vectors)
         corners = pure_corner_indices(pi)
         coeffs = np.linalg.solve(normalized[corners].T, normalized.T).T
@@ -322,10 +318,9 @@ class TestIdealConeGeometry:
     def test_projector_rows_factor_through_memberships(self):
         # the degree-scaled projector keeps the simplex structure
         pi, _, omega = three_block_setup(n=150, n0=30)
-        lap = regularized_laplacian(omega, default_tau(150))
-        basis = leading_eigenpairs(lap, 3)
+        dtau, basis = population_eigenpairs(omega, 3, default_tau(150))
         v2 = basis.vectors @ basis.vectors.T
-        scaled2 = np.sqrt(lap.dtau)[:, None] * v2
+        scaled2 = np.sqrt(dtau)[:, None] * v2
         corners = pure_corner_indices(pi)
         assert np.abs(scaled2 - pi.weights @ scaled2[corners]).max() <= 1e-8
 

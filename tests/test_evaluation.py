@@ -6,14 +6,13 @@ import pytest
 from mmsbkit import (
     Graph,
     MembershipMatrix,
-    PopulationMatrix,
     default_tau,
     laplacian_concentration,
     mixed_hamming_error,
     network_stats,
     sample_adjacency,
 )
-from conftest import three_block_setup
+from conftest import constant_omega, dense_omega, three_block_setup
 
 
 class TestMixedHammingError:
@@ -139,7 +138,7 @@ class TestNetworkStats:
     def test_density_tracks_construction_target(self):
         # synthetic fixture tuned to a 0.15 edge probability
         n, target = 300, 0.15
-        omega = PopulationMatrix(np.full((n, n), target) - target * np.eye(n))
+        omega = constant_omega(n, target)
         g = sample_adjacency(omega, 123)
         stats = network_stats(g)
         assert abs(stats.density - target) < 0.01
@@ -148,7 +147,7 @@ class TestNetworkStats:
 class TestLaplacianConcentration:
     def test_deterministic_zero_one_model_gives_zero(self):
         n = 24
-        omega = PopulationMatrix(np.ones((n, n)) - np.eye(n))
+        omega = dense_omega(np.ones((n, n)) - np.eye(n))
         g = sample_adjacency(omega, 0)
         assert laplacian_concentration(g, omega, 0.7) == 0.0
 
@@ -166,7 +165,7 @@ class TestLaplacianConcentration:
     def test_larger_tau_shrinks_the_difference(self):
         # paired Monte-Carlo trend over 20 seeds at fixed expected degree
         n, p = 400, 0.3
-        omega = PopulationMatrix(np.full((n, n), p) - p * np.eye(n))
+        omega = constant_omega(n, p)
         tau = default_tau(n)
         small, large = [], []
         for seed in range(20):
@@ -176,7 +175,7 @@ class TestLaplacianConcentration:
         assert np.mean(large) < np.mean(small)
 
     def test_dimension_mismatch(self):
-        omega = PopulationMatrix(np.zeros((3, 3)))
+        omega = dense_omega(np.zeros((3, 3)))
         g = Graph.from_edges(4, np.array([[0, 1]]))
         with pytest.raises(ValueError, match="nodes"):
             laplacian_concentration(g, omega, 0.1)

@@ -639,6 +639,43 @@ class TestMatrixCsv:
         with pytest.raises(DataFormatError, match="columns"):
             read_matrix_csv(f)
 
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ("1_0,2\n", [[10.0, 2.0]]),
+            ("1,2\n \t \n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+            ("\u0661,0.5\n", [[1.0, 0.5]]),
+            ("\n\r\n", []),
+        ],
+    )
+    def test_spellings_numpy_refuses_read_as_float_reads_them(self, tmp_path, text, rows):
+        # the whole-file parse refuses these; the line walk reads them
+        f = tmp_path / "m.csv"
+        f.write_bytes(text.encode("utf-8"))
+        back = read_matrix_csv(f)
+        assert back.tolist() == rows and back.shape == ((0, 0) if not rows else (len(rows), 2))
+
+    @pytest.mark.parametrize("byte", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_bytes_numpy_strips_and_float_refuses_stay_an_error(self, tmp_path, byte):
+        f = tmp_path / "m.csv"
+        f.write_bytes(f"0.5,0.5\n1,{byte}0\n".encode())
+        with pytest.raises(DataFormatError, match=re.escape(f"{f}:2: non-numeric cell")):
+            read_matrix_csv(f)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("data", [b"0.5,0.5\r\n1,0\n", b"1_0,2\n", b"1,2\n3\n"])
+    def test_pipe_reads_as_the_file_does(self, tmp_path, data):
+        f = tmp_path / "m.csv"
+        f.write_bytes(data)
+
+        def outcome(path):
+            try:
+                return read_matrix_csv(path).tolist()
+            except DataFormatError as exc:
+                return str(exc).replace(str(path), "<path>")
+
+        assert through_pipe(data, outcome) == outcome(f)
+
     def test_lf_line_endings(self, tmp_path):
         f = tmp_path / "m.csv"
         write_matrix_csv(np.eye(2), f)

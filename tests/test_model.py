@@ -16,7 +16,7 @@ from mmsbkit import (
     planted_memberships,
     sample_adjacency,
 )
-from conftest import three_block_setup
+from conftest import constant_omega, dense_omega, three_block_setup
 
 
 class TestMembershipMatrix:
@@ -43,7 +43,6 @@ class TestMembershipMatrix:
     [
         (MembershipMatrix, "weights"),
         (BlockModel, "tilde_p"),
-        (PopulationMatrix, "matrix"),
     ],
 )
 def test_constructors_leave_callers_array_writable_and_unshared(build, attr):
@@ -104,7 +103,7 @@ class TestBuildPopulationMatrix:
     def test_rho_zero_is_rejected_by_block_model(self):
         # rho = 0 is outside the legal sparsity range; the zero expected
         # adjacency is reachable only through a direct construction
-        zero = PopulationMatrix(np.zeros((4, 4)))
+        zero = dense_omega(np.zeros((4, 4)))
         assert zero.matrix.max() == 0.0
 
     def test_dimension_mismatch(self):
@@ -122,14 +121,14 @@ class TestBuildPopulationMatrix:
 
 class TestSampleAdjacency:
     def test_zero_matrix_gives_empty_graph(self):
-        omega = PopulationMatrix(np.zeros((10, 10)))
+        omega = dense_omega(np.zeros((10, 10)))
         g = sample_adjacency(omega, 0)
         assert g.edge_count() == 0
         assert np.array_equal(g.degrees(), np.zeros(10))
 
     def test_all_ones_off_diagonal_gives_complete_graph(self):
         n = 12
-        omega = PopulationMatrix(np.ones((n, n)) - np.eye(n))
+        omega = dense_omega(np.ones((n, n)) - np.eye(n))
         g = sample_adjacency(omega, 5)
         assert g.edge_count() == n * (n - 1) // 2
         assert np.array_equal(g.degrees(), np.full(n, n - 1.0))
@@ -150,7 +149,7 @@ class TestSampleAdjacency:
         # mean density over 50 seeded draws stays within 3 standard
         # errors of the planted 0.3 edge probability
         n, p, seeds = 200, 0.3, 50
-        omega = PopulationMatrix(np.full((n, n), p) - p * np.eye(n))
+        omega = constant_omega(n, p)
         densities = []
         for seed in range(seeds):
             g = sample_adjacency(omega, seed)
@@ -169,8 +168,7 @@ def row_loop_sample(omega: PopulationMatrix, seed: int) -> Graph:
     """Reference sampler, one row or one candidate at a time.
 
     Within each block of rows, a block whose rate bound exceeds
-    ``GATHER_SHARE`` (every block of a dense Omega) draws one uniform per
-    row i over columns i+1 .. n-1. Any other block walks its pairs in
+    ``GATHER_SHARE`` draws one uniform per row i over columns i+1 .. n-1. Any other block walks its pairs in
     row-major order by geometric gaps, one batch at a time, then draws one
     thinning uniform per candidate."""
     n = omega.n
@@ -220,21 +218,20 @@ class TestBlockSampler:
     def test_matches_row_loop_on_factored_and_dense_omega(self, monkeypatch, block, n, rho):
         if block is not None:
             monkeypatch.setattr(model, "SAMPLE_BLOCK", n if block == "n" else block)
-        dense = PopulationMatrix(factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n).matrix)
+        omega = factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n)
+        # the same Omega with K = n factors has other bounds, so other routes and draws
+        dense = dense_omega(omega.matrix)
         for seed in (0, 19):
-            # a fresh factored Omega: reading .matrix would make the sampler slice the cache;
-            # its blocks bounded by at most GATHER_SHARE skip, the dense ones (bound 1) never do
-            omega = factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n)
             assert np.array_equal(sample_adjacency(omega, seed).edges(), row_loop_sample(omega, seed).edges())
             assert np.array_equal(sample_adjacency(dense, seed).edges(), row_loop_sample(dense, seed).edges())
-            assert omega._matrix is None
 
     @pytest.mark.parametrize("rho", [0.5, 1.0])
     def test_factored_blocks_above_the_share_draw_every_pair_as_dense(self, rho):
-        # one uniform per pair: the same graph as the dense Omega, whose bound is 1
+        # one uniform per pair: the same graph as the same Omega held as K = n factors
         omega = factored_omega(90, rho=rho, seed=90)
-        assert model._block_bounds(omega, model._block_starts(90)).min() > model.GATHER_SHARE
-        dense = PopulationMatrix(factored_omega(90, rho=rho, seed=90).matrix)
+        dense = dense_omega(omega.matrix)
+        for held in (omega, dense):
+            assert model._block_bounds(held, model._block_starts(90)).min() > model.GATHER_SHARE
         for seed in (0, 19):
             expected = row_loop_sample(dense, seed).edges()
             assert np.array_equal(sample_adjacency(omega, seed).edges(), expected)
@@ -244,7 +241,6 @@ class TestBlockSampler:
         omega = factored_omega(1600, rho=0.05, seed=4)
         assert model._block_starts(omega.n).size > 2
         edges = sample_adjacency(omega, 8).edges()
-        assert omega._matrix is None
         assert np.array_equal(edges, row_loop_sample(omega, 8).edges())
 
     def test_blocks_cover_every_row_once(self, monkeypatch):
@@ -281,7 +277,6 @@ class TestBlockSampler:
             tracemalloc.stop()
         assert graph.edge_count() > 0
         assert peak < n * n * 8 / 4
-        assert omega._matrix is None  # not densified along the way
 
 
 class TestFactoredPopulationMatrix:
@@ -292,8 +287,7 @@ class TestFactoredPopulationMatrix:
         assert np.array_equal(m, m.T)
         assert np.abs(m - pi.weights @ block.p @ pi.weights.T).max() <= 1e-15
 
-    def test_entries_match_matrix_bit_for_bit(self, monkeypatch):
-        monkeypatch.setattr(model, "SAMPLE_BLOCK", 500)  # densify in many row blocks
+    def test_entries_match_matrix_bit_for_bit(self):
         omega = factored_omega(120, seed=3)
         blocks = [omega.entries(slice(a, b), slice(c, d)) for a, b, c, d in
                   [(0, 120, 0, 120), (5, 6, 0, 120), (17, 60, 18, 120), (119, 120, 3, 77)]]
@@ -302,31 +296,42 @@ class TestFactoredPopulationMatrix:
         assert np.array_equal(blocks[1], m[5:6])
         assert np.array_equal(blocks[2], m[17:60, 18:])
         assert np.array_equal(blocks[3], m[119:, 3:77])
-
-    def test_matrix_is_cached_and_read_only(self):
-        omega = factored_omega(40)
-        assert omega._matrix is None
-        m = omega.matrix
-        assert omega.matrix is m
         with pytest.raises(ValueError):
             m[0, 1] = 0.0
+
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    def test_degrees_match_dense_row_sums(self, K):
+        rng = np.random.default_rng(K)
+        for n in (2, 60, 300):
+            omega = random_factored_omega(rng, n, K, rho=rng.random())
+            assert np.abs(omega.degrees() - omega.matrix.sum(axis=1)).max() <= 1e-12
+
+    def test_dense_fixture_equals_its_array_entry_for_entry(self):
+        m = factored_omega(70, seed=6).matrix
+        assert np.array_equal(dense_omega(m).matrix, m)
+        assert np.abs(dense_omega(m).degrees() - m.sum(axis=1)).max() <= 1e-12
 
     def test_entries_are_clipped_to_unit_interval(self):
         omega = PopulationMatrix(pi=np.ones((3, 1)), b=np.full((3, 1), 1.5))
         assert np.array_equal(omega.matrix, np.ones((3, 3)))
 
-    def test_needs_matrix_or_both_factors(self):
+    def test_needs_both_factors(self):
         w = np.full((3, 2), 0.5)
-        with pytest.raises(ValueError, match="either"):
+        with pytest.raises(TypeError):
             PopulationMatrix()
-        with pytest.raises(ValueError, match="either"):
+        with pytest.raises(TypeError):
             PopulationMatrix(pi=w)
-        with pytest.raises(ValueError, match="either"):
-            PopulationMatrix(np.eye(3), pi=w, b=w)
+        with pytest.raises(TypeError):
+            PopulationMatrix(np.eye(3))
         with pytest.raises(ValueError, match="shape"):
             PopulationMatrix(pi=w, b=w[:, :1])
         with pytest.raises(ValueError, match="nonnegative"):
             PopulationMatrix(pi=w, b=-w)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 3), (0, 0)])
+    def test_rejects_empty_factors(self, shape):
+        with pytest.raises(ValueError, match=r"factors must share one \(n, K\) shape"):
+            PopulationMatrix(pi=np.zeros(shape), b=np.zeros(shape))
 
 
 class TestPlantedMemberships:
@@ -685,17 +690,13 @@ class TestSamplerTileBound:
             assert rates[np.arange(n - r0 - 1) >= np.arange(r1 - r0)[:, None]].max() <= bound
             assert bound == omega.bound(slice(r0, r1), slice(r0 + 1, n))
 
-    def test_dense_omega_reports_bound_one(self):
-        omega = PopulationMatrix(np.full((4, 4), 0.2))
-        assert omega.bound(slice(0, 2), slice(1, 4)) == 1.0
-
     def test_pair_entries_equal_matrix_entries_bit_for_bit(self):
         omega = factored_omega(70, seed=6)
         rng = np.random.default_rng(6)
         i, j = rng.integers(0, 70, 500), rng.integers(0, 70, 500)
         pairs = omega.entries(i, j)
         assert np.array_equal(pairs, omega.matrix[i, j])
-        assert np.array_equal(pairs, PopulationMatrix(omega.matrix).entries(i, j))
+        assert np.array_equal(pairs, dense_omega(omega.matrix).entries(i, j))
 
     @pytest.mark.parametrize("K", [1, 3, 5])
     def test_pair_gathers_equal_the_block_path_bit_for_bit(self, K):
@@ -727,13 +728,12 @@ class TestSamplerTileBound:
         calls = []
         block_hits = model._block_hits
         monkeypatch.setattr(model, "_block_hits", lambda *a: calls.append(1) or block_hits(*a))
-        K = 1 if n < 3 else 3
-        dense = PopulationMatrix(factored_omega(n, K=K, rho=rho, seed=n).matrix)
+        omega = factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n)
+        # K = n factors at n = 400 take seconds per draw in the reference loop
+        forms = (omega, dense_omega(omega.matrix)) if n <= 90 else (omega,)
         for seed in (0, 19):
-            omega = factored_omega(n, K=K, rho=rho, seed=n)
-            assert np.array_equal(sample_adjacency(omega, seed).edges(), row_loop_sample(omega, seed).edges())
-            assert np.array_equal(sample_adjacency(dense, seed).edges(), row_loop_sample(dense, seed).edges())
-            assert omega._matrix is None
+            for held in forms:
+                assert np.array_equal(sample_adjacency(held, seed).edges(), row_loop_sample(held, seed).edges())
         assert (len(calls) > 0) == (route == "block")
 
     def test_factored_sampling_peak_memory(self):

@@ -22,6 +22,7 @@ from mmsbkit import (
     ideal_srsc,
     leading_eigenpairs,
     mixed_hamming_error,
+    population_eigenpairs,
     recover_from_basis,
     regularized_laplacian,
     sample_adjacency,
@@ -295,10 +296,10 @@ class TestEquivalences:
 
     def test_oracle_equivalence_routes_recover_exactly(self):
         pi, _, omega = three_block_setup(n=120, n0=24)
-        lap = regularized_laplacian(omega, default_tau(120))
-        basis = leading_eigenpairs(lap, 3)
+        tau = default_tau(120)
+        dtau, basis = population_eigenpairs(omega, 3, tau)
         for method in ("SRSC-EQ", "CRSC-EQ"):
-            result = recover_from_basis(basis, lap, method)
+            result = recover_from_basis(basis, dtau, method, tau=tau)
             assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
 
     def test_cone_twins_break_an_equidistant_corner_by_index(self):
@@ -313,7 +314,7 @@ class TestEquivalences:
         with one_blas_thread():
             lap = regularized_laplacian(graph, default_tau(500))
             basis = leading_eigenpairs(lap, 3)
-            plain, twin = (recover_from_basis(basis, lap, m) for m in ("CRSC", "CRSC-EQ"))
+            plain, twin = (recover_from_basis(basis, lap.dtau, m, tau=lap.tau) for m in ("CRSC", "CRSC-EQ"))
         assert plain.corners.indices == twin.corners.indices
         errors = [mixed_hamming_error(r.pi_hat, pi).error for r in (plain, twin)]
         assert abs(errors[0] - errors[1]) <= 1e-10
@@ -382,7 +383,7 @@ class TestOneReconstruction:
         lap = regularized_laplacian(sample_adjacency(omega, seed ^ STREAM_SPLIT), default_tau(omega.n))
         basis = leading_eigenpairs(lap, 3)
         for method in ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"):
-            result = recover_from_basis(basis, lap, method)
+            result = recover_from_basis(basis, lap.dtau, method, tau=lap.tau)
             corners, z, weights = per_geometry_recovery(basis, lap, method)
             assert result.corners.indices == corners
             assert np.abs(result.z - z).max() <= 1e-12
@@ -400,8 +401,8 @@ class TestSignFlipInvariance:
             signs = rng.choice([-1.0, 1.0], size=3)
             flipped = SpectralBasis(basis.eigenvalues, basis.vectors * signs)
             for method in ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"):
-                ref = recover_from_basis(basis, lap, method)
-                out = recover_from_basis(flipped, lap, method)
+                ref = recover_from_basis(basis, lap.dtau, method, tau=lap.tau)
+                out = recover_from_basis(flipped, lap.dtau, method, tau=lap.tau)
                 assert np.abs(out.pi_hat.weights - ref.pi_hat.weights).max() <= 1e-10
 
 
@@ -466,7 +467,7 @@ class TestReconstructionHelpers:
         for seed in (0, 1):
             monkeypatch.setattr(spectral, "LANCZOS_SEED", seed)
             basis = leading_eigenpairs(lap, 3)
-            result = recover_from_basis(basis, lap, method)
+            result = recover_from_basis(basis, lap.dtau, method, tau=lap.tau)
             zero = np.linalg.norm(basis.vectors, axis=1) <= spectral.ZERO_ROW_TOL
             assert 0 < zero.sum() <= result.fallback_rows
             np.testing.assert_array_equal(result.pi_hat.weights[zero], 1.0 / 3)

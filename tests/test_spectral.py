@@ -6,13 +6,21 @@ import pytest
 import scipy.sparse as sp
 
 from mmsbkit import (
+    BlockModel,
     Graph,
     NumericalError,
-    PopulationMatrix,
     RegularizedLaplacian,
+    build_population_matrix,
     default_tau,
+    diag_off_block,
+    ideal_crsc,
+    ideal_srsc,
     leading_eigenpairs,
+    mixed_hamming_error,
+    negative_eig_block,
     normalize_rows,
+    planted_memberships,
+    population_eigenpairs,
     regularized_laplacian,
     sample_adjacency,
 )
@@ -20,7 +28,7 @@ from mmsbkit import spectral
 from mmsbkit.io_formats import read_edge_list, write_edge_blocks
 from mmsbkit.spectral import _leading_positions
 from mmsbkit.sweep import STREAM_SPLIT
-from conftest import pure_corner_indices, three_block_setup
+from conftest import dense_omega, pure_corner_indices, three_block_setup
 
 
 def two_path_graph():
@@ -51,8 +59,10 @@ class TestRegularizedLaplacian:
         assert np.allclose(lap.matrix, [[0, 1 / 3], [1 / 3, 0]], atol=1e-15)
 
     def test_identity_population(self):
-        lap = regularized_laplacian(PopulationMatrix(np.eye(2)), 0.0)
-        assert np.allclose(lap.matrix, np.eye(2), atol=1e-15)
+        dtau, basis = population_eigenpairs(dense_omega(np.eye(2)), 2, 0.0)
+        assert np.array_equal(dtau, [1.0, 1.0])
+        assert np.allclose(basis.eigenvalues, [1.0, 1.0], atol=1e-15)
+        assert np.allclose(basis.projector, np.eye(2), atol=1e-15)
 
     def test_entry_formula(self):
         g = Graph.from_edges(3, np.array([[0, 1], [1, 2]]))
@@ -142,6 +152,12 @@ class TestRegularizedLaplacian:
         assert not checked.indices.flags.writeable and not np.shares_memory(checked.indices, mine.indices)
         assert (checked.adjacency != a).nnz == 0
 
+    def test_constructor_converts_a_dense_matrix_to_csr(self):
+        m = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.25, 0.0]])
+        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(3), matrix=m)
+        assert lap.operator.format == "csr" and lap.operator.nnz == 4
+        assert np.array_equal(lap.matrix, m)
+
     def test_constructor_rejects_asymmetric_matrix(self):
         m = np.array([[0.0, 0.5], [0.4, 0.0]])
         for matrix in (m, sp.csr_matrix(m)):
@@ -167,11 +183,13 @@ class TestLeadingEigenpairs:
         assert basis.eigenvalues[0] == 0.5
 
     def test_population_rank_three(self, small_omega):
-        # exactly K = 3 eigenvalues carry magnitude above the rank cutoff
-        lap = regularized_laplacian(small_omega, default_tau(small_omega.n))
-        basis = leading_eigenpairs(lap, 4)
-        assert abs(basis.eigenvalues[2]) > 1e-10
-        assert abs(basis.eigenvalues[3]) < 1e-10
+        # the K = 3 eigenvalues carry magnitude above the rank cutoff, and
+        # the factors allow no fourth
+        tau = default_tau(small_omega.n)
+        _, basis = population_eigenpairs(small_omega, 3, tau)
+        assert np.abs(basis.eigenvalues).min() > 1e-10
+        with pytest.raises(NumericalError, match="not rank 4"):
+            population_eigenpairs(small_omega, 4, tau)
 
     def test_graph_spectrum_within_unit_interval(self, small_graph):
         for tau in (0.0, default_tau(small_graph.n)):
@@ -182,8 +200,7 @@ class TestLeadingEigenpairs:
     def test_population_top_eigenvalue_bound(self, small_omega):
         dmax = small_omega.degrees().max()
         for tau in (0.0, 2.0, 20.0):
-            lap = regularized_laplacian(small_omega, tau)
-            basis = leading_eigenpairs(lap, 1)
+            _, basis = population_eigenpairs(small_omega, 1, tau)
             assert basis.eigenvalues[0] <= dmax / (tau + dmax) + 1e-10
 
     def test_projector_is_formed_once_and_read_only(self, small_graph):
@@ -212,9 +229,8 @@ class TestScaleRowsByDegree:
         # degree-scaled population eigenvector rows equal Pi times the
         # corner rows taken at one pure node per community
         pi, _, omega = three_block_setup(n=150, n0=30)
-        lap = regularized_laplacian(omega, default_tau(150))
-        basis = leading_eigenpairs(lap, 3)
-        scaled = np.sqrt(lap.dtau)[:, None] * basis.vectors
+        dtau, basis = population_eigenpairs(omega, 3, default_tau(150))
+        scaled = np.sqrt(dtau)[:, None] * basis.vectors
         corners = pure_corner_indices(pi)
         assert np.abs(scaled - pi.weights @ scaled[corners]).max() <= 1e-8
 
@@ -237,8 +253,7 @@ class TestNormalizeRows:
 
     def test_equal_membership_rows_coincide(self):
         pi, _, omega = three_block_setup(n=90, n0=18)
-        lap = regularized_laplacian(omega, default_tau(90))
-        basis = leading_eigenpairs(lap, 3)
+        _, basis = population_eigenpairs(omega, 3, default_tau(90))
         normalized, _ = normalize_rows(basis.vectors)
         # rows 0 and 1 are pure members of the same community
         assert np.abs(normalized[0] - normalized[1]).max() <= 1e-10
@@ -274,10 +289,8 @@ def assert_matches_dense(lap, K):
 
 class TestSparseSolverMatchesDense:
     def cases(self):
-        """Seeded graphs with every regularizer they admit, then rank-3
-        expected adjacencies, whose Laplacians are dense. The last graph
-        has five isolated nodes, where tau = 0 is undefined. The
-        four-profiles expected adjacency has lambda_2 = lambda_3."""
+        """Seeded graphs with every regularizer they admit. The last graph
+        has five isolated nodes, where tau = 0 is undefined."""
         graphs = []
         for rho in (0.05, 0.8):
             _, _, omega = three_block_setup(n=300, n0=60, rho=rho, seed=4)
@@ -290,20 +303,11 @@ class TestSparseSolverMatchesDense:
         assert (isolated.degrees() == 0).sum() >= 5
         for tau in (base, 10 * base):
             yield isolated, tau
-        for profile in ("four-profiles", "random-half"):
-            _, _, omega = three_block_setup(n=120, n0=24, profile=profile, seed=4)
-            for tau in (0.0, default_tau(120), 50.0):
-                yield omega, tau
 
     @pytest.mark.parametrize("K", [1, 3, 4])
     def test_pairs_match_dense_eigh(self, K):
-        for source, tau in self.cases():
-            lap = regularized_laplacian(source, tau)
-            assert sp.issparse(lap.operator) == isinstance(source, Graph)
-            assert_matches_dense(lap, K)
-            if isinstance(source, PopulationMatrix):
-                # Lanczos certifies up to the rank; K = 4 needs the dense fallback
-                assert (spectral._lanczos_pairs(lap.operator, K) is None) == (K > 3)
+        for graph, tau in self.cases():
+            assert_matches_dense(regularized_laplacian(graph, tau), K)
 
     @pytest.mark.parametrize(
         "detached, tau, K",
@@ -503,3 +507,75 @@ class TestSparseSolverMatchesDense:
         lap = regularized_laplacian(small_graph, 1.0)
         with pytest.raises(NumericalError, match="Lanczos"):
             leading_eigenpairs(lap, 3)
+
+
+def population_case(n, K, profile="random-half", block=None):
+    """Factored expected adjacency of n nodes and K communities, n0 = n/(2K)."""
+    pi = planted_memberships(n, K, n // (2 * K), profile, seed=n + K)
+    block = BlockModel(diag_off_block(K, 0.8, 0.1), rho=0.5) if block is None else block
+    return pi, build_population_matrix(pi, block)
+
+
+def dense_population_pairs(omega, K, tau):
+    """Reference: the densified population Laplacian, scaled by the dense
+    row sums, through dense eigh under the documented ranking."""
+    scale = 1.0 / np.sqrt(omega.matrix.sum(axis=1) + tau)
+    lap = scale[:, None] * omega.matrix * scale[None, :]
+    vals, vecs = np.linalg.eigh((lap + lap.T) / 2.0)
+    take = _leading_positions(vals, K)
+    return vals[take], vecs[:, take]
+
+
+class TestPopulationEigenpairs:
+    @pytest.mark.parametrize("n", [60, 300])
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    @pytest.mark.parametrize("tau", [0.0, None, 50.0])
+    def test_pairs_match_dense_eigh(self, n, K, tau):
+        tau = default_tau(n) if tau is None else tau
+        cases = [population_case(n, K)]
+        if K == 3:
+            cases.append(population_case(n, K, "four-profiles", BlockModel(negative_eig_block(12).tilde_p, rho=0.9)))
+        for _, omega in cases:
+            dtau, basis = population_eigenpairs(omega, K, tau)
+            vals, vecs = dense_population_pairs(omega, K, tau)
+            assert np.abs(dtau - omega.matrix.sum(axis=1) - tau).max() <= 1e-12
+            assert np.abs(basis.eigenvalues - vals).max() <= 1e-12
+            assert np.abs(basis.projector - vecs @ vecs.T).max() <= 1e-10
+
+    def test_k_above_the_factor_width_is_not_rank_k(self):
+        _, omega = population_case(60, 2)
+        with pytest.raises(NumericalError, match="not rank 3"):
+            population_eigenpairs(omega, 3, 1.0)
+        for fn in (ideal_srsc, ideal_crsc):
+            with pytest.raises(NumericalError, match="not rank 3"):
+                fn(omega, 3)
+
+    def test_tau_is_checked_as_for_a_graph(self):
+        _, omega = population_case(60, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            population_eigenpairs(omega, 2, -0.5)
+        with pytest.raises(ValueError, match="finite"):
+            population_eigenpairs(omega, 2, math.inf)
+        zero = dense_omega(np.zeros((3, 3)))
+        with pytest.raises(NumericalError, match="zero regularized degree"):
+            population_eigenpairs(zero, 1, 0.0)
+
+    def test_oracles_hold_no_n_by_n_array(self):
+        # the oracles keep O(nK) arrays; the dense n x n population
+        # Laplacian and Omega they once built traced 206 MiB at this n
+        _, omega = population_case(3000, 3)
+        for fn in (ideal_srsc, ideal_crsc):
+            fn(population_case(90, 3)[1], 3)  # warm every import first
+            tracemalloc.start()
+            try:
+                fn(omega, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20, f"{fn.__name__} traced {peak} bytes"
+
+    def test_oracle_recovers_a_hundred_thousand_nodes(self):
+        # a dense Omega of this size would need 80 GB
+        pi, omega = population_case(100_000, 3)
+        result = ideal_srsc(omega, 3)
+        assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
