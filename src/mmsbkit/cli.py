@@ -41,6 +41,7 @@ from .io_formats import (
     write_edge_list,  # noqa: F401 (benchmarks/spans.py wraps this name here)
     write_matrix_csv,
     write_memberships,
+    write_text,
 )
 from .model import (
     BlockModel,
@@ -201,9 +202,7 @@ def _cmd_cluster(args) -> int:
             "clipped_rows": result.clipped_rows,
             "fallback_rows": result.fallback_rows,
         }
-        summary_path.write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n"
-        )
+        write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", summary_path)
         _say(args, f"{method}: wrote {pihat_path} and {summary_path} (tau={result.tau:.6g})")
     return EXIT_OK
 
@@ -248,7 +247,7 @@ def _cmd_sweep(args) -> int:
     except BrokenProcessPool as exc:  # killed for memory, say
         print(f"a sweep trial process died: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    Path(args.out).write_text(result.to_csv(), encoding="utf-8", newline="\n")
+    write_text(result.to_csv(), args.out)
     for failure in result.failures:
         _say(args, f"skipped {failure['method']} at point {failure['point']} ({failure['stage']}): {failure['error']}")
     _say(args, f"wrote {args.out} ({len(result.rows)} rows)")

@@ -13,6 +13,9 @@ through its dual, the minimum-norm point ``p`` of the convex hull of the
 rows: ``w = p/||p||`` and ``b = ||p||``. That point is found as the
 least-distance program ``min ||x|| s.t. S x >= 1``, which
 ``scipy.optimize.nnls`` solves exactly by the Lawson-Hanson reduction.
+The point is unique, so the program is solved on a working set of rows
+that grows by the rows violating the margin until none does; the KKT
+check over every row certifies the result.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .model import _readonly
 UNIT_ROW_TOL = 1e-8
 KKT_TOL = 1e-8
 ORIGIN_TOL = 1e-10
+#: Rows in the first working set of :func:`one_class_svm`, and the most
+#: violating rows each later round adds.
+WORKING_SET = 64
 #: Share of the initial squared row norm below which :func:`sp_select`
 #: recomputes its downdated squared norms. Each downdate rounds by about
 #: eps times the initial value, so below sqrt(eps) of it the relative
@@ -164,10 +170,17 @@ def one_class_svm(s: np.ndarray) -> SvmSolution:
     ``min ||E u - e_{m+1}||, u >= 0`` with ``E = [S'; 1']``; ``u / sum(u)``
     are the dual weights and ``weights @ S`` is the hull point ``b * w``.
 
+    The hull's minimum-norm point is unique, so ``E`` spans only a
+    working set of rows: first the ``WORKING_SET`` rows of smallest
+    margin along the mean row (every row when there are no more), then,
+    each round, up to ``WORKING_SET`` more of the rows whose margin
+    ``S(i,:).w`` falls below ``b - KKT_TOL``, most violating first, until
+    no row outside the set does. The weights of the other rows are 0.
+
     Raises :class:`NumericalError` when the hull contains the origin
     (``b`` below 1e-10, so the rows do not form a cone), when the NNLS
-    solver hits its iteration cap, or when the KKT conditions cannot be
-    certified to 1e-8.
+    solver hits its iteration cap, or when the KKT conditions over all
+    rows cannot be certified to 1e-8.
     """
     s = _check_unit_rows(s)
     # scipy.optimize costs every process that imports it ~0.16 s and
@@ -175,23 +188,29 @@ def one_class_svm(s: np.ndarray) -> SvmSolution:
     from scipy.optimize import nnls
 
     n, width = s.shape
-    e = np.vstack([s.T, np.ones((1, n))])
     f = np.zeros(width + 1)
     f[width] = 1.0
-    try:
-        u, _ = nnls(e, f)
-    except RuntimeError as exc:
-        raise NumericalError(f"one-class svm failed to converge: {exc}") from exc
-    weights = u / u.sum()
-    x = weights @ s
+    rows = np.sort(np.argpartition(s @ s.mean(axis=0), min(n, WORKING_SET) - 1)[:WORKING_SET])
+    while True:
+        try:
+            u, _ = nnls(np.vstack([s[rows].T, np.ones((1, rows.size))]), f)
+        except RuntimeError as exc:
+            raise NumericalError(f"one-class svm failed to converge: {exc}") from exc
+        weights = np.zeros(n)
+        weights[rows] = u / u.sum()
+        x = weights @ s
 
-    b = float(np.linalg.norm(x))
-    if b <= ORIGIN_TOL:
-        raise NumericalError(
-            "the convex hull of the rows contains the origin; the rows do not form a cone"
-        )
-    w = x / b
-    margins = s @ w
+        b = float(np.linalg.norm(x))
+        if b <= ORIGIN_TOL:
+            raise NumericalError(
+                "the convex hull of the rows contains the origin; the rows do not form a cone"
+            )
+        w = x / b
+        margins = s @ w
+        violators = np.setdiff1d(np.nonzero(margins < b - KKT_TOL)[0], rows, assume_unique=True)
+        if not violators.size:
+            break
+        rows = np.union1d(rows, violators[np.argsort(margins[violators], kind="stable")[:WORKING_SET]])
     # at the optimum the support rows meet the hyperplane, so min margin == b
     if abs(float(margins.min()) - b) > KKT_TOL:
         raise NumericalError(
@@ -237,7 +256,8 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     the same rows and reach distortion 0, and the first is kept anyway.
     A codebook short of K centers or an empty cluster moves on to the
     next margin step. Rows within ``CORNER_TIE_TOL`` of the nearest
-    squared distance to a center tie, and the lowest index wins. Raises
+    squared distance to a center tie, and the lowest index wins. A K
+    outside 1..n raises ``ValueError`` before the SVM runs. Raises
     :class:`NumericalError` when the margin schedule is exhausted without
     finding K clusters.
     """
@@ -245,10 +265,10 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     from scipy.cluster.vq import kmeans, vq
 
     s = np.asarray(s, dtype=np.float64)
-    solution = one_class_svm(s)  # checks the unit rows
-    n = s.shape[0]
+    n = s.shape[0] if s.ndim else 0
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
+    solution = one_class_svm(s)  # checks the unit rows
     margins = s @ solution.w
     # rows meeting the margin with equality are certified only to the
     # solver's KKT tolerance, so the threshold carries that much slack

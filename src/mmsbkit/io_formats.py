@@ -32,7 +32,8 @@ digit table that holds one fixed-width record per node id, so no number
 is formatted and no Python code runs per edge. The CSV writer formats
 a chunk of rows with one ``%`` over a repeated row template
 (``%.17g`` per value, the same bytes as ``format(v, ".17g")``), so no
-Python loop runs per cell. A write of either kind that fails removes its
+Python loop runs per cell. :func:`write_text` writes the other outputs, a
+summary or a sweep table. A write of any kind that fails removes its
 partial file when the path names a regular file (see :func:`_created`).
 """
 
@@ -209,6 +210,13 @@ def _created(path: Path, mode: str = "wb", **options) -> Iterator[IO]:
         if regular:
             path.unlink(missing_ok=True)
         raise
+
+
+def write_text(text: str, path: str | Path) -> None:
+    """Write ``text`` as UTF-8 with LF line endings; a write that fails
+    removes its partial file (see :func:`_created`)."""
+    with _created(Path(path), "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:

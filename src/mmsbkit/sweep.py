@@ -17,10 +17,8 @@ on execution order, worker count or the BLAS thread setting.
 Parallel trials run in worker processes forked from the caller, each with
 its own interpreter, so the Python-level loops of ARPACK's reverse
 communication, k-means and NNLS do not contend for one interpreter lock.
-Each worker keeps the memory its trials free, for the next trial to
-reuse, until the sweep ends (see :func:`_keep_freed_memory`). Where
-``fork`` is missing (Windows) or unsafe (macOS), trials run on a thread
-pool instead, and no process's allocator is changed.
+Where ``fork`` is missing (Windows) or unsafe (macOS), trials run on a
+thread pool instead.
 """
 
 from __future__ import annotations
@@ -54,13 +52,6 @@ SWEEP_CSV_HEADER = "n,K,rho,tau,method,mean_err,sd_err,reps"
 #: ``fork``, and on macOS system frameworks are not fork-safe (Python
 #: spawns there by default), so both run trials on threads.
 _FORK_TRIALS = hasattr(os, "fork") and sys.platform != "darwin"
-
-#: glibc ``mallopt`` settings of each forked trial worker, as (param,
-#: value): ``M_TRIM_THRESHOLD`` (-1) keeps up to 1 GiB of freed heap
-#: rather than hand it back to the OS, and ``M_MMAP_THRESHOLD`` (-3)
-#: serves blocks of up to 32 MiB from that heap rather than from mmaps
-#: that are unmapped on free.
-_WORKER_MALLOPT = ((-1, 1 << 30), (-3, 32 << 20))
 
 
 @dataclass(frozen=True)
@@ -318,35 +309,13 @@ def _run_one(point: dict, trial: int, base_seed: int, methods: tuple[str, ...]) 
         return _Failure.of(exc)
 
 
-def _keep_freed_memory() -> None:
-    """Initializer of each forked trial worker: set :data:`_WORKER_MALLOPT`
-    through glibc's ``mallopt``, so the worker keeps the memory a trial
-    frees and the next trial reuses it instead of faulting fresh pages
-    in. Every trial allocates and frees arrays of several MB (the n x n
-    arrays of the -EQ twins, the sampler's rate rectangle, scipy's copies
-    in NNLS, ARPACK and k-means); without this, glibc returns them to the
-    OS after each trial. The memory goes back when the worker exits at
-    the end of the sweep. Where there is no ``mallopt`` (another C
-    library) nothing is set. It never raises: an initializer that raises
-    breaks the pool."""
-    try:
-        import ctypes
-
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ImportError, OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    for param, value in _WORKER_MALLOPT:
-        mallopt(param, value)
-
-
 def _trial_pool(workers: int):
-    """An executor of ``workers`` forked processes, each started by
-    :func:`_keep_freed_memory`, or of threads where :data:`_FORK_TRIALS`
-    is false. The children inherit the modules the trials would otherwise
-    import lazily, so those are loaded first. A fork-context pool forks
-    all of its workers at the first submit, before it starts its manager
-    thread, so no thread of the pool is running at a fork."""
+    """An executor of ``workers`` forked processes, or of threads where
+    :data:`_FORK_TRIALS` is false. The children inherit the modules the
+    trials would otherwise import lazily, so those are loaded first. A
+    fork-context pool forks all of its workers at the first submit,
+    before it starts its manager thread, so no thread of the pool is
+    running at a fork."""
     # imported here: the pool modules cost every process ~25 ms, and only
     # a pooled sweep needs them
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -359,9 +328,7 @@ def _trial_pool(workers: int):
     import scipy.optimize  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
 
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("fork"), initializer=_keep_freed_memory
-    )
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
@@ -371,11 +338,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     ``workers`` > 1 runs trials in up to that many worker processes,
     forked from the caller inside the sweep and joined before it
     returns or raises (threads where ``fork`` is missing or unsafe, see
-    the module docstring). Each worker keeps the memory its trials free
-    until it is joined, so later trials reuse it rather than fault it in
-    again; its peak RSS is that of its largest trial, as before. The
-    caller's allocator, which also runs the trials when ``workers`` is 1,
-    is left as it is. The workers supply all of the parallelism:
+    the module docstring). The workers supply all of the parallelism:
     every trial, in-process or pooled, runs with each loaded OpenBLAS
     set to one thread, and the caller's previous counts come back when
     the sweep returns or raises. Results are keyed and reduced by

@@ -8,11 +8,14 @@ from mmsbkit import (
     default_tau,
     normalize_rows,
     one_class_svm,
+    planted_memberships,
     population_eigenpairs,
+    sample_adjacency,
     sp_select,
     svm_cone_select,
 )
 from mmsbkit.corners import KMEANS_RESTARTS
+from mmsbkit.recovery import recover_each
 from conftest import demo_cone_setup, pure_corner_indices, three_block_setup
 from test_acceptance import _random_cone_instance
 
@@ -256,6 +259,49 @@ class TestOneClassSvmProperties:
             one_class_svm(np.eye(2))
 
 
+class TestWorkingSet:
+    @pytest.fixture
+    def nnls_widths(self, monkeypatch):
+        """The column count of every NNLS the SVM solves."""
+        import scipy.optimize
+
+        nnls, widths = scipy.optimize.nnls, []
+
+        def spy(e, f, *args, **kwargs):
+            widths.append(e.shape[1])
+            return nnls(e, f, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "nnls", spy)
+        return widths
+
+    def test_no_solve_takes_every_row_of_a_sampled_graph(self, nnls_widths):
+        # the recipe of the benchmark's cluster-dense workload
+        _, _, omega = three_block_setup(n=2000, n0=400, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=3)
+        (result,) = recover_each(sample_adjacency(omega, 3), 3, ["CRSC"])
+        assert result.corners.K == 3
+        assert nnls_widths and max(nnls_widths) < 2000
+
+    def test_rows_that_all_bind_converge_and_certify(self, nnls_widths):
+        # the hull of the unit vectors needs every row
+        sol = one_class_svm(np.eye(300))
+        assert sol.b == pytest.approx(1.0 / np.sqrt(300), abs=1e-12)
+        assert sol.support == tuple(range(300))
+        assert np.allclose(sol.weights, 1.0 / 300, atol=1e-12)
+        assert 1 < len(nnls_widths) and nnls_widths[-1] == 300
+
+    def test_duplicate_heavy_cone_rows_match_the_closed_form(self):
+        # the oracles' cone rows: n/5 copies of each generator and mixed
+        # rows between them
+        _, sc = _random_cone_instance(np.random.default_rng(7), 3)
+        pi = planted_memberships(400_000, 3, 80_000, "random-half", seed=7)
+        s = pi.weights @ sc
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        sol = one_class_svm(s)
+        assert abs(sol.b - cone_closed_form(sc).b) <= 1e-12
+        assert sol.weights.shape == (400_000,)
+        assert (s[list(sol.support)] @ sol.w - sol.b).max() <= 1e-8
+
+
 class TestConeClosedForm:
     def test_orthonormal_corners(self):
         for k in (2, 3, 5):
@@ -402,6 +448,11 @@ class TestSvmConeSelect:
         assert sorted(svm_cone_select(rows / np.linalg.norm(rows, axis=1, keepdims=True), 3, seed=9).indices) == [0, 2, 4]
         svm_cone_select(np.vstack([np.eye(3)] * 4), 3)
         assert calls == [(3, 1), (12, KMEANS_RESTARTS)]
+
+    @pytest.mark.parametrize("K", [0, 4])
+    def test_k_outside_one_to_n_is_rejected_before_the_solve(self, nnls_fails, K):
+        with pytest.raises(ValueError, match="1 <= K <= n"):
+            svm_cone_select(np.eye(3), K)
 
     def test_checks_the_unit_rows_once(self, monkeypatch):
         from mmsbkit import corners

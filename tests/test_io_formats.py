@@ -31,6 +31,7 @@ from mmsbkit import cli, io_formats, model
 from mmsbkit.cli import run_cli
 from mmsbkit.sweep import SweepConfig, SweepResult
 from conftest import three_block_setup
+from test_cli import TINY_SWEEP, generate_args
 
 
 class TestReadEdgeList:
@@ -874,6 +875,57 @@ class TestFailedWrites:
         with second_write_fails(), pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
             writer(link)
         assert link.is_symlink() and target.stat().st_size > 0
+
+
+@contextlib.contextmanager
+def write_fails_midway(suffix):
+    """A file opened for writing whose name ends in ``suffix`` takes the
+    first half of a write, flushed to disk, and then raises ``ENOSPC``."""
+    opened = Path.open
+
+    def open_failing(path, mode="r", *args, **kwargs):
+        handle = opened(path, mode, *args, **kwargs)
+        if "w" in mode and path.name.endswith(suffix):
+            write = handle.write
+
+            def write_half(data):
+                write(data[: len(data) // 2])
+                handle.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            handle.write = write_half
+        return handle
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Path, "open", open_failing)
+        yield
+
+
+class TestFailedTextWrites:
+    """The summary and the sweep table follow the writers' rule: a write
+    that raises mid-file leaves no file."""
+
+    def test_text_writer_removes_its_partial_file(self, tmp_path):
+        f = tmp_path / "out.txt"
+        with write_fails_midway(".txt"), pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            io_formats.write_text("line\n" * 40, f)
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_cluster_summary(self, tmp_path):
+        assert run_cli(["--quiet"] + generate_args(tmp_path / "net")) == 0
+        argv = ["--quiet", "cluster", "--edges", str(tmp_path / "net.edgelist"), "--k", "3", "--method", "srsc"]
+        with write_fails_midway("summary.json"):
+            assert run_cli(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_DATA
+        assert (tmp_path / "run.srsc.pihat.csv").exists()
+        assert not (tmp_path / "run.srsc.summary.json").exists()
+
+    def test_sweep_table(self, tmp_path):
+        config, out = tmp_path / "sweep.json", tmp_path / "table.csv"
+        config.write_text(json.dumps(TINY_SWEEP))
+        with write_fails_midway("table.csv"):
+            code = run_cli(["--quiet", "sweep", "--config", str(config), "--out", str(out), "--workers", "1"])
+        assert code == cli.EXIT_DATA
+        assert not out.exists()
 
 
 class TestMemberships:

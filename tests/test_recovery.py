@@ -104,6 +104,14 @@ class TestIdealPipelines:
             result = fn(omega, k)
             assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
 
+    def test_cone_oracle_at_a_hundred_thousand_nodes(self):
+        # n/5 identical pure rows per community; the SVM solves on a
+        # working set of them
+        pi = planted_memberships(100_000, 3, 20_000, "random-half", seed=1)
+        omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 0.8, 0.1), rho=0.05))
+        result = ideal_crsc(omega, 3)
+        assert mixed_hamming_error(result.pi_hat, pi).per_node.max() <= 1e-8
+
     def test_zero_k_is_rejected_before_the_rank_check(self):
         _, _, omega = three_block_setup(n=60, n0=12)
         for fn in (ideal_srsc, ideal_crsc):

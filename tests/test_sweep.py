@@ -1,11 +1,9 @@
-import ctypes
 import json
 import multiprocessing
 import os
 import uuid
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -510,49 +508,3 @@ class TestTrialProcesses:
         threaded = run_sweep(config, workers=2)
         assert pids() == [os.getpid()] * 3
         assert threaded == forked
-
-
-class TestWorkerAllocator:
-    def test_initializer_keeps_freed_memory_through_mallopt(self, monkeypatch):
-        calls = []
-
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
-        sweep_module._keep_freed_memory()
-        # M_TRIM_THRESHOLD to 1 GiB, then M_MMAP_THRESHOLD to 32 MiB
-        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
-
-    @pytest.mark.parametrize("failure", [None, OSError("no C library")], ids=["no-mallopt", "no-libc"])
-    def test_initializer_is_a_no_op_without_mallopt(self, monkeypatch, failure):
-        def cdll(name):
-            if failure is not None:
-                raise failure
-            return SimpleNamespace()
-
-        monkeypatch.setattr(ctypes, "CDLL", cdll)
-        assert sweep_module._keep_freed_memory() is None
-
-    @pytest.mark.skipif(not sweep_module._FORK_TRIALS, reason="trials run on threads here")
-    def test_each_pool_worker_runs_the_initializer(self, monkeypatch, tmp_path):
-        keep_freed_memory = sweep_module._keep_freed_memory
-
-        def spy():
-            (tmp_path / f"{os.getpid()}.init").touch()
-            keep_freed_memory()
-
-        monkeypatch.setattr(sweep_module, "_keep_freed_memory", spy)
-        with sweep_module._trial_pool(2) as pool:
-            pids = {pool.submit(os.getpid).result() for _ in range(4)}
-        assert os.getpid() not in pids
-        assert {int(path.stem) for path in tmp_path.glob("*.init")} >= pids
-
-    @pytest.mark.parametrize("workers, fork", [(1, True), (2, False)], ids=["in-process", "thread-pool"])
-    def test_caller_allocator_is_left_alone(self, monkeypatch, workers, fork):
-        calls = []
-        monkeypatch.setattr(sweep_module, "_keep_freed_memory", lambda: calls.append(os.getpid()))
-        monkeypatch.setattr(sweep_module, "_FORK_TRIALS", fork)
-        assert run_sweep(tiny_config(), workers=workers).rows
-        assert calls == []
