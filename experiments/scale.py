@@ -1,5 +1,6 @@
 """Scale run: ``mmsbkit generate``, then ``mmsbkit cluster`` with SRSC and
-CRSC, each command in a fresh process, at n = 10^5 and 10^6.
+CRSC, each command in a fresh process, at n = 10^5 (dense and sparse) and
+10^6.
 
     python3 experiments/scale.py [--point N,RHO ...] [--work DIR]
 
@@ -28,8 +29,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-#: (n, rho) of the default points; 10^6 at rho 5e-5 has about 8.45M edges.
-POINTS = ((100_000, 2e-3), (1_000_000, 5e-5))
+#: (n, rho) of the default points; 10^6 at rho 5e-5 has about 8.45M edges,
+#: and 10^5 at rho 1e-4 (mean degree about 3.4) has thousands of
+#: isolated nodes.
+POINTS = ((100_000, 2e-3), (100_000, 1e-4), (1_000_000, 5e-5))
 SEED = 1
 #: Stages of ``generate`` that the recorder's targets miss, timed by this
 #: script itself: the writer's span, and the ``next`` calls of the

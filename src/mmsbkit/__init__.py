@@ -39,7 +39,6 @@ from .spectral import (
     SpectralBasis,
     default_tau,
     leading_eigenpairs,
-    normalize_rows,
     population_eigenpairs,
     regularized_laplacian,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "mixed_hamming_error",
     "negative_eig_block",
     "network_stats",
-    "normalize_rows",
     "one_class_svm",
     "planted_memberships",
     "population_eigenpairs",

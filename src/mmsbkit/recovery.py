@@ -6,11 +6,13 @@ rows, and reconstruct memberships. The methods differ only in the
 geometry that picks C. ``srsc`` runs successive projection on the
 degree-scaled rows ``Dtau^{1/2} V``, which form a simplex; ``crsc`` runs
 the SVM cone selection on the row-normalized ``N V``, which form a cone.
+Both see only the live rows, of norm above ``spectral.ZERO_ROW_TOL``.
 Given C, every method reconstructs ``Z = V V_C^{-1} D_C^{-1/2}`` (the
-cone's ``N_C`` rescale cancels), clips it at zero and l1-normalizes its
-rows. The two ``*_equivalence`` variants run the same geometry on the
-n x n projector ``V @ V.T`` instead of ``V`` and must reproduce the plain
-variants exactly; they exist as an independent route for cross-checking.
+cone's ``N_C`` rescale cancels) on them, clips it at zero and
+l1-normalizes its rows; the other nodes get the uniform row. The two
+``*_equivalence`` variants run the same geometry on the n x n projector
+``V @ V.T`` instead of ``V`` and must reproduce the plain variants
+exactly; they exist as an independent route for cross-checking.
 The two ``ideal_*`` functions run the plain pipelines on the expected
 adjacency instead of a sampled graph and recover the planted memberships
 exactly (up to column order).
@@ -41,7 +43,6 @@ from .spectral import (
     SpectralBasis,
     default_tau,
     leading_eigenpairs,
-    normalize_rows,
     population_eigenpairs,
     regularized_laplacian,
 )
@@ -159,25 +160,31 @@ def recover_from_basis(
     picks the corner set C (simplex: successive projection on the
     ``sqrt(dtau)``-scaled rows; cone: the SVM cone selection on the unit
     rows). Every method then reconstructs ``Z = rows @ pinv(rows_C) /
-    sqrt(dtau_C)``. A node whose row of ``V`` has norm at most
-    ``ZERO_ROW_TOL`` (isolated, or off the giant component, where the row
-    is rounding noise) gets a zero reconstruction row, hence the uniform
-    fallback.
+    sqrt(dtau_C)``. Both stages see only the live rows, of nodes whose
+    row of ``V`` has norm above ``ZERO_ROW_TOL``: a node at or below it
+    (isolated, or off the giant component, where the row is rounding
+    noise) is never a corner and keeps a zero reconstruction row, hence
+    the uniform fallback. ``corners`` index all n nodes.
     """
     if method not in EMPIRICAL_METHODS:
         raise ValueError(f"unknown method {method!r}")
-    v = basis.vectors
-    rows = basis.projector if method.endswith("-EQ") else v
+    # V has K orthonormal columns, so at least K of its rows are live
+    live = np.flatnonzero(np.linalg.norm(basis.vectors, axis=1) > ZERO_ROW_TOL)
+    rows = basis.projector if method.endswith("-EQ") else basis.vectors
     root_d = np.sqrt(dtau)
+    if live.size < basis.n:
+        rows, root_d = rows[live], root_d[live]
     with stage("corners"):
         if method.startswith("SRSC"):
-            corners = sp_select(root_d[:, None] * rows, basis.K)
+            found = sp_select(root_d[:, None] * rows, basis.K)
         else:
-            corners = svm_cone_select(normalize_rows(rows)[0], basis.K, seed=corner_seed)
-    idx = list(corners.indices)
+            unit = rows * (1.0 / np.linalg.norm(rows, axis=1))[:, None]
+            found = svm_cone_select(unit, basis.K, seed=corner_seed)
+    idx = list(found.indices)
+    corners = replace(found, indices=live[idx])
     with stage("reconstruct"):
-        z = _solve_right_inverse(rows, rows[idx]) / root_d[idx]
-        z[np.linalg.norm(v, axis=1) <= ZERO_ROW_TOL] = 0.0
+        z = np.zeros((basis.n, basis.K))
+        z[live] = _solve_right_inverse(rows, rows[idx]) / root_d[idx]
         pi_hat, z_final, clipped, fallback = _memberships_from_z(z)
     return RecoveryResult(
         pi_hat=pi_hat,

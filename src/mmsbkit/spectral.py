@@ -34,8 +34,8 @@ ZERO_ROW_TOL = 1e-14
 TIE_TOL = 1e-12
 LANCZOS_SEED = 0
 # The stages of the cut certificate as (tol, ncv): a short screen, then
-# ARPACK's default basis size (ncv None) at two tighter tolerances.
-DEFLATION_STAGES = ((0.1, 6), (1e-2, None), (1e-4, None))
+# ARPACK's default basis size (ncv None) at three tighter tolerances.
+DEFLATION_STAGES = ((0.1, 6), (1e-2, None), (1e-4, None), (1e-6, None))
 #: Most entries of a sampled graph's Laplacian computed at once, beyond
 #: the one row that may exceed it.
 LAPLACIAN_CHUNK = 1 << 16
@@ -241,7 +241,7 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     component has eigenvalue 1). The certificate runs the stages of
     ``DEFLATION_STAGES``: a screen to 0.1 relative on a 6-vector basis
     clears a cut with a wide gap, and a cut it cannot clear is measured
-    to 1e-2 and then to 1e-4, each stage started from the last one's
+    to 1e-2, 1e-4 and then 1e-6, each stage started from the last one's
     Ritz vector. If what is left reaches the K-th magnitude at every
     stage, or the runs fail, the dense decomposition is used instead, as
     for any K above the rank. A Laplacian whose n x n dense form (8 n^2
@@ -296,7 +296,7 @@ def _lanczos_pairs(op: sp.csr_matrix, K: int) -> tuple[np.ndarray, np.ndarray] |
     is slow, so the run is sized to the gap by the ``(tol, ncv)`` stages
     of ``DEFLATION_STAGES``: a 0.1 screen on 6 Lanczos vectors clears a
     wide gap in a few matvecs, and a cut it cannot clear is measured to
-    1e-2 and then to 1e-4 on ARPACK's default basis. Each later stage
+    1e-2, 1e-4 and then 1e-6 on ARPACK's default basis. Each later stage
     starts from the Ritz vector of the stage before, so it keeps what that
     stage found, and every stage draws the same restart vectors. A stage
     clears the cut when its Ritz value, grown by its tolerance, stays
@@ -373,18 +373,3 @@ def _leading_positions(vals: np.ndarray, K: int) -> list[int]:
         start = end
     return taken[:K]
 
-
-def normalize_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row to unit Euclidean norm.
-
-    Returns the normalized matrix and the scaling factors ``1/||row||``.
-    A (numerically) zero row aborts with :class:`NumericalError`; for
-    eigenvector inputs that is the symptom of an isolated node.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(m, axis=1)
-    if norms.min() <= ZERO_ROW_TOL:
-        bad = int(norms.argmin())
-        raise NumericalError(f"row {bad} has numerically zero norm ({norms[bad]:.3e})")
-    factors = 1.0 / norms
-    return m * factors[:, None], factors

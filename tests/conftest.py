@@ -130,3 +130,9 @@ def pure_corner_indices(pi) -> list[int]:
         pure_k = np.nonzero((pi.weights[:, k] >= 1.0 - 1e-12))[0]
         out.append(int(pure_k[0]))
     return out
+
+
+def unit_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of ``m`` scaled to unit length, as the cone route scales
+    its live rows."""
+    return m * (1.0 / np.linalg.norm(m, axis=1))[:, None]

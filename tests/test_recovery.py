@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmsbkit
 
@@ -32,10 +33,10 @@ from mmsbkit import (
 from mmsbkit import spectral
 from mmsbkit._blas import one_blas_thread
 from mmsbkit.corners import sp_select, svm_cone_select
-from mmsbkit.recovery import CLIP_TOL, RecoveryResult, _memberships_from_z, _solve_right_inverse, recover_each, run_methods
-from mmsbkit.spectral import ZERO_ROW_TOL, SpectralBasis, normalize_rows
+from mmsbkit.recovery import CLIP_TOL, EMPIRICAL_METHODS, RecoveryResult, _memberships_from_z, _solve_right_inverse, recover_each, run_methods
+from mmsbkit.spectral import ZERO_ROW_TOL, SpectralBasis
 from mmsbkit.sweep import STREAM_SPLIT, diag_off_block
-from conftest import three_block_setup
+from conftest import three_block_setup, unit_rows
 
 
 def align_columns(pi_ref, corners_result):
@@ -331,8 +332,6 @@ class TestEquivalences:
         # the K x K Gram of the corner rows is the same whether corners are
         # read from the scaled eigenvectors or from the scaled projector
         _, _, omega = three_block_setup(n=150, n0=30)
-        from mmsbkit.spectral import normalize_rows
-
         for seed in range(3):
             g = sample_adjacency(omega, seed)
             lap = regularized_laplacian(g, default_tau(150))
@@ -346,8 +345,8 @@ class TestEquivalences:
             assert np.abs(narrow @ narrow.T - wide @ wide.T).max() <= 1e-10
 
             idx = list(crsc(g, 3).corners.indices)
-            narrow = normalize_rows(v)[0][idx]
-            wide = normalize_rows(v @ v.T)[0][idx]
+            narrow = unit_rows(v)[idx]
+            wide = unit_rows(v @ v.T)[idx]
             assert np.abs(narrow @ narrow.T - wide @ wide.T).max() <= 1e-10
 
 
@@ -363,7 +362,8 @@ def per_geometry_recovery(basis, lap, method):
         points = root_d[:, None] * rows
         corners = sp_select(points, basis.K)
     else:
-        points, factors = normalize_rows(rows)
+        factors = 1.0 / np.linalg.norm(rows, axis=1)
+        points = rows * factors[:, None]
         corners = svm_cone_select(points, basis.K)
     idx = list(corners.indices)
     z = _solve_right_inverse(rows, points[idx])
@@ -414,6 +414,54 @@ class TestSignFlipInvariance:
                 assert np.abs(out.pi_hat.weights - ref.pi_hat.weights).max() <= 1e-10
 
 
+class TestGraphsWithIsolatedNodes:
+    """Properties of every method on small three-block graphs with a few
+    isolated nodes, drawn by hypothesis (derandomized, so every run draws
+    the same examples)."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(12, 40),
+        isolated=st.integers(1, 4),
+        K=st.sampled_from([1, 2, 3]),
+        tau_scale=st.sampled_from([1.0, 10.0]),
+        flip=st.integers(0, 2),
+    )
+    def test_every_method_falls_back_on_dead_rows_only(self, seed, n, isolated, K, tau_scale, flip):
+        rng = np.random.default_rng(seed)
+        block = rng.integers(0, 3, n)
+        upper = np.triu(rng.random((n, n)) < np.where(block[:, None] == block, 0.7, 0.1), 1)
+        alone = rng.choice(n, isolated, replace=False)
+        upper[alone, :] = upper[:, alone] = False
+        graph = Graph.from_edges(n, np.argwhere(upper))
+        tau = tau_scale * default_tau(n)
+        results = recover_each(graph, K, list(EMPIRICAL_METHODS), tau)
+        for plain, twin in (results[0], results[2]), (results[1], results[3]):
+            if isinstance(plain, Exception) or isinstance(twin, Exception):
+                assert (type(plain), plain.stage) == (type(twin), twin.stage) == (NumericalError, "corners")
+                continue
+            assert plain.corners.indices == twin.corners.indices
+            assert np.abs(plain.pi_hat.weights - twin.pi_hat.weights).max() <= 1e-10
+        with pytest.raises(NumericalError, match="zero regularized degree") as failure:
+            recover_each(graph, K, ["SRSC"], 0.0)
+        assert failure.value.stage == "laplacian"
+        results = [r for r in results if not isinstance(r, Exception)]
+        if not results:
+            return
+        basis, dtau = results[0].basis, graph.degrees() + tau
+        dead = np.linalg.norm(basis.vectors, axis=1) <= ZERO_ROW_TOL
+        assert dead[alone].all()
+        flipped = SpectralBasis(basis.eigenvalues, basis.vectors * np.where(np.arange(K) == flip % K, -1.0, 1.0))
+        for result in results:
+            weights = result.pi_hat.weights
+            assert weights.min() >= 0.0 and np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-12
+            assert (weights[dead] == 1.0 / K).all()
+            assert not dead[list(result.corners.indices)].any()
+            out = recover_from_basis(flipped, dtau, result.method, tau=tau)
+            assert np.abs(out.pi_hat.weights - weights).max() <= 1e-10
+
+
 class TestReconstructionHelpers:
     def test_clipping_counts_rows_and_falls_back_to_uniform(self):
         z = np.array([[-1.0, -2.0], [0.5, -0.1], [1.0, 1.0]])
@@ -455,15 +503,21 @@ class TestReconstructionHelpers:
         with pytest.raises(ValueError):
             srsc(small_graph, 0)
 
-    def test_crsc_rejects_isolated_node(self):
-        # an isolated node has a zero row in the leading eigenvectors,
-        # which the cone route cannot normalize
+    def test_isolated_node_falls_back_in_every_method(self):
+        # an isolated node has a zero row in the leading eigenvectors: no
+        # geometry sees it, and it gets the uniform row
         pairs = np.array([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]])
         g = Graph.from_edges(7, pairs)  # node 6 is isolated
-        with pytest.raises(NumericalError, match="zero norm"):
-            crsc(g, 2, tau=0.5)
+        results = run_methods(g, 2, ["SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"], tau=0.5)
+        for result in results:
+            assert 6 not in result.corners.indices
+            np.testing.assert_array_equal(result.pi_hat.weights[6], 0.5)
+            assert result.fallback_rows == 1
+        for plain, twin in (results[0], results[2]), (results[1], results[3]):
+            assert plain.corners.indices == twin.corners.indices
+            assert np.abs(plain.pi_hat.weights - twin.pi_hat.weights).max() <= 1e-10
 
-    @pytest.mark.parametrize("method", ["SRSC", "SRSC-EQ"])
+    @pytest.mark.parametrize("method", ["SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"])
     def test_near_zero_eigenvector_rows_fall_back_to_uniform(self, monkeypatch, method):
         # sweep recipe at rho=0.01 (trial seed 9): nodes off the giant
         # component have eigenvector rows of rounding size, which change

@@ -18,7 +18,6 @@ from mmsbkit import (
     leading_eigenpairs,
     mixed_hamming_error,
     negative_eig_block,
-    normalize_rows,
     planted_memberships,
     population_eigenpairs,
     regularized_laplacian,
@@ -235,30 +234,6 @@ class TestScaleRowsByDegree:
         assert np.abs(scaled - pi.weights @ scaled[corners]).max() <= 1e-8
 
 
-class TestNormalizeRows:
-    def test_unit_rows_unchanged(self):
-        m = np.eye(3)
-        out, factors = normalize_rows(m)
-        assert np.array_equal(out, m)
-        assert np.array_equal(factors, np.ones(3))
-
-    def test_three_four_five(self):
-        out, factors = normalize_rows(np.array([[3.0, 4.0]]))
-        assert np.allclose(out, [[0.6, 0.8]])
-        assert factors[0] == pytest.approx(0.2)
-
-    def test_zero_row_raises(self):
-        with pytest.raises(NumericalError, match="zero norm"):
-            normalize_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-    def test_equal_membership_rows_coincide(self):
-        pi, _, omega = three_block_setup(n=90, n0=18)
-        _, basis = population_eigenpairs(omega, 3, default_tau(90))
-        normalized, _ = normalize_rows(basis.vectors)
-        # rows 0 and 1 are pure members of the same community
-        assert np.abs(normalized[0] - normalized[1]).max() <= 1e-10
-
-
 class TestSampledSpectrumSweep:
     def test_bound_across_taus_and_seeds(self):
         _, _, omega = three_block_setup(n=80, n0=16, rho=0.8)
@@ -380,9 +355,9 @@ class TestSparseSolverMatchesDense:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_near_tie_at_cut_matches_dense(self, sign):
-        # the 3rd and 4th magnitudes are 1e-5 apart relative: a tie the
-        # deflation run cannot resolve (its last stage goes to 1e-4) but
-        # the ranking still sees (TIE_TOL); either sign of the pair may lead
+        # the 3rd and 4th magnitudes are 1e-5 apart relative: a tie that
+        # only the deflation run's 1e-6 stage resolves, and that the
+        # ranking still sees (TIE_TOL); either sign of the pair may lead
         lap = self.rotated_spectrum(sign * 1e-5)
         assert_matches_dense(lap, 3)
         expected = 0.5 if sign > 0 else -0.5 * (1.0 + 1e-5)
@@ -453,18 +428,26 @@ class TestSparseSolverMatchesDense:
     @pytest.mark.parametrize("gap", [1e-3, 1e-5])
     def test_near_tie_reaches_the_fine_stage_and_matches_dense(self, eigsh_runs, gap):
         # a relative gap of 1e-3 at the cut is below what the screen and
-        # the 1e-2 stage resolve; the 1e-4 stage clears it, and 1e-5 falls
-        # back to dense
+        # the 1e-2 stage resolve, and the 1e-4 stage clears it; a gap of
+        # 1e-5 needs the 1e-6 stage
         lap = self.rotated_spectrum(gap)
         assert_matches_dense(lap, 3)
-        assert [run["tol"] for run in eigsh_runs] == [0, 0.1, 1e-2, 1e-4]
-        assert (spectral._lanczos_pairs(lap.operator, 3) is None) == (gap < 1e-4)
+        fine = [1e-4] if gap >= 1e-4 else [1e-4, 1e-6]
+        assert [run["tol"] for run in eigsh_runs] == [0, 0.1, 1e-2, *fine]
+        assert spectral._lanczos_pairs(lap.operator, 3) is not None
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9])
+    def test_gap_below_the_last_stage_falls_back_to_dense(self, eigsh_runs, gap):
+        lap = self.rotated_spectrum(gap)
+        assert spectral._lanczos_pairs(lap.operator, 3) is None
+        assert [run["tol"] for run in eigsh_runs] == [0, 0.1, 1e-2, 1e-4, 1e-6]
+        assert_matches_dense(lap, 3)
 
     def test_each_stage_starts_from_the_last_ritz_vector(self, eigsh_runs):
-        lap = self.rotated_spectrum(1e-5)
+        lap = self.rotated_spectrum(1e-7)
         assert spectral._lanczos_pairs(lap.operator, 3) is None
         main, *stages = eigsh_runs
-        assert [run["ncv"] for run in stages] == [6, None, None]
+        assert [run["ncv"] for run in stages] == [6, None, None, None]
         assert not np.array_equal(stages[0]["v0"], main["v0"])
         for before, after in zip(stages, stages[1:]):
             _, ritz = before["result"]
