@@ -12,8 +12,10 @@ command runs in its own interpreter, on the package in this checkout's
 (``benchmarks/spans.py``, imported as it stands) installed, and reports
 its wall time, its peak RSS (``ru_maxrss``, the whole process) and the
 self time of each traced stage. The output is one markdown table, a row
-per command. An n = 10^6 point takes about a minute and a half on a
-2-core VM; ``cluster`` peaks near 0.53 GB, ``generate`` near 0.17 GB.
+per command, labelled by its point; ``--work DIR`` keeps each point's
+graph and outputs as ``DIR/scale-N-RHO.*``. An n = 10^6 point takes
+about a minute and a half on a 2-core VM; ``cluster`` peaks near
+0.53 GB, ``generate`` near 0.17 GB.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class _TimedBlocks:
             yield block
 
 
-def _row(n: int, command: str, report: dict) -> str:
+def _row(n: int, rho: float, command: str, report: dict) -> str:
     stages = {k[:-2]: v for k, v in report["stages"].items() if k.endswith(".s")}
     top = sorted(stages.items(), key=lambda kv: -kv[1])
     shown = [f"{name} {s:.2f}" for name, s in top[:SHOWN]]
@@ -114,7 +116,7 @@ def _row(n: int, command: str, report: dict) -> str:
         shown.append(f"rest {sum(s for _, s in top[SHOWN:]):.2f}")
     edges = report["stages"].get("io_formats.read_edge_list.edges")
     return (
-        f"| {n:,} | {command} | {'' if edges is None else f'{int(edges):,}'} "
+        f"| {n:,}, {rho:g} | {command} | {'' if edges is None else f'{int(edges):,}'} "
         f"| {report['wall_s']:.2f} | {report['peak_rss_mb']:.1f} | {'; '.join(shown)} |"
     )
 
@@ -135,10 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         work = args.work or Path(scratch)
         work.mkdir(parents=True, exist_ok=True)
-        print("| n | command | edges | wall s | peak RSS MB | self time of the longest stages, s |")
+        print("| n, rho | command | edges | wall s | peak RSS MB | self time of the longest stages, s |")
         print("| --- | --- | --- | --- | --- | --- |")
         for n, rho in points:
-            prefix = work / f"scale-{n}"
+            prefix = work / f"scale-{n}-{rho:g}"
             for command in ("generate", "cluster"):
                 proc = subprocess.run(
                     [sys.executable, __file__, "--one", command, str(n), repr(rho), str(prefix)],
@@ -146,9 +148,9 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 if proc.returncode != 0:
                     sys.stderr.write(proc.stderr)
-                    print(f"{command} at n={n} exited with {proc.returncode}", file=sys.stderr)
+                    print(f"{command} at n={n}, rho={rho:g} exited with {proc.returncode}", file=sys.stderr)
                     return 1
-                print(_row(n, command, json.loads(proc.stdout.splitlines()[-1])), flush=True)
+                print(_row(n, rho, command, json.loads(proc.stdout.splitlines()[-1])), flush=True)
     return 0
 
 

@@ -45,10 +45,9 @@ MARGIN_STEP = 0.05
 MARGIN_MAX_STEPS = 40
 
 KMEANS_RESTARTS = 10
-#: Squared row norms (relative) and squared distances of unit rows that
-#: are within this much of each other tie, and the lowest index is
-#: picked: such rows differ only by rounding, which changes with the
-#: basis and between the ``-EQ`` twins.
+#: Cluster members whose squared distance to the centre is within this
+#: much of the smallest tie, and the lowest index is picked: equidistant
+#: rows differ only by rounding, which changes with the basis.
 CORNER_TIE_TOL = 1e-12
 
 
@@ -111,8 +110,7 @@ def sp_select(matrix: np.ndarray, K: int) -> CornerSet:
     each pick. The picked row's residual is always recomputed, with two
     Gram-Schmidt passes, and that value carries the rank check.
 
-    Squared norms within ``CORNER_TIE_TOL`` of the largest, relative to
-    it, tie, and the lowest index wins. Raises
+    Ties on the row norm resolve to the lowest index. Raises
     :class:`NumericalError` when the residual is numerically zero before
     K picks (the input has rank below K).
     """
@@ -138,7 +136,7 @@ def sp_select(matrix: np.ndarray, K: int) -> CornerSet:
                 residual = m - np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", m, q), q)
                 sq = np.einsum("ij,ij->i", residual, residual)
                 sq[picks] = -np.inf
-        pick = int(np.flatnonzero(sq >= sq.max() * (1.0 - CORNER_TIE_TOL))[0])
+        pick = int(sq.argmax())  # argmax returns the first max: lowest index on ties
         v = m[pick].copy()
         for _ in range(2):
             v -= q.T @ (q @ v)
@@ -245,34 +243,6 @@ def cone_closed_form(corner_rows: np.ndarray) -> SvmSolution:
     return SvmSolution(w=w, b=b, weights=y / total, support=tuple(range(k)))
 
 
-def _kmeans(points: np.ndarray, K: int, restarts: int, rng: np.random.Generator) -> np.ndarray | None:
-    """The least-distortion codebook of ``restarts`` ``kmeans`` runs, the
-    first on a tie, or ``None`` when fewer than K rows are apart. Each
-    run starts from K rows drawn as ``kmeans`` draws them; a draw with two
-    rows within ``CORNER_TIE_TOL``, which rounding alone would share the
-    rows out between, gives way to the first K rows apart in index order."""
-    from scipy.cluster.vq import kmeans
-
-    if K == 1:  # a one-row start of width 1 would read as a count
-        return kmeans(points, 1, iter=restarts, rng=rng)[0]
-    apart, rest = [], np.arange(points.shape[0])
-    while len(apart) < K and rest.size:
-        apart.append(rest[0])
-        rest = rest[((points[rest] - points[rest[0]]) ** 2).sum(axis=1) > CORNER_TIE_TOL]
-    if len(apart) < K:
-        return None
-    best, least = None, np.inf
-    for _ in range(restarts):
-        start = rng.choice(points.shape[0], size=K, replace=False)
-        gaps = ((points[start, None] - points[None, start]) ** 2).sum(axis=2)
-        if gaps[np.triu_indices(K, 1)].min() <= CORNER_TIE_TOL:
-            start = apart
-        centers, distortion = kmeans(points, points[start])
-        if distortion < least - np.sqrt(CORNER_TIE_TOL):
-            best, least = centers, distortion
-    return best
-
-
 def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     """Pick K generator rows of a cone-shaped unit-row matrix.
 
@@ -280,19 +250,19 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
     grows a margin ``gamma`` from 0 in steps of ``MARGIN_STEP * b`` until
     the rows within ``b + gamma`` of the hyperplane split into K
     non-empty clusters; the row nearest each cluster center is returned.
-    :func:`_kmeans` keeps the best of ``KMEANS_RESTARTS`` runs started
-    from rows drawn with ``seed``, and ``vq`` assigns the rows. With
-    exactly K rows it runs once: every run would start from the same rows
-    and reach distortion 0, and the first is kept anyway. Fewer than K
-    rows apart, a codebook short of K centers or an empty cluster moves
-    on to the next margin step. Rows within ``CORNER_TIE_TOL`` of the nearest
+    ``scipy.cluster.vq.kmeans`` keeps the best of ``KMEANS_RESTARTS``
+    runs started from rows drawn with ``seed``, and ``vq`` assigns the
+    rows. With exactly K rows it runs once: every run would start from
+    the same rows and reach distortion 0, and the first is kept anyway.
+    A codebook short of K centers or an empty cluster moves on to the
+    next margin step. Rows within ``CORNER_TIE_TOL`` of the nearest
     squared distance to a center tie, and the lowest index wins. A K
     outside 1..n raises ``ValueError`` before the SVM runs. Raises
     :class:`NumericalError` when the margin schedule is exhausted without
     finding K clusters.
     """
     # ~0.03 s once scipy.optimize is loaded; only the cone methods need it
-    from scipy.cluster.vq import vq
+    from scipy.cluster.vq import kmeans, vq
 
     s = np.asarray(s, dtype=np.float64)
     n = s.shape[0] if s.ndim else 0
@@ -310,8 +280,9 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
             continue
         points = s[candidates]
         rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        centers = _kmeans(points, K, 1 if candidates.size == K else KMEANS_RESTARTS, rng)
-        if centers is None or centers.shape[0] < K:
+        restarts = 1 if candidates.size == K else KMEANS_RESTARTS
+        centers, _ = kmeans(points, K, iter=restarts, rng=rng)
+        if centers.shape[0] < K:
             continue
         labels, _ = vq(points, centers)
         if (np.bincount(labels, minlength=K) == 0).any():
@@ -322,7 +293,8 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
             offsets = ((points[members] - centers[j]) ** 2).sum(axis=1)
             nearest = members[offsets <= offsets.min() + CORNER_TIE_TOL][0]
             picks.append(int(candidates[nearest]))
-        return CornerSet(indices=tuple(picks), method="svm-cone")  # clusters are disjoint
+        if len(set(picks)) == K:
+            return CornerSet(indices=tuple(picks), method="svm-cone")
     raise NumericalError(
         f"margin schedule exhausted without K={K} distinct clusters; "
         "K may be too large for this geometry"

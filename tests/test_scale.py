@@ -14,12 +14,12 @@ def test_scale_script_reports_generate_and_cluster(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in proc.stdout.splitlines() if line.startswith("| 2,000 |")]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in proc.stdout.splitlines() if line.startswith("| 2,000, 0.05 |")]
     assert [row[1] for row in rows] == ["generate", "cluster"]
     generate, cluster = rows
     assert "model.sample_edge_blocks" in generate[5] and "io_formats.read_edge_list" in cluster[5]
-    edges = sum(1 for line in (tmp_path / "scale-2000.edgelist").read_text().splitlines() if not line.startswith("#"))
+    edges = sum(1 for line in (tmp_path / "scale-2000-0.05.edgelist").read_text().splitlines() if not line.startswith("#"))
     assert int(cluster[2].replace(",", "")) == edges > 0
     assert all(float(row[3]) > 0 and float(row[4]) > 0 for row in rows)
     for method in ("srsc", "crsc"):
-        assert (tmp_path / f"scale-2000.{method}.pihat.csv").is_file()
+        assert (tmp_path / f"scale-2000-0.05.{method}.pihat.csv").is_file()
