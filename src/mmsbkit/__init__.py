@@ -35,7 +35,6 @@ from .recovery import (
     srsc_equivalence,
 )
 from .spectral import (
-    RegularizedLaplacian,
     SpectralBasis,
     default_tau,
     leading_eigenpairs,
@@ -67,7 +66,6 @@ __all__ = [
     "PopulationMatrix",
     "PROFILES",
     "RecoveryResult",
-    "RegularizedLaplacian",
     "SpectralBasis",
     "SvmSolution",
     "SweepConfig",

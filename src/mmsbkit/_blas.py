@@ -39,10 +39,7 @@ def openblas_thread_controls() -> list[tuple]:
 
     controls = []
     for module_name in ("numpy._core._multiarray_umath", "scipy.linalg._fblas"):
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module_name).__file__)
-        except ImportError:  # numpy < 2 has no numpy._core: its BLAS is left as set
-            continue
+        lib = ctypes.CDLL(importlib.import_module(module_name).__file__)
         for name in OPENBLAS_THREAD_SYMBOLS:
             get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
             if get is not None and put is not None:

@@ -97,10 +97,11 @@ def network_stats(graph: Graph, pi: MembershipMatrix | None = None) -> NetworkSt
 
 def laplacian_concentration(graph: Graph, omega: PopulationMatrix, tau: float) -> float:
     """Spectral norm of the difference between the sampled and expected
-    regularized Laplacians, both dense, via a symmetric eigendecomposition."""
+    regularized Laplacians, both dense (the sampled CSR Laplacian through
+    ``toarray``), via a symmetric eigendecomposition."""
     if graph.n != omega.n:
         raise ValueError(f"graph has {graph.n} nodes but the expected adjacency has {omega.n}")
-    sampled = regularized_laplacian(graph, tau).matrix
+    sampled = regularized_laplacian(graph, tau)[1].toarray()
     scale = 1.0 / np.sqrt(_regularized_degrees(omega.degrees(), tau))
     expected = scale[:, None] * omega.matrix * scale[None, :]
     eigenvalues = np.linalg.eigvalsh(sampled - (expected + expected.T) / 2.0)

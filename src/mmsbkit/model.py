@@ -327,8 +327,8 @@ class Graph:
     matrix, validates it as symmetric, 0/1 and loop-free, and copies its
     pattern, so the caller's matrix stays as it was. ``adjacency`` builds
     the float64 0/1 CSR matrix on each access, frozen and over the
-    pattern's own index arrays, as ``RegularizedLaplacian.matrix`` builds
-    its dense form.
+    pattern's own index arrays, as the Laplacian of
+    :func:`spectral.regularized_laplacian` is.
     """
 
     indptr: np.ndarray = field(repr=False)  # (n + 1,) row starts

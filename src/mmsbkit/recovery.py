@@ -39,7 +39,6 @@ from .exceptions import MmsbkitError, NumericalError
 from .model import RANK_SV_TOL, Graph, MembershipMatrix, PopulationMatrix, _readonly
 from .spectral import (
     ZERO_ROW_TOL,
-    RegularizedLaplacian,
     SpectralBasis,
     default_tau,
     leading_eigenpairs,
@@ -215,29 +214,26 @@ def recover_each(
     cone methods. The run holds each loaded OpenBLAS to one thread, so on
     OpenBLAS builds the results do not depend on the BLAS thread setting.
     """
-    with one_blas_thread():
-        lap, basis = _laplacian_basis(graph, K, tau)
-        return [_recover_or_error(basis, lap, m, corner_seed) for m in methods]
-
-
-def _laplacian_basis(graph: Graph, K: int, tau: float | None) -> tuple[RegularizedLaplacian, SpectralBasis]:
-    """The ``laplacian`` and ``eigensolve`` stages, ``tau`` defaulting to
-    ``0.1 * ln(n)``."""
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
-    resolved = default_tau(graph.n) if tau is None else float(tau)
-    with stage("laplacian"):
-        lap = regularized_laplacian(graph, resolved)
-    with stage("eigensolve"):
-        return lap, leading_eigenpairs(lap, K)
+    tau = default_tau(graph.n) if tau is None else float(tau)
+    with one_blas_thread():
+        with stage("laplacian"):
+            dtau, lap = regularized_laplacian(graph, tau)
+        with stage("eigensolve"):
+            basis = leading_eigenpairs(lap, K)
+        # lap lives until the methods return: freed before them, glibc's
+        # malloc hands its pages back, and a process that clusters again
+        # faults them in anew (about 2.7k faults a call at n=2000)
+        return [_recover_or_error(basis, dtau, tau, m, corner_seed) for m in methods]
 
 
-def _recover_or_error(basis, lap, method: str, corner_seed: int) -> RecoveryResult | Exception:
+def _recover_or_error(basis, dtau, tau: float, method: str, corner_seed: int) -> RecoveryResult | Exception:
     """:func:`recover_from_basis`, or its error. Caught in a loop of the
     caller, the error's traceback would hold the caller's frame, whose
     list holds the error: a cycle that keeps the run's arrays alive."""
     try:
-        return recover_from_basis(basis, lap.dtau, method, corner_seed=corner_seed, tau=lap.tau)
+        return recover_from_basis(basis, dtau, method, corner_seed=corner_seed, tau=tau)
     except STAGE_ERRORS as exc:
         return exc
 

@@ -3,7 +3,8 @@
 Both clustering pipelines start from the same object: the symmetric
 matrix ``L = Dtau^{-1/2} M Dtau^{-1/2}`` where ``M`` is either a sampled
 adjacency matrix or an expected one, and ``Dtau = D + tau*I`` adds a
-ridge ``tau`` to the degrees. A sampled graph's Laplacian is CSR; the
+ridge ``tau`` to the degrees. A sampled graph's Laplacian is a CSR
+matrix, returned with ``dtau`` by :func:`regularized_laplacian`; the
 expected one, of rank K, is never formed: its eigenpairs come from a
 K x K problem on the factors of ``Omega``. "Leading" eigenpairs are ranked by
 eigenvalue magnitude, not signed value, because block structure with
@@ -41,63 +42,6 @@ DEFLATION_STAGES = ((0.1, 6), (1e-2, None), (1e-4, None), (1e-6, None))
 LAPLACIAN_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True, init=False)
-class RegularizedLaplacian:
-    """Symmetric ``Dtau^{-1/2} A Dtau^{-1/2}`` with its inputs.
-
-    ``operator`` is CSR, a dense argument converted by ``sp.csr_matrix``;
-    ``matrix`` densifies it on each access into a read-only array.
-    The matrix must be symmetric within 1e-12. The constructor freezes
-    copies of the caller's matrix and degrees, which stay writable.
-    ``_owned=True`` is :func:`regularized_laplacian`'s path: its matrix
-    and degrees are new, no one else holds them and the matrix is
-    symmetric by construction, so they are frozen in place, with no copy
-    of the nnz-sized values and no symmetry check.
-    """
-
-    tau: float
-    dtau: np.ndarray  # regularized degrees D(i,i) + tau, shape (n,)
-    operator: sp.csr_matrix  # (n, n) symmetric
-
-    def __init__(
-        self, tau: float, dtau: np.ndarray, matrix: np.ndarray | sp.spmatrix, *, _owned: bool = False
-    ):
-        # imported here, as in model.Graph: a Laplacian is built only by
-        # the commands that cluster
-        import scipy.sparse as sp
-
-        m = sp.csr_matrix(matrix, dtype=np.float64, copy=not _owned)
-        d = dtau if _owned else _readonly(dtau)
-        if m.shape[0] != m.shape[1] or d.shape != (m.shape[0],):
-            raise ValueError("laplacian matrix must be square with one regularized degree per node")
-        if not (_all_finite(m.data) and _all_finite(d)):
-            raise ValueError("laplacian contains non-finite entries")
-        if not _owned and abs(m - m.T).max() > 1e-12:
-            raise ValueError("laplacian must be symmetric within 1e-12")
-        for part in (m.data, m.indices, m.indptr, d):
-            part.setflags(write=False)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "operator", m)
-        object.__setattr__(self, "dtau", d)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The Laplacian as a dense read-only (n, n) array."""
-        dense = self.operator.toarray()
-        dense.setflags(write=False)
-        return dense
-
-    @property
-    def n(self) -> int:
-        return self.operator.shape[0]
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of ``a`` is finite, with no array of flags the
-    size of ``a``: a NaN reaches both extremes and an infinity is one."""
-    return bool(np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0)))
-
-
 @dataclass(frozen=True)
 class SpectralBasis:
     """The K eigenpairs of largest magnitude, eigenvectors unit-norm."""
@@ -111,7 +55,7 @@ class SpectralBasis:
         if vals.ndim != 1 or vecs.ndim != 2 or vecs.shape[1] != vals.size:
             raise ValueError("eigenvalues and eigenvector columns must match")
         mags = np.abs(vals)
-        if (np.diff(mags) > 1e-12).any():
+        if (np.diff(mags) > TIE_TOL).any():
             raise ValueError("eigenvalues must be ordered by decreasing magnitude")
         norms = np.linalg.norm(vecs, axis=0)
         if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
@@ -163,16 +107,17 @@ def _regularized_degrees(degrees: np.ndarray, tau: float) -> np.ndarray:
     return dtau
 
 
-def regularized_laplacian(graph: Graph, tau: float) -> RegularizedLaplacian:
-    """Build the CSR ``Dtau^{-1/2} A Dtau^{-1/2}`` of a sampled graph.
+def regularized_laplacian(graph: Graph, tau: float) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The regularized degrees ``dtau`` of a sampled graph and its CSR
+    Laplacian ``L = Dtau^{-1/2} A Dtau^{-1/2}``, both read-only.
 
-    It is over the graph's own read-only ``indptr`` and ``indices``, read
-    from its pattern with no adjacency built: its degrees are the row
+    ``L`` is over the graph's own read-only ``indptr`` and ``indices``,
+    read from its pattern with no adjacency built: its degrees are the row
     counts ``np.diff(indptr)`` and entry (i, j) is ``scale_i * scale_j``
     with ``scale = Dtau^{-1/2}``, the same bits as scaling the adjacency,
     whose entries are exactly 1. Its one new nnz-sized array is the
-    float64 values. It is symmetric bit for bit and is frozen in place,
-    uncopied and unchecked. ``tau`` is checked by
+    float64 values, frozen in place with ``dtau``. ``L`` is symmetric bit
+    for bit, so it is not checked. ``tau`` is checked by
     :func:`_regularized_degrees`.
     """
     import scipy.sparse as sp  # loaded with the graph
@@ -192,8 +137,9 @@ def regularized_laplacian(graph: Graph, tau: float) -> RegularizedLaplacian:
         rows = np.repeat(scale[r0:r1], np.diff(indptr[r0:r1 + 1]))
         np.multiply(rows, scale[indices[s:e]], out=data[s:e])
         r0 = r1
-    lap = sp.csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
-    return RegularizedLaplacian(tau=float(tau), dtau=dtau, matrix=lap, _owned=True)
+    dtau.setflags(write=False)
+    data.setflags(write=False)
+    return dtau, sp.csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
 
 
 def population_eigenpairs(omega: PopulationMatrix, K: int, tau: float) -> tuple[np.ndarray, SpectralBasis]:
@@ -227,13 +173,15 @@ def population_eigenpairs(omega: PopulationMatrix, K: int, tau: float) -> tuple[
     return dtau, SpectralBasis(eigenvalues=vals, vectors=vecs)
 
 
-def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
-    """The K eigenpairs of largest |eigenvalue|.
+def leading_eigenpairs(lap: sp.csr_matrix, K: int) -> SpectralBasis:
+    """The K eigenpairs of largest |eigenvalue| of the symmetric CSR
+    matrix ``lap``, such as :func:`regularized_laplacian` returns; a
+    matrix that is not square raises ``ValueError``.
 
-    The CSR Laplacian is solved by ARPACK's implicitly restarted Lanczos
-    method for the K pairs; only K+1 >= n (where the
-    Krylov space would be the whole space) or all-zero values take a full
-    LAPACK eigendecomposition. The found pairs are deflated and a second
+    It is solved by ARPACK's implicitly restarted Lanczos method for the
+    K pairs; only K+1 >= n (where the Krylov space would be the whole
+    space) or all-zero values take a full LAPACK eigendecomposition of
+    ``lap.toarray()``. The found pairs are deflated and a second
     Lanczos run measures the largest |eigenvalue| left, which certifies
     the cut. It sees an eigenvalue whose magnitude meets the K-th (such
     as -lambda beside +lambda), and a repeated eigenvalue that Lanczos
@@ -249,27 +197,28 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     :class:`NumericalError` naming n and the bytes needed, before
     anything is allocated.
 
-    Magnitudes within 1e-12 of each other count as tied, because the
+    Magnitudes within ``TIE_TOL`` (1e-12) of each other count as tied, because the
     solvers return an exact tie such as ``+-lambda`` only to rounding.
     Ties are broken toward the positive eigenvalue, then toward the lower
     position in the solver's output, so the selection is deterministic.
     Each returned pair is verified to satisfy ``||L v - lambda v|| <= 1e-8``.
     """
-    n = lap.n
+    n = lap.shape[0]
+    if lap.shape != (n, n):
+        raise ValueError(f"the Laplacian must be square, got shape {lap.shape}")
     if not 1 <= K <= n:
         raise ValueError(f"need 1 <= K <= n, got K={K}, n={n}")
     # imported here: scipy.sparse.linalg adds about 0.13 s and 10 MB to the
     # start of every command, and only this solve needs it
     from scipy.sparse.linalg import ArpackError
 
-    op = lap.operator
     try:
-        # an all-zero operator leaves Lanczos no Krylov space to build,
+        # an all-zero matrix leaves Lanczos no Krylov space to build,
         # whether its zeros are stored or not
-        pairs = _lanczos_pairs(op, K) if K + 1 < n and op.data.any() else None
+        pairs = _lanczos_pairs(lap, K) if K + 1 < n and lap.data.any() else None
         if pairs is None:
             _check_dense_fits(n)
-        vals, vecs = pairs if pairs is not None else np.linalg.eigh(lap.matrix)
+        vals, vecs = pairs if pairs is not None else np.linalg.eigh(lap.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
     except ArpackError as exc:
@@ -279,7 +228,7 @@ def leading_eigenpairs(lap: RegularizedLaplacian, K: int) -> SpectralBasis:
     sel_vecs = vecs[:, take]
     # one matvec per column: scipy's sparse multi-vector product is slower
     # than K single ones
-    residual = np.array([np.linalg.norm(op @ v - v * val) for val, v in zip(sel_vals, sel_vecs.T)])
+    residual = np.array([np.linalg.norm(lap @ v - v * val) for val, v in zip(sel_vals, sel_vecs.T)])
     if residual.max() > RESIDUAL_TOL:
         raise NumericalError(f"eigenpair residual {residual.max():.3e} exceeds {RESIDUAL_TOL}")
     return SpectralBasis(eigenvalues=sel_vals, vectors=sel_vecs)

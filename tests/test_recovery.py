@@ -296,7 +296,7 @@ class TestEquivalences:
         # the projector's row norms equal the eigenvector row norms
         _, _, omega = three_block_setup(n=100, n0=20)
         g = sample_adjacency(omega, 1)
-        lap = regularized_laplacian(g, default_tau(100))
+        _, lap = regularized_laplacian(g, default_tau(100))
         basis = leading_eigenpairs(lap, 3)
         v = basis.vectors
         n_v = np.linalg.norm(v, axis=1)
@@ -321,9 +321,10 @@ class TestEquivalences:
         omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.2))
         graph = sample_adjacency(omega, seed ^ STREAM_SPLIT)
         with one_blas_thread():
-            lap = regularized_laplacian(graph, default_tau(500))
+            tau = default_tau(500)
+            dtau, lap = regularized_laplacian(graph, tau)
             basis = leading_eigenpairs(lap, 3)
-            plain, twin = (recover_from_basis(basis, lap.dtau, m, tau=lap.tau) for m in ("CRSC", "CRSC-EQ"))
+            plain, twin = (recover_from_basis(basis, dtau, m, tau=tau) for m in ("CRSC", "CRSC-EQ"))
         assert plain.corners.indices == twin.corners.indices
         errors = [mixed_hamming_error(r.pi_hat, pi).error for r in (plain, twin)]
         assert abs(errors[0] - errors[1]) <= 1e-10
@@ -334,10 +335,10 @@ class TestEquivalences:
         _, _, omega = three_block_setup(n=150, n0=30)
         for seed in range(3):
             g = sample_adjacency(omega, seed)
-            lap = regularized_laplacian(g, default_tau(150))
+            dtau, lap = regularized_laplacian(g, default_tau(150))
             basis = leading_eigenpairs(lap, 3)
             v = basis.vectors
-            root_d = np.sqrt(lap.dtau)
+            root_d = np.sqrt(dtau)
 
             idx = list(srsc(g, 3).corners.indices)
             narrow = (root_d[:, None] * v)[idx]
@@ -350,14 +351,14 @@ class TestEquivalences:
             assert np.abs(narrow @ narrow.T - wide @ wide.T).max() <= 1e-10
 
 
-def per_geometry_recovery(basis, lap, method):
+def per_geometry_recovery(basis, dtau, method):
     """The reconstruction each geometry carried before the routes were
     merged: the simplex solves against its scaled corner rows, the cone
     against its unit corner rows followed by the rescale by the stored
     row-norm factors over sqrt(dtau). Returns corners, z and memberships."""
     v = basis.vectors
     rows = v @ v.T if method.endswith("-EQ") else v
-    root_d = np.sqrt(lap.dtau)
+    root_d = np.sqrt(dtau)
     if method.startswith("SRSC"):
         points = root_d[:, None] * rows
         corners = sp_select(points, basis.K)
@@ -388,11 +389,12 @@ class TestOneReconstruction:
     )
     def test_matches_the_per_geometry_reconstructions(self, seed, recipe):
         _, _, omega = three_block_setup(seed=seed, **recipe)
-        lap = regularized_laplacian(sample_adjacency(omega, seed ^ STREAM_SPLIT), default_tau(omega.n))
+        tau = default_tau(omega.n)
+        dtau, lap = regularized_laplacian(sample_adjacency(omega, seed ^ STREAM_SPLIT), tau)
         basis = leading_eigenpairs(lap, 3)
         for method in ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"):
-            result = recover_from_basis(basis, lap.dtau, method, tau=lap.tau)
-            corners, z, weights = per_geometry_recovery(basis, lap, method)
+            result = recover_from_basis(basis, dtau, method, tau=tau)
+            corners, z, weights = per_geometry_recovery(basis, dtau, method)
             assert result.corners.indices == corners
             assert np.abs(result.z - z).max() <= 1e-12
             assert np.abs(result.pi_hat.weights - weights).max() <= 1e-12
@@ -402,15 +404,16 @@ class TestSignFlipInvariance:
     def test_column_negation_leaves_memberships_unchanged(self):
         _, _, omega = three_block_setup(n=100, n0=20)
         rng = np.random.default_rng(8)
+        tau = default_tau(100)
         for seed in range(3):
             g = sample_adjacency(omega, seed)
-            lap = regularized_laplacian(g, default_tau(100))
+            dtau, lap = regularized_laplacian(g, tau)
             basis = leading_eigenpairs(lap, 3)
             signs = rng.choice([-1.0, 1.0], size=3)
             flipped = SpectralBasis(basis.eigenvalues, basis.vectors * signs)
             for method in ("SRSC", "CRSC", "SRSC-EQ", "CRSC-EQ"):
-                ref = recover_from_basis(basis, lap.dtau, method, tau=lap.tau)
-                out = recover_from_basis(flipped, lap.dtau, method, tau=lap.tau)
+                ref = recover_from_basis(basis, dtau, method, tau=tau)
+                out = recover_from_basis(flipped, dtau, method, tau=tau)
                 assert np.abs(out.pi_hat.weights - ref.pi_hat.weights).max() <= 1e-10
 
 
@@ -566,12 +569,13 @@ class TestReconstructionHelpers:
         # with the Lanczos start vector; they carry no membership
         pi = planted_memberships(500, 3, 100, "four-profiles", seed=9)
         omega = build_population_matrix(pi, BlockModel(diag_off_block(3, 1.0, 0.5), rho=0.01))
-        lap = regularized_laplacian(sample_adjacency(omega, 9 ^ STREAM_SPLIT), default_tau(500))
+        tau = default_tau(500)
+        dtau, lap = regularized_laplacian(sample_adjacency(omega, 9 ^ STREAM_SPLIT), tau)
         results = []
         for seed in (0, 1):
             monkeypatch.setattr(spectral, "LANCZOS_SEED", seed)
             basis = leading_eigenpairs(lap, 3)
-            result = recover_from_basis(basis, lap.dtau, method, tau=lap.tau)
+            result = recover_from_basis(basis, dtau, method, tau=tau)
             zero = np.linalg.norm(basis.vectors, axis=1) <= spectral.ZERO_ROW_TOL
             assert 0 < zero.sum() <= result.fallback_rows
             np.testing.assert_array_equal(result.pi_hat.weights[zero], 1.0 / 3)

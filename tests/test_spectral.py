@@ -9,7 +9,6 @@ from mmsbkit import (
     BlockModel,
     Graph,
     NumericalError,
-    RegularizedLaplacian,
     build_population_matrix,
     default_tau,
     diag_off_block,
@@ -50,12 +49,12 @@ class TestDefaultTau:
 
 class TestRegularizedLaplacian:
     def test_two_node_tau_zero(self):
-        lap = regularized_laplacian(two_path_graph(), 0.0)
-        assert np.allclose(lap.matrix, [[0, 1], [1, 0]], atol=1e-15)
+        _, lap = regularized_laplacian(two_path_graph(), 0.0)
+        assert np.allclose(lap.toarray(), [[0, 1], [1, 0]], atol=1e-15)
 
     def test_two_node_tau_two(self):
-        lap = regularized_laplacian(two_path_graph(), 2.0)
-        assert np.allclose(lap.matrix, [[0, 1 / 3], [1 / 3, 0]], atol=1e-15)
+        _, lap = regularized_laplacian(two_path_graph(), 2.0)
+        assert np.allclose(lap.toarray(), [[0, 1 / 3], [1 / 3, 0]], atol=1e-15)
 
     def test_identity_population(self):
         dtau, basis = population_eigenpairs(dense_omega(np.eye(2)), 2, 0.0)
@@ -66,11 +65,11 @@ class TestRegularizedLaplacian:
     def test_entry_formula(self):
         g = Graph.from_edges(3, np.array([[0, 1], [1, 2]]))
         tau = 0.7
-        lap = regularized_laplacian(g, tau)
+        _, lap = regularized_laplacian(g, tau)
         d = g.degrees()
         a = g.adjacency.toarray()
         expected = a / np.sqrt(np.outer(d + tau, d + tau))
-        assert np.allclose(lap.matrix, expected, atol=1e-15)
+        assert np.allclose(lap.toarray(), expected, atol=1e-15)
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -83,7 +82,7 @@ class TestRegularizedLaplacian:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_graph_laplacian_is_symmetric_bit_for_bit(self, seed):
-        # the graph path skips the symmetry check, so it must hold exactly;
+        # nothing checks the Laplacian's symmetry, so it must hold exactly;
         # the extra nodes are isolated, which tau = 0 does not admit
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 60))
@@ -94,7 +93,7 @@ class TestRegularizedLaplacian:
         if graph.degrees().min() > 0:
             cases.append((graph, 0.0))
         for g, tau in cases:
-            op = regularized_laplacian(g, tau).operator
+            _, op = regularized_laplacian(g, tau)
             assert sp.issparse(op) and (op != op.T).nnz == 0
 
     @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
@@ -108,7 +107,7 @@ class TestRegularizedLaplacian:
         a = graph.adjacency
         scale = 1.0 / np.sqrt(graph.degrees() + 0.3)
         want = np.repeat(scale, np.diff(a.indptr)) * scale[a.indices]
-        assert np.array_equal(regularized_laplacian(graph, 0.3).operator.data, want)
+        assert np.array_equal(regularized_laplacian(graph, 0.3)[1].data, want)
 
     def test_read_and_laplacian_hold_each_entry_array_once(self, tmp_path):
         # The graph holds 4 bytes per stored entry, its int32 index, and
@@ -128,17 +127,19 @@ class TestRegularizedLaplacian:
         tracemalloc.start()
         try:
             graph = read_edge_list(path)
-            lap = regularized_laplacian(graph, default_tau(n))
+            dtau, op = regularized_laplacian(graph, default_tau(n))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        nnz, op = graph.indices.size, lap.operator
+        nnz = graph.indices.size
         assert graph.indices.dtype == np.int32
         assert peak <= 14 * nnz + (2 << 20)
         stored = sum(v.nbytes for v in vars(graph).values() if isinstance(v, np.ndarray))
         assert stored <= 5 * nnz + 8 * (n + 1)
         assert not any(part.flags.writeable for part in (graph.indices, graph.indptr))
         assert np.shares_memory(op.indices, graph.indices) and np.shares_memory(op.indptr, graph.indptr)
+        # the Laplacian's own arrays are frozen in place
+        assert not any(part.flags.writeable for part in (dtau, op.data))
         # the adjacency is built on access: float64 ones over the pattern
         a = graph.adjacency
         assert a.data.dtype == np.float64 and (a.data == 1.0).all() and a.nnz == nnz
@@ -151,22 +152,10 @@ class TestRegularizedLaplacian:
         assert not checked.indices.flags.writeable and not np.shares_memory(checked.indices, mine.indices)
         assert (checked.adjacency != a).nnz == 0
 
-    def test_constructor_converts_a_dense_matrix_to_csr(self):
-        m = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.25, 0.0]])
-        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(3), matrix=m)
-        assert lap.operator.format == "csr" and lap.operator.nnz == 4
-        assert np.array_equal(lap.matrix, m)
-
-    def test_constructor_rejects_asymmetric_matrix(self):
-        m = np.array([[0.0, 0.5], [0.4, 0.0]])
-        for matrix in (m, sp.csr_matrix(m)):
-            with pytest.raises(ValueError, match="symmetric"):
-                RegularizedLaplacian(tau=0.0, dtau=np.ones(2), matrix=matrix)
-
 
 class TestLeadingEigenpairs:
     def diag_lap(self, values):
-        return RegularizedLaplacian(tau=0.0, dtau=np.ones(len(values)), matrix=np.diag(values))
+        return sp.csr_matrix(np.diag(values))
 
     def test_diagonal_case_orders_by_magnitude(self):
         basis = leading_eigenpairs(self.diag_lap([0.9, -0.5, 0.1]), 2)
@@ -192,7 +181,7 @@ class TestLeadingEigenpairs:
 
     def test_graph_spectrum_within_unit_interval(self, small_graph):
         for tau in (0.0, default_tau(small_graph.n)):
-            lap = regularized_laplacian(small_graph, tau)
+            _, lap = regularized_laplacian(small_graph, tau)
             basis = leading_eigenpairs(lap, small_graph.n)
             assert np.abs(basis.eigenvalues).max() <= 1.0 + 1e-10
 
@@ -203,17 +192,17 @@ class TestLeadingEigenpairs:
             assert basis.eigenvalues[0] <= dmax / (tau + dmax) + 1e-10
 
     def test_projector_is_formed_once_and_read_only(self, small_graph):
-        basis = leading_eigenpairs(regularized_laplacian(small_graph, 1.0), 3)
+        basis = leading_eigenpairs(regularized_laplacian(small_graph, 1.0)[1], 3)
         projector = basis.projector
         assert projector is basis.projector
         assert not projector.flags.writeable
         assert np.array_equal(projector, basis.vectors @ basis.vectors.T)
 
     def test_residuals_and_orthonormality(self, small_graph):
-        lap = regularized_laplacian(small_graph, 1.0)
+        _, lap = regularized_laplacian(small_graph, 1.0)
         basis = leading_eigenpairs(lap, 5)
         residual = np.linalg.norm(
-            lap.matrix @ basis.vectors - basis.vectors * basis.eigenvalues, axis=0
+            lap.toarray() @ basis.vectors - basis.vectors * basis.eigenvalues, axis=0
         )
         assert residual.max() <= 1e-8
         assert np.abs(basis.vectors.T @ basis.vectors - np.eye(5)).max() <= 1e-8
@@ -221,6 +210,12 @@ class TestLeadingEigenpairs:
     def test_rejects_k_above_n(self):
         with pytest.raises(ValueError):
             leading_eigenpairs(self.diag_lap([0.1, 0.2]), 3)
+        # a matrix that is not square, on the Lanczos route (K = 1) and on
+        # the dense route (K + 1 >= n)
+        wide = sp.csr_matrix(np.ones((40, 39)))
+        for K in (1, 39):
+            with pytest.raises(ValueError, match="square"):
+                leading_eigenpairs(wide, K)
 
 
 class TestScaleRowsByDegree:
@@ -241,8 +236,8 @@ class TestSampledSpectrumSweep:
         for seed in range(5):
             g = sample_adjacency(omega, seed)
             for tau in (0.0, base, 10 * base):
-                lap = regularized_laplacian(g, tau)
-                vals = np.linalg.eigvalsh(lap.matrix)
+                _, lap = regularized_laplacian(g, tau)
+                vals = np.linalg.eigvalsh(lap.toarray())
                 assert np.abs(vals).max() <= 1.0 + 1e-10
 
 
@@ -250,7 +245,7 @@ def ranked_dense_pairs(lap, K):
     """Reference: full dense eigendecomposition under the documented
     ranking (|lambda| descending with rounding ties, positive first, then
     position)."""
-    vals, vecs = np.linalg.eigh(lap.matrix)
+    vals, vecs = np.linalg.eigh(lap.toarray())
     take = _leading_positions(vals, K)
     return vals[take], vecs[:, take]
 
@@ -282,7 +277,7 @@ class TestSparseSolverMatchesDense:
     @pytest.mark.parametrize("K", [1, 3, 4])
     def test_pairs_match_dense_eigh(self, K):
         for graph, tau in self.cases():
-            assert_matches_dense(regularized_laplacian(graph, tau), K)
+            assert_matches_dense(regularized_laplacian(graph, tau)[1], K)
 
     @pytest.mark.parametrize(
         "detached, tau, K",
@@ -301,7 +296,7 @@ class TestSparseSolverMatchesDense:
             giant = sample_adjacency(omega, 9).edges()
             pairs = 300 + np.arange(2 * detached).reshape(-1, 2)
             graph = Graph.from_edges(300 + 2 * detached, np.vstack([giant, pairs]))
-        assert_matches_dense(regularized_laplacian(graph, tau), K)
+        assert_matches_dense(regularized_laplacian(graph, tau)[1], K)
 
     @pytest.mark.parametrize(
         "n, edges, K",
@@ -311,16 +306,15 @@ class TestSparseSolverMatchesDense:
         # an edgeless graph gives the zero operator; a detached edge or a
         # star has rank 2, so nothing is left once the pairs are deflated
         graph = Graph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
-        assert_matches_dense(regularized_laplacian(graph, 0.7), K)
+        assert_matches_dense(regularized_laplacian(graph, 0.7)[1], K)
 
     def test_stored_zeros_take_the_dense_route(self, eigsh_runs):
         # two explicitly stored zeros are an all-zero operator, as an
         # edgeless one is: no Lanczos run, zero eigenpairs
         m = sp.csr_matrix((np.zeros(2), ([0, 1], [1, 0])), shape=(6, 6))
         assert m.nnz == 2
-        lap = RegularizedLaplacian(tau=0.0, dtau=np.ones(6), matrix=m)
-        assert_matches_dense(lap, 2)
-        assert np.array_equal(leading_eigenpairs(lap, 2).eigenvalues, [0.0, 0.0])
+        assert_matches_dense(m, 2)
+        assert np.array_equal(leading_eigenpairs(m, 2).eigenvalues, [0.0, 0.0])
         assert eigsh_runs == []
 
     def test_mirror_symmetric_path_matches_dense(self):
@@ -328,14 +322,14 @@ class TestSparseSolverMatchesDense:
         # all-ones vector, so a Lanczos run started there misses it
         n = 38
         path = np.column_stack([np.arange(n - 1), np.arange(1, n)])
-        assert_matches_dense(regularized_laplacian(Graph.from_edges(n, path), 0.5), 2)
+        assert_matches_dense(regularized_laplacian(Graph.from_edges(n, path), 0.5)[1], 2)
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_even_cycle_tie_prefers_positive(self, n):
         # eigenvalues +-0.8 tie in magnitude; Lanczos for one pair finds one
         # of them and the deflation run sees the other
         ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
-        lap = regularized_laplacian(Graph.from_edges(n, ring), 0.5)
+        _, lap = regularized_laplacian(Graph.from_edges(n, ring), 0.5)
         basis = leading_eigenpairs(lap, 1)
         assert basis.eigenvalues[0] == pytest.approx(0.8, abs=1e-12)
 
@@ -346,12 +340,12 @@ class TestSparseSolverMatchesDense:
         # K-1 of them meets at the cut
         clique = [(i, j) for i in range(10) for j in range(i + 1, 10)]
         path = [(i, i + 1) for i in range(10, 29)]
-        lap = regularized_laplacian(Graph.from_edges(30, np.array(clique + path)), 0.5)
+        _, lap = regularized_laplacian(Graph.from_edges(30, np.array(clique + path)), 0.5)
         assert_matches_dense(lap, K)
         basis = leading_eigenpairs(lap, K)
         mu = basis.eigenvalues[-1]
         assert mu > 0
-        assert np.abs(np.linalg.eigvalsh(lap.matrix) + mu).min() <= 1e-12
+        assert np.abs(np.linalg.eigvalsh(lap.toarray()) + mu).min() <= 1e-12
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_near_tie_at_cut_matches_dense(self, sign):
@@ -368,14 +362,14 @@ class TestSparseSolverMatchesDense:
         # magnitude, so the deflation run certifies the cut and the dense
         # fallback is never reached
         _, _, omega = three_block_setup(n=600, n0=120, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=5)
-        lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
+        _, lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
 
         def eigh(*args, **kwargs):
             raise AssertionError("dense eigh reached")
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         basis = leading_eigenpairs(lap, 3)
-        residual = np.linalg.norm(lap.operator @ basis.vectors - basis.vectors * basis.eigenvalues, axis=0)
+        residual = np.linalg.norm(lap @ basis.vectors - basis.vectors * basis.eigenvalues, axis=0)
         assert residual.max() <= 1e-8
 
     @pytest.fixture
@@ -410,12 +404,12 @@ class TestSparseSolverMatchesDense:
         values = np.concatenate([[0.9, -0.7, 0.5, -0.5 * (1.0 - gap)], rng.uniform(-0.3, 0.3, n - 4)])
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         m = (q * values) @ q.T
-        return RegularizedLaplacian(tau=0.0, dtau=np.ones(n), matrix=sp.csr_matrix((m + m.T) / 2.0))
+        return sp.csr_matrix((m + m.T) / 2.0)
 
     def test_clear_gap_is_certified_at_the_first_stage(self, eigsh_runs):
         _, _, omega = three_block_setup(n=600, n0=120, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=5)
-        lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
-        assert spectral._lanczos_pairs(lap.operator, 3) is not None
+        _, lap = regularized_laplacian(sample_adjacency(omega, 5), default_tau(600))
+        assert spectral._lanczos_pairs(lap, 3) is not None
         assert [run["tol"] for run in eigsh_runs] == [0, 0.1]
         assert eigsh_runs[1]["ncv"] == 6
 
@@ -434,18 +428,18 @@ class TestSparseSolverMatchesDense:
         assert_matches_dense(lap, 3)
         fine = [1e-4] if gap >= 1e-4 else [1e-4, 1e-6]
         assert [run["tol"] for run in eigsh_runs] == [0, 0.1, 1e-2, *fine]
-        assert spectral._lanczos_pairs(lap.operator, 3) is not None
+        assert spectral._lanczos_pairs(lap, 3) is not None
 
     @pytest.mark.parametrize("gap", [1e-7, 1e-9])
     def test_gap_below_the_last_stage_falls_back_to_dense(self, eigsh_runs, gap):
         lap = self.rotated_spectrum(gap)
-        assert spectral._lanczos_pairs(lap.operator, 3) is None
+        assert spectral._lanczos_pairs(lap, 3) is None
         assert [run["tol"] for run in eigsh_runs] == [0, 0.1, 1e-2, 1e-4, 1e-6]
         assert_matches_dense(lap, 3)
 
     def test_each_stage_starts_from_the_last_ritz_vector(self, eigsh_runs):
         lap = self.rotated_spectrum(1e-7)
-        assert spectral._lanczos_pairs(lap.operator, 3) is None
+        assert spectral._lanczos_pairs(lap, 3) is None
         main, *stages = eigsh_runs
         assert [run["ncv"] for run in stages] == [6, None, None, None]
         assert not np.array_equal(stages[0]["v0"], main["v0"])
@@ -462,14 +456,14 @@ class TestSparseSolverMatchesDense:
         # the warm-started stages before it clears on Lanczos
         for trial in trials:
             _, _, omega = three_block_setup(n=500, n0=100, rho=rho, seed=1 ^ trial)
-            lap = regularized_laplacian(sample_adjacency(omega, (1 ^ trial) ^ STREAM_SPLIT), default_tau(500))
+            _, lap = regularized_laplacian(sample_adjacency(omega, (1 ^ trial) ^ STREAM_SPLIT), default_tau(500))
             eigsh_runs.clear()
-            assert spectral._lanczos_pairs(lap.operator, 3) is not None
+            assert spectral._lanczos_pairs(lap, 3) is not None
             assert [run["tol"] for run in eigsh_runs][:3] == [0, 0.1, 1e-2]
             assert_matches_dense(lap, 3)
 
     def test_dense_fallback_that_cannot_fit_is_numerical_error(self, small_graph, monkeypatch):
-        lap = regularized_laplacian(small_graph, 1.0)
+        _, lap = regularized_laplacian(small_graph, 1.0)
         monkeypatch.setattr(spectral, "_lanczos_pairs", lambda op, K: None)
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 120 * 120 - 1)
 
@@ -481,13 +475,13 @@ class TestSparseSolverMatchesDense:
             leading_eigenpairs(lap, 3)
 
     def test_dense_fallback_that_fits_runs(self, small_graph, monkeypatch):
-        lap = regularized_laplacian(small_graph, 1.0)
+        _, lap = regularized_laplacian(small_graph, 1.0)
         monkeypatch.setattr(spectral, "_lanczos_pairs", lambda op, K: None)
         monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 120 * 120)
         assert_matches_dense(lap, 3)
 
     def test_arpack_failure_is_numerical_error(self, small_graph, arpack_fails):
-        lap = regularized_laplacian(small_graph, 1.0)
+        _, lap = regularized_laplacian(small_graph, 1.0)
         with pytest.raises(NumericalError, match="Lanczos"):
             leading_eigenpairs(lap, 3)
 
