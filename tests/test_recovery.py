@@ -272,6 +272,20 @@ class TestOnePipeline:
             recover_each(g, 1, ["SRSC"], tau=0.0)
         assert info.value.stage == "laplacian"
 
+    def test_zero_k_is_rejected_before_the_laplacian(self):
+        # this graph's Laplacian fails at tau = 0, so a K check made after
+        # the Laplacian would surface as a laplacian-stage NumericalError
+        g = Graph.from_edges(4, np.array([[0, 1], [1, 2]]))
+        with pytest.raises(ValueError, match="K must be at least 1") as info:
+            recover_each(g, 0, ["SRSC"], tau=0.0)
+        assert not hasattr(info.value, "stage")
+
+    def test_tau_defaults_to_a_tenth_of_log_n(self, small_graph):
+        (implicit,) = recover_each(small_graph, 3, ["CRSC"])
+        (explicit,) = recover_each(small_graph, 3, ["CRSC"], tau=default_tau(small_graph.n))
+        assert implicit.tau == explicit.tau
+        assert np.array_equal(implicit.pi_hat.weights, explicit.pi_hat.weights)
+
     def test_run_methods_raises_the_first_failure_in_method_order(self, small_graph, nnls_fails):
         with pytest.raises(NumericalError) as info:
             run_methods(small_graph, 3, ["SRSC", "CRSC", "no-such-method"])

@@ -71,6 +71,18 @@ class TestRegularizedLaplacian:
         expected = a / np.sqrt(np.outer(d + tau, d + tau))
         assert np.allclose(lap.toarray(), expected, atol=1e-15)
 
+    def test_returns_the_regularized_degrees(self):
+        g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [1, 3]]))
+        dtau, lap = regularized_laplacian(g, 0.7)
+        assert np.array_equal(dtau, g.degrees() + 0.7)
+        assert lap.format == "csr" and lap.shape == (4, 4) and lap.nnz == 6
+        assert not dtau.flags.writeable
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            regularized_laplacian(two_path_graph(), tau)
+
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError, match="nonnegative"):
             regularized_laplacian(two_path_graph(), -0.5)
