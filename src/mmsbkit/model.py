@@ -323,40 +323,16 @@ class Graph:
     canonical CSR (sorted column indices, no duplicates, no diagonal).
 
     A stored entry costs one index, and no value: every value is 1.
-    ``Graph(adjacency)`` is the checked constructor. It takes any sparse
-    matrix, validates it as symmetric, 0/1 and loop-free, and copies its
-    pattern, so the caller's matrix stays as it was. ``adjacency`` builds
-    the float64 0/1 CSR matrix on each access, frozen and over the
+    A graph enters only from its edges: :meth:`from_edges` is the checked
+    way in, and :meth:`from_upper` the unchecked half that the edge-list
+    reader and the sampler call once their pairs are freed. ``adjacency``
+    builds the float64 0/1 CSR matrix on each access, frozen and over the
     pattern's own index arrays, as the Laplacian of
     :func:`spectral.regularized_laplacian` is.
     """
 
     indptr: np.ndarray = field(repr=False)  # (n + 1,) row starts
     indices: np.ndarray = field(repr=False)  # (2m,) column of each stored entry
-
-    def __init__(self, adjacency: sp.spmatrix):
-        # scipy.sparse costs every process that imports it ~0.2 s and
-        # ~22 MB; generate writes its edges without building a graph
-        import scipy.sparse as sp
-
-        # a copy, which the checks below may sort in place and whose
-        # pattern is then kept, while the caller's matrix stays as it was
-        a = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
-        a.sum_duplicates()
-        a.sort_indices()
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if a.nnz and not np.isin(a.data, (0.0, 1.0)).all():
-            raise ValueError("adjacency entries must be 0 or 1")
-        if a.diagonal().any():
-            raise ValueError("self-loops are not allowed")
-        if (a != a.T).nnz != 0:
-            raise ValueError("adjacency must be symmetric")
-        a.eliminate_zeros()
-        # the index dtype scipy picks for a matrix built from the pattern,
-        # so that ``adjacency`` shares these arrays rather than narrowing them
-        a = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
-        _hold_pattern(self, a.indptr, a.indices)
 
     @property
     def n(self) -> int:
@@ -367,7 +343,9 @@ class Graph:
         """The float64 0/1 adjacency as canonical CSR over the pattern's
         read-only index arrays, with a read-only array of ones built on
         each access."""
-        import scipy.sparse as sp  # see __init__
+        # scipy.sparse costs every process that imports it ~0.2 s and
+        # ~22 MB; generate writes its edges without building a graph
+        import scipy.sparse as sp
 
         a = sp.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr), shape=(self.n, self.n))
         a.data.setflags(write=False)
@@ -415,16 +393,11 @@ class Graph:
         """
         pattern = upper + upper.T
         graph = object.__new__(cls)
-        _hold_pattern(graph, pattern.indptr.copy(), pattern.indices.copy())
+        for name in ("indptr", "indices"):
+            part = getattr(pattern, name).copy()
+            part.setflags(write=False)
+            object.__setattr__(graph, name, part)
         return graph
-
-
-def _hold_pattern(graph: Graph, indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Make ``indptr`` and ``indices``, which no one else holds,
-    read-only and the pattern of ``graph``."""
-    for name, part in (("indptr", indptr), ("indices", indices)):
-        part.setflags(write=False)
-        object.__setattr__(graph, name, part)
 
 
 def upper_triangle(n: int, pairs: np.ndarray) -> sp.csr_matrix:
@@ -443,7 +416,7 @@ def upper_triangle(n: int, pairs: np.ndarray) -> sp.csr_matrix:
     that is int32 (n and m below 2^31) the result holds int32 copies of
     the columns and none of the pairs.
     """
-    import scipy.sparse as sp  # see Graph.__init__
+    import scipy.sparse as sp  # see Graph.adjacency
 
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):

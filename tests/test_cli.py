@@ -476,6 +476,7 @@ class TestSweepCommand:
             ("reps", None),
             ("reps", 2.7),
             ("reps", True),
+            ("reps", 0),
             ("base_seed", "x"),
             ("methods", 5),
             ("methods", ["srsc", 5]),
@@ -488,6 +489,34 @@ class TestSweepCommand:
         out = tmp_path / "o.csv"
         assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config: "),
+            ('{"base_seed": 3,', "invalid JSON: "),
+            ("[1, 2]", "sweep config must be a JSON object"),
+            (json.dumps({key: value for key, value in TINY_SWEEP.items() if key != "reps"}), "missing config key: 'reps'"),
+            (json.dumps(dict(TINY_SWEEP, methods=[])), "at least one method is required"),
+            (
+                json.dumps(dict(TINY_SWEEP, grid={key: value for key, value in TINY_SWEEP["grid"].items() if key != "rho"})),
+                "missing grid keys: ['rho']",
+            ),
+            (json.dumps(dict(TINY_SWEEP, grid=dict(TINY_SWEEP["grid"], n=[]))), "grid entry 'n' must be a nonempty list"),
+        ],
+        ids=["directory", "invalid-json", "json-array", "missing-reps", "no-methods", "missing-grid-key", "empty-grid-list"],
+    )
+    def test_config_that_describes_no_sweep_is_data_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sweep.json"
+        if text is None:
+            cfg.mkdir()
+        else:
+            cfg.write_text(text)
+        out = tmp_path / "o.csv"
+        assert run_cli(["--quiet", "sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and message in line
         assert not out.exists()
 
 
@@ -761,6 +790,16 @@ class TestExitCodes:
         assert code == 1
         assert f"tau must be a finite number or 'auto', got {tau!r}" in capsys.readouterr().err
         assert not (tmp_path / "run.srsc.summary.json").exists()
+
+    def test_negative_tau_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "g.edgelist"
+        f.write_text("0 1\n1 2\n2 0\n")
+        code = run_cli(
+            ["--quiet", "cluster", "--edges", str(f), "--k", "1", "--tau", "-1", "--method", "srsc", "--out", str(tmp_path / "run")]
+        )
+        assert code == 1
+        assert "argument --tau: tau must be nonnegative" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["g.edgelist"]
 
 
 class TestNegativeZeroTau:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmsbkit import (
+    CornerSet,
     NumericalError,
+    SvmSolution,
     cone_closed_form,
     default_tau,
     one_class_svm,
@@ -79,6 +81,36 @@ def ideal_cone_matrix(seed=11):
     _, basis = population_eigenpairs(omega, 3, default_tau(omega.n))
     normalized = unit_rows(basis.vectors)
     return pi, normalized
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: CornerSet((2, 2), "sp"), ValueError, "corner indices must be distinct"),
+        (lambda: CornerSet((0, -1), "sp"), ValueError, "corner indices must be nonnegative"),
+        (
+            lambda: SvmSolution(w=np.array([0.8, 0.8]), b=0.5, weights=np.array([0.5, 0.5]), support=(0, 1)),
+            ValueError,
+            r"svm normal vector must satisfy \|\|w\|\| <= 1",
+        ),
+        (
+            lambda: SvmSolution(w=np.array([0.6, 0.0]), b=0.5, weights=np.array([0.7, 0.7]), support=(0, 1)),
+            ValueError,
+            "dual weights must be a probability vector",
+        ),
+        (lambda: sp_select(np.ones(3), 1), ValueError, "input must be a 2-d matrix"),
+        (lambda: sp_select(np.eye(3), 4), ValueError, r"need 1 <= K <= min\(n, m\) = 3, got K=4"),
+        (lambda: sp_select(np.eye(3), 0), ValueError, r"need 1 <= K <= min\(n, m\) = 3, got K=0"),
+        (lambda: cone_closed_form(np.array([[0.6, 0.8], [0.6, 0.8]])), NumericalError, "corner Gram matrix is numerically singular"),
+    ],
+    ids=[
+        "duplicate-corner", "negative-corner", "svm-normal-too-long", "weights-not-probabilities", "sp-1d-input",
+        "sp-k-above-width", "sp-k-zero", "singular-gram",
+    ],
+)
+def test_input_outside_the_contract_is_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 class TestSpSelect:

@@ -135,6 +135,11 @@ class TestNetworkStats:
         assert stats.K == 2
         assert stats.overlap == pytest.approx(0.5)
 
+    def test_memberships_for_another_node_count_are_refused(self):
+        g = Graph.from_edges(3, np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="memberships cover 2 nodes but the graph has 3"):
+            network_stats(g, MembershipMatrix(np.eye(2)))
+
     def test_density_tracks_construction_target(self):
         # synthetic fixture tuned to a 0.15 edge probability
         n, target = 300, 0.15

@@ -942,6 +942,12 @@ class TestMemberships:
         with pytest.raises(DataFormatError, match="zero"):
             read_memberships(f, normalize=True)
 
+    def test_file_of_blank_lines_is_empty(self, tmp_path):
+        f = tmp_path / "pi.csv"
+        f.write_text("\n\n\n")
+        with pytest.raises(DataFormatError, match="membership file is empty"):
+            read_memberships(f)
+
     def test_negative_entry_rejected(self, tmp_path):
         f = tmp_path / "pi.csv"
         f.write_text("1.5,-0.5\n")

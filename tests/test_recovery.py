@@ -11,9 +11,11 @@ import mmsbkit
 
 from mmsbkit import (
     BlockModel,
+    CornerSet,
     Graph,
     MembershipMatrix,
     NumericalError,
+    PopulationMatrix,
     build_population_matrix,
     planted_memberships,
     crsc,
@@ -431,6 +433,49 @@ class TestSignFlipInvariance:
                 assert np.abs(out.pi_hat.weights - ref.pi_hat.weights).max() <= 1e-10
 
 
+class TestNodeRelabelEquivariance:
+    """Relabeling the nodes moves every membership row with its node: node
+    i of a graph is node ``perm[i]`` of the relabeled one. Fixed seeds of
+    the n=300 random-half recipe, where no corner ties on a sampled graph."""
+
+    SEEDS = [0, 1, 2]
+
+    @staticmethod
+    def recipe(seed):
+        _, _, omega = three_block_setup(n=300, n0=60, diag=0.8, off=0.1, rho=1.0, profile="random-half", seed=seed)
+        return omega, np.random.default_rng(seed).permutation(300)
+
+    @staticmethod
+    def aligned(ref, out, perm):
+        """``out``'s memberships in ``ref``'s node and column order: the
+        column ``out`` gives the node of ``ref``'s corner c becomes c."""
+        moved = out.pi_hat.weights[perm]
+        return moved[:, [int(moved[i].argmax()) for i in ref.corners.indices]]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("fn", [srsc, crsc], ids=["SRSC", "CRSC"])
+    def test_sampled_graph(self, fn, seed):
+        omega, perm = self.recipe(seed)
+        graph = sample_adjacency(omega, seed)
+        ref, out = fn(graph, 3), fn(Graph.from_edges(graph.n, perm[graph.edges()]), 3)
+        assert sorted(out.corners.indices) == sorted(perm[list(ref.corners.indices)].tolist())
+        assert np.abs(self.aligned(ref, out, perm) - ref.pi_hat.weights).max() <= 1e-10
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("fn", [ideal_srsc, ideal_crsc], ids=["SRSC", "CRSC"])
+    def test_expected_adjacency(self, fn, seed):
+        omega, perm = self.recipe(seed)
+        inverse = np.argsort(perm)
+        moved = PopulationMatrix(pi=omega.pi[inverse], b=omega.b[inverse])
+        ref, out = fn(omega, 3), fn(moved, 3)
+        # the pure nodes of a community share one row, and the lowest
+        # index wins a tie, so a corner may move to another pure node of
+        # its community
+        corner_rows = {tuple(omega.pi[i]) for i in ref.corners.indices}
+        assert {tuple(moved.pi[i]) for i in out.corners.indices} == corner_rows
+        assert np.abs(self.aligned(ref, out, perm) - ref.pi_hat.weights).max() <= 1e-10
+
+
 def graph_with_isolated_nodes(seed: int, n: int, isolated: int) -> tuple[Graph, np.ndarray]:
     """A three-block graph (edge probability 0.7 within a block, 0.1
     across) whose ``isolated`` nodes, drawn with ``seed``, have no edges;
@@ -534,6 +579,19 @@ class TestReconstructionHelpers:
     def test_singular_corner_matrix_raises(self):
         with pytest.raises(NumericalError, match="singular"):
             _solve_right_inverse(np.eye(2), np.ones((2, 2)))
+
+    def test_result_refuses_an_unknown_method_tag(self):
+        with pytest.raises(ValueError, match="unknown method tag 'SP'"):
+            RecoveryResult(
+                pi_hat=MembershipMatrix(np.eye(2)),
+                corners=CornerSet((0, 1), "sp"),
+                basis=SpectralBasis(eigenvalues=np.array([1.0, 0.5]), vectors=np.eye(2)),
+                tau=1.0,
+                method="SP",
+                clipped_rows=0,
+                fallback_rows=0,
+                z=np.eye(2),
+            )
 
     def test_wide_corner_matches_square_corner(self):
         # the projector routes pass rows @ Q.T and corner @ Q.T for the

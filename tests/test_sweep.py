@@ -395,8 +395,10 @@ class TestGridPointReader:
             ("rho", 2.0, "sparsity rho must lie in (0, 1]"),
             ("block", {"preset": "negative-eig", "index": 20}, "index must lie in 1..12, got 20"),
             ("block", {"diag": 1.0, "off": 1.0}, "rank deficient"),
+            ("n0", -1, "invalid sizes n=90, K=3, n0=-1"),
+            ("k", 2, "four-profiles requires K = 3"),
         ],
-        ids=["rho-above-1", "index-above-12", "rank-deficient-template"],
+        ids=["rho-above-1", "index-above-12", "rank-deficient-template", "negative-n0", "four-profiles-at-k-2"],
     )
     def test_value_the_point_cannot_take_is_skipped_at_validate(self, no_trials, key, value, message):
         grid = dict(tiny_config().grid, **{key: [value]})
