@@ -1,4 +1,4 @@
-"""Error metrics, network summary statistics, and a concentration
+"""Error metrics, network summary statistics, and a Lanczos concentration
 diagnostic for the regularized Laplacian."""
 
 from __future__ import annotations
@@ -7,8 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import NumericalError
 from .model import Graph, MembershipMatrix, PopulationMatrix, _readonly
-from .spectral import _regularized_degrees, regularized_laplacian
+from .spectral import LANCZOS_SEED, _scaled_factors, regularized_laplacian
 
 
 @dataclass(frozen=True)
@@ -96,13 +97,26 @@ def network_stats(graph: Graph, pi: MembershipMatrix | None = None) -> NetworkSt
 
 
 def laplacian_concentration(graph: Graph, omega: PopulationMatrix, tau: float) -> float:
-    """Spectral norm of the difference between the sampled and expected
-    regularized Laplacians, both dense (the sampled CSR Laplacian through
-    ``toarray``), via a symmetric eigendecomposition."""
+    """Spectral norm of the sampled regularized Laplacian less the expected
+    one, ``(Y X^T + X Y^T) / 2`` from the factors of ``Omega`` scaled by
+    ``Dtau^{-1/2}``: one Lanczos run from a seeded start, with no n x n
+    array, whose failure raises :class:`NumericalError`. ARPACK starts on
+    neither a 1-node difference (its one entry) nor a zero one (0)."""
+    # imported here: cli imports this module, and scipy.sparse.linalg adds
+    # about 0.19 s and 30 MB to the start of every command
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     if graph.n != omega.n:
         raise ValueError(f"graph has {graph.n} nodes but the expected adjacency has {omega.n}")
-    sampled = regularized_laplacian(graph, tau)[1].toarray()
-    scale = 1.0 / np.sqrt(_regularized_degrees(omega.degrees(), tau))
-    expected = scale[:, None] * omega.matrix * scale[None, :]
-    eigenvalues = np.linalg.eigvalsh(sampled - (expected + expected.T) / 2.0)
-    return float(np.abs(eigenvalues).max())
+    n, lap = graph.n, regularized_laplacian(graph, tau)[1]
+    _, x, y = _scaled_factors(omega, tau)
+    op = LinearOperator((n, n), matvec=lambda v: lap @ v - (y @ (x.T @ v) + x @ (y.T @ v)) / 2.0, dtype=np.float64)
+    # nonnegative factors give zero only when each column pair has a zero side
+    if n == 1 or not (lap.nnz or (x.any(axis=0) & y.any(axis=0)).any()):
+        return float(np.abs(op @ np.ones(n)).max())
+    rng = np.random.default_rng(LANCZOS_SEED)
+    try:
+        top = eigsh(op, k=1, which="LM", v0=rng.uniform(-1.0, 1.0, n), rng=rng, return_eigenvectors=False)
+    except ArpackError as exc:
+        raise NumericalError(f"Lanczos eigensolver failed: {exc}") from exc
+    return float(abs(top[0]))

@@ -29,7 +29,7 @@ the entries' sums and of its own, so either bound holds exactly.
 All containers are frozen dataclasses over read-only numpy arrays, so
 instances can be shared freely across threads. A graph holds only its
 sparsity pattern, the CSR index arrays: its adjacency values are all 1,
-and the float64 matrix is built when asked for.
+so none is stored.
 """
 
 from __future__ import annotations
@@ -176,8 +176,7 @@ class PopulationMatrix:
     blocks or single entries of ``Omega`` from them. Each factor is stored
     once, as a contiguous (K, n) copy of its columns; ``pi`` and ``b`` are
     (n, K) views of those copies. A symmetric ``m`` with entries in [0, 1]
-    is ``PopulationMatrix(pi=np.eye(n), b=m)``. ``matrix`` builds the dense
-    read-only (n, n) array on each access, as ``Graph.adjacency`` does.
+    is ``PopulationMatrix(pi=np.eye(n), b=m)``.
     """
 
     _pi_cols: np.ndarray  # (K, n) memberships
@@ -208,13 +207,6 @@ class PopulationMatrix:
     @property
     def n(self) -> int:
         return self._pi_cols.shape[1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """``Omega`` as a dense read-only (n, n) array, built on each access."""
-        m = self.entries(slice(None), slice(None))
-        m.setflags(write=False)
-        return m
 
     def entries(self, rows: slice | np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
         """``Omega[rows, cols]`` as numpy indexes it: two slices give a
@@ -325,10 +317,7 @@ class Graph:
     A stored entry costs one index, and no value: every value is 1.
     A graph enters only from its edges: :meth:`from_edges` is the checked
     way in, and :meth:`from_upper` the unchecked half that the edge-list
-    reader and the sampler call once their pairs are freed. ``adjacency``
-    builds the float64 0/1 CSR matrix on each access, frozen and over the
-    pattern's own index arrays, as the Laplacian of
-    :func:`spectral.regularized_laplacian` is.
+    reader and the sampler call once their pairs are freed.
     """
 
     indptr: np.ndarray = field(repr=False)  # (n + 1,) row starts
@@ -337,19 +326,6 @@ class Graph:
     @property
     def n(self) -> int:
         return self.indptr.size - 1
-
-    @property
-    def adjacency(self) -> sp.csr_matrix:
-        """The float64 0/1 adjacency as canonical CSR over the pattern's
-        read-only index arrays, with a read-only array of ones built on
-        each access."""
-        # scipy.sparse costs every process that imports it ~0.2 s and
-        # ~22 MB; generate writes its edges without building a graph
-        import scipy.sparse as sp
-
-        a = sp.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr), shape=(self.n, self.n))
-        a.data.setflags(write=False)
-        return a
 
     def degrees(self) -> np.ndarray:
         """Row counts of the pattern as floats: every entry is 1."""
@@ -416,7 +392,9 @@ def upper_triangle(n: int, pairs: np.ndarray) -> sp.csr_matrix:
     that is int32 (n and m below 2^31) the result holds int32 copies of
     the columns and none of the pairs.
     """
-    import scipy.sparse as sp  # see Graph.adjacency
+    # scipy.sparse costs every process that imports it ~0.2 s and ~22 MB;
+    # generate writes its edges without building a graph
+    import scipy.sparse as sp
 
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
@@ -447,8 +425,7 @@ def build_population_matrix(pi: MembershipMatrix, block: BlockModel) -> Populati
     """Expected adjacency ``Omega = Pi @ (rho * tilde_p) @ Pi.T``, factored.
 
     The result keeps ``Pi`` and ``B = Pi @ P`` (n x K), with ``B`` summed
-    in increasing k without BLAS; no n x n array is built unless something
-    reads ``matrix``. Raises ``ValueError`` when the community counts of
+    in increasing k without BLAS; no n x n array is built. Raises ``ValueError`` when the community counts of
     ``pi`` and ``block`` disagree.
     """
     if pi.K != block.K:

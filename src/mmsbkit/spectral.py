@@ -142,6 +142,16 @@ def regularized_laplacian(graph: Graph, tau: float) -> tuple[np.ndarray, sp.csr_
     return dtau, sp.csr_matrix((data, indices, indptr), shape=(graph.n, graph.n))
 
 
+def _scaled_factors(omega: PopulationMatrix, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regularized degrees ``dtau`` of the expected adjacency and the
+    factors ``X = Dtau^{-1/2} Pi`` and ``Y = Dtau^{-1/2} B`` of its
+    Laplacian ``Dtau^{-1/2} Omega Dtau^{-1/2} = (Y X^T + X Y^T) / 2``,
+    ``tau`` checked as for a graph."""
+    dtau = _regularized_degrees(omega.degrees(), tau)
+    scale = 1.0 / np.sqrt(dtau)
+    return dtau, scale[:, None] * omega.pi, scale[:, None] * omega.b
+
+
 def population_eigenpairs(omega: PopulationMatrix, K: int, tau: float) -> tuple[np.ndarray, SpectralBasis]:
     """The regularized degrees ``dtau`` of the expected adjacency and the K
     pairs of largest |eigenvalue| of ``L = Dtau^{-1/2} Omega Dtau^{-1/2}``,
@@ -156,12 +166,10 @@ def population_eigenpairs(omega: PopulationMatrix, K: int, tau: float) -> tuple[
     """
     if K < 1:
         raise ValueError(f"K must be at least 1, got {K}")
-    dtau = _regularized_degrees(omega.degrees(), tau)
+    dtau, x, y = _scaled_factors(omega, tau)
     width = min(omega.pi.shape)
     if K > width:
         raise NumericalError(f"expected adjacency is not rank {K}: its factors have rank at most {width}")
-    scale = 1.0 / np.sqrt(dtau)
-    x, y = scale[:, None] * omega.pi, scale[:, None] * omega.b
     q, r = np.linalg.qr(x)
     m = q.T @ y @ r.T
     vals, w = np.linalg.eigh((m + m.T) / 2.0)

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from mmsbkit import (
@@ -33,6 +34,24 @@ def dense_omega(m) -> PopulationMatrix:
     entry: the factors ``pi = I`` and ``b = m``, so K = n."""
     m = np.asarray(m, dtype=np.float64)
     return PopulationMatrix(pi=np.eye(len(m)), b=m)
+
+
+def omega_array(omega) -> np.ndarray:
+    """``Omega`` as a dense (n, n) array, from the kernel that computes
+    every block of its entries."""
+    return omega.entries(slice(None), slice(None))
+
+
+def adjacency(graph) -> sp.csr_matrix:
+    """The float64 0/1 adjacency of ``graph`` as CSR over the pattern's
+    own index arrays."""
+    return sp.csr_matrix((np.ones(graph.indices.size), graph.indices, graph.indptr), shape=(graph.n, graph.n))
+
+
+def same_graph(a, b) -> bool:
+    """Whether two graphs hold the same pattern: equal ``indptr`` and
+    ``indices``."""
+    return np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
 
 
 def constant_omega(n, p) -> PopulationMatrix:

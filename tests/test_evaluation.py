@@ -6,13 +6,15 @@ import pytest
 from mmsbkit import (
     Graph,
     MembershipMatrix,
+    NumericalError,
+    PopulationMatrix,
     default_tau,
     laplacian_concentration,
     mixed_hamming_error,
     network_stats,
     sample_adjacency,
 )
-from conftest import constant_omega, dense_omega, three_block_setup
+from conftest import adjacency, constant_omega, dense_omega, omega_array, three_block_setup
 
 
 class TestMixedHammingError:
@@ -154,7 +156,9 @@ class TestLaplacianConcentration:
         n = 24
         omega = dense_omega(np.ones((n, n)) - np.eye(n))
         g = sample_adjacency(omega, 0)
-        assert laplacian_concentration(g, omega, 0.7) == 0.0
+        # the Lanczos operator sums in another order than the two
+        # Laplacians' entries, so the rounding is left (1.5e-16 measured)
+        assert laplacian_concentration(g, omega, 0.7) <= 1e-14
 
     def test_huge_tau_sends_difference_to_zero(self):
         _, _, omega = three_block_setup(n=60, n0=12)
@@ -179,8 +183,67 @@ class TestLaplacianConcentration:
             large.append(laplacian_concentration(g, omega, 10 * tau))
         assert np.mean(large) < np.mean(small)
 
+    @pytest.mark.parametrize(
+        "n, n0, seed, tau",
+        [(60, 12, 5, 1e6), (40, 8, 2, 0.5)]
+        + [(400, None, seed, c * default_tau(400)) for seed in range(20) for c in (1, 10)],
+    )
+    def test_matches_the_dense_eigenvalues(self, n, n0, seed, tau):
+        # every graph the tests above draw, at their taus: three-block
+        # setups, and the constant model where n0 is None
+        omega = constant_omega(n, 0.3) if n0 is None else three_block_setup(n=n, n0=n0)[2]
+        g = sample_adjacency(omega, seed)
+        want = dense_concentration(g, omega, tau)
+        assert abs(laplacian_concentration(g, omega, tau) - want) <= 1e-12 * want
+
+    def test_large_graph_builds_no_dense_array(self, monkeypatch):
+        # 3.3 MiB traced at n=5000; the dense route traced 763 MiB
+        _, _, omega = three_block_setup(n=5000, n0=1000, diag=0.8, off=0.1, rho=0.02, profile="random-half")
+        g = sample_adjacency(omega, 0)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            dense = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, dense=dense, **k: calls.append(a) or dense(*a, **k))
+        tracemalloc.start()
+        try:
+            value = laplacian_concentration(g, omega, default_tau(5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert not calls
+        assert 0.0 < value < 1.0
+
+    def test_one_node_is_its_one_entry(self):
+        g = Graph.from_edges(1, np.empty((0, 2), dtype=np.int64))
+        omega = PopulationMatrix(pi=np.eye(1), b=[[0.5]])
+        # L = 0, and the expected entry is 0.5 / (0.5 + 0.5)
+        assert laplacian_concentration(g, omega, 0.5) == 0.5
+
+    def test_edgeless_graph_against_zero_omega_gives_zero(self):
+        # no factor column pair has two nonzero sides, with no diagonal pi
+        g = Graph.from_edges(3, np.empty((0, 2), dtype=np.int64))
+        for omega in (dense_omega(np.zeros((3, 3))), PopulationMatrix(pi=[[1, 0]] * 3, b=[[0, 1]] * 3)):
+            assert laplacian_concentration(g, omega, 0.5) == 0.0
+
+    def test_lanczos_failure_is_a_numerical_error(self, arpack_fails):
+        _, _, omega = three_block_setup(n=40, n0=8)
+        with pytest.raises(NumericalError, match="Lanczos eigensolver failed"):
+            laplacian_concentration(sample_adjacency(omega, 2), omega, 0.5)
+
     def test_dimension_mismatch(self):
         omega = dense_omega(np.zeros((3, 3)))
         g = Graph.from_edges(4, np.array([[0, 1]]))
         with pytest.raises(ValueError, match="nodes"):
             laplacian_concentration(g, omega, 0.1)
+
+
+def dense_concentration(graph, omega, tau):
+    """Reference: both regularized Laplacians as n x n arrays, the
+    difference through ``eigvalsh``."""
+    a = adjacency(graph).toarray()
+    scale = 1.0 / np.sqrt(a.sum(axis=1) + tau)
+    sampled = scale[:, None] * a * scale[None, :]
+    scale = 1.0 / np.sqrt(omega.degrees() + tau)
+    expected = scale[:, None] * omega_array(omega) * scale[None, :]
+    return float(np.abs(np.linalg.eigvalsh(sampled - (expected + expected.T) / 2.0)).max())

@@ -30,7 +30,7 @@ from mmsbkit import (
 from mmsbkit import cli, io_formats, model
 from mmsbkit.cli import run_cli
 from mmsbkit.sweep import SweepConfig, SweepResult
-from conftest import three_block_setup
+from conftest import same_graph, three_block_setup
 from test_cli import TINY_SWEEP, generate_args
 
 
@@ -147,7 +147,7 @@ class TestGraphRoundTrip:
         write_edge_list(g, f)
         back = read_edge_list(f)
         assert back.n == g.n
-        assert (back.adjacency != g.adjacency).nnz == 0
+        assert same_graph(back, g)
 
     def test_large_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -158,8 +158,8 @@ class TestGraphRoundTrip:
         write_edge_list(g, f)
         back = read_edge_list(f)
         assert back.n == g.n
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(back.adjacency, name), getattr(g.adjacency, name)
+        for name in ("indptr", "indices"):
+            a, b = getattr(back, name), getattr(g, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_writer_output_bytes(self, tmp_path):
@@ -516,7 +516,7 @@ class TestParseRoutes:
             _, count, pairs = expected
             want = Graph.from_edges(count, np.array(pairs, dtype=np.int64).reshape(-1, 2))
             got = read_edge_list(f, n)
-            assert got.n == count and (got.adjacency != want.adjacency).nnz == 0
+            assert got.n == count and same_graph(got, want)
             return
         with pytest.raises(DataFormatError) as exc:
             read_edge_list(f, n)
@@ -610,7 +610,7 @@ class TestPipedEdgeLists:
         f = tmp_path / "g.edgelist"
         f.write_bytes(data)
         piped = through_pipe(data, read_edge_list)
-        assert piped.n == 7 and (piped.adjacency != read_edge_list(f).adjacency).nnz == 0
+        assert piped.n == 7 and same_graph(piped, read_edge_list(f))
 
 
 class TestMatrixCsv:
@@ -768,7 +768,7 @@ class TestBulkWriters:
         f = tmp_path / "g.edgelist"
         write_edge_list(g, f)
         assert f.read_bytes() == f_string_edge_list(g)
-        assert (read_edge_list(f).adjacency != g.adjacency).nnz == 0
+        assert same_graph(read_edge_list(f), g)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())

@@ -16,7 +16,7 @@ from mmsbkit import (
     planted_memberships,
     sample_adjacency,
 )
-from conftest import constant_omega, dense_omega, three_block_setup
+from conftest import adjacency, constant_omega, dense_omega, omega_array, same_graph, three_block_setup
 
 
 class TestMembershipMatrix:
@@ -112,13 +112,13 @@ class TestBuildPopulationMatrix:
         pi = MembershipMatrix(np.eye(2))
         block = BlockModel(np.eye(2), rho=1.0)
         omega = build_population_matrix(pi, block)
-        assert np.array_equal(omega.matrix, np.eye(2))
+        assert np.array_equal(omega_array(omega), np.eye(2))
 
     def test_hand_expanded_three_node_case(self):
         # rows e1, e2, (0.5, 0.5) with unit diagonal, 0.5 off-diagonal
         pi = MembershipMatrix(np.array([[1, 0], [0, 1], [0.5, 0.5]], dtype=float))
         block = BlockModel(np.array([[1.0, 0.5], [0.5, 1.0]]), rho=1.0)
-        omega = build_population_matrix(pi, block).matrix
+        omega = omega_array(build_population_matrix(pi, block))
         assert omega[2, 2] == pytest.approx(0.75, abs=1e-15)
         assert omega[0, 1] == pytest.approx(0.5, abs=1e-15)
         assert omega[0, 2] == pytest.approx(0.75, abs=1e-15)
@@ -127,7 +127,7 @@ class TestBuildPopulationMatrix:
         # rho = 0 is outside the legal sparsity range; the zero expected
         # adjacency is reachable only through a direct construction
         zero = dense_omega(np.zeros((4, 4)))
-        assert zero.matrix.max() == 0.0
+        assert omega_array(zero).max() == 0.0
 
     def test_dimension_mismatch(self):
         pi = MembershipMatrix(np.eye(2))
@@ -137,7 +137,7 @@ class TestBuildPopulationMatrix:
 
     def test_rank_is_exactly_k(self):
         pi, _, omega = three_block_setup(n=90, n0=20)
-        svals = np.linalg.svd(omega.matrix, compute_uv=False)
+        svals = np.linalg.svd(omega_array(omega), compute_uv=False)
         assert svals[2] > 1e-10 * svals[0]
         assert svals[3] < 1e-10 * svals[0]
 
@@ -160,13 +160,13 @@ class TestSampleAdjacency:
         _, _, omega = three_block_setup(n=60, n0=12)
         a = sample_adjacency(omega, 42)
         b = sample_adjacency(omega, 42)
-        assert (a.adjacency != b.adjacency).nnz == 0
+        assert same_graph(a, b)
 
     def test_different_seeds_differ(self):
         _, _, omega = three_block_setup(n=60, n0=12)
         a = sample_adjacency(omega, 1)
         b = sample_adjacency(omega, 2)
-        assert (a.adjacency != b.adjacency).nnz > 0
+        assert not same_graph(a, b)
 
     def test_density_matches_binomial_concentration(self):
         # mean density over 50 seeded draws stays within 3 standard
@@ -184,7 +184,7 @@ class TestSampleAdjacency:
     def test_no_self_loops(self):
         _, _, omega = three_block_setup(n=40, n0=8)
         g = sample_adjacency(omega, 9)
-        assert g.adjacency.diagonal().sum() == 0
+        assert adjacency(g).diagonal().sum() == 0
 
 
 def row_loop_sample(omega: PopulationMatrix, seed: int) -> Graph:
@@ -243,7 +243,7 @@ class TestBlockSampler:
             monkeypatch.setattr(model, "SAMPLE_BLOCK", n if block == "n" else block)
         omega = factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n)
         # the same Omega with K = n factors has other bounds, so other routes and draws
-        dense = dense_omega(omega.matrix)
+        dense = dense_omega(omega_array(omega))
         for seed in (0, 19):
             assert np.array_equal(sample_adjacency(omega, seed).edges(), row_loop_sample(omega, seed).edges())
             assert np.array_equal(sample_adjacency(dense, seed).edges(), row_loop_sample(dense, seed).edges())
@@ -252,7 +252,7 @@ class TestBlockSampler:
     def test_factored_blocks_above_the_share_draw_every_pair_as_dense(self, rho):
         # one uniform per pair: the same graph as the same Omega held as K = n factors
         omega = factored_omega(90, rho=rho, seed=90)
-        dense = dense_omega(omega.matrix)
+        dense = dense_omega(omega_array(omega))
         for held in (omega, dense):
             assert model._block_bounds(held, model._block_starts(90)).min() > model.GATHER_SHARE
         for seed in (0, 19):
@@ -306,7 +306,7 @@ class TestFactoredPopulationMatrix:
     def test_matrix_is_symmetric_and_matches_product(self):
         pi = planted_memberships(300, 3, 50, "random-half", seed=2)
         block = BlockModel(diag_off_block(3, 0.8, 0.1), rho=0.7)
-        m = build_population_matrix(pi, block).matrix
+        m = omega_array(build_population_matrix(pi, block))
         assert np.array_equal(m, m.T)
         assert np.abs(m - pi.weights @ block.p @ pi.weights.T).max() <= 1e-15
 
@@ -314,29 +314,27 @@ class TestFactoredPopulationMatrix:
         omega = factored_omega(120, seed=3)
         blocks = [omega.entries(slice(a, b), slice(c, d)) for a, b, c, d in
                   [(0, 120, 0, 120), (5, 6, 0, 120), (17, 60, 18, 120), (119, 120, 3, 77)]]
-        m = omega.matrix
+        m = omega_array(omega)
         assert np.array_equal(blocks[0], m)
         assert np.array_equal(blocks[1], m[5:6])
         assert np.array_equal(blocks[2], m[17:60, 18:])
         assert np.array_equal(blocks[3], m[119:, 3:77])
-        with pytest.raises(ValueError):
-            m[0, 1] = 0.0
 
     @pytest.mark.parametrize("K", [1, 3, 5])
     def test_degrees_match_dense_row_sums(self, K):
         rng = np.random.default_rng(K)
         for n in (2, 60, 300):
             omega = random_factored_omega(rng, n, K, rho=rng.random())
-            assert np.abs(omega.degrees() - omega.matrix.sum(axis=1)).max() <= 1e-12
+            assert np.abs(omega.degrees() - omega_array(omega).sum(axis=1)).max() <= 1e-12
 
     def test_dense_fixture_equals_its_array_entry_for_entry(self):
-        m = factored_omega(70, seed=6).matrix
-        assert np.array_equal(dense_omega(m).matrix, m)
+        m = omega_array(factored_omega(70, seed=6))
+        assert np.array_equal(omega_array(dense_omega(m)), m)
         assert np.abs(dense_omega(m).degrees() - m.sum(axis=1)).max() <= 1e-12
 
     def test_entries_are_clipped_to_unit_interval(self):
         omega = PopulationMatrix(pi=np.ones((3, 1)), b=np.full((3, 1), 1.5))
-        assert np.array_equal(omega.matrix, np.ones((3, 3)))
+        assert np.array_equal(omega_array(omega), np.ones((3, 3)))
 
     def test_needs_both_factors(self):
         w = np.full((3, 2), 0.5)
@@ -421,7 +419,7 @@ class TestGraph:
     def test_degrees_equal_row_sums(self):
         g = Graph.from_edges(4, np.array([[0, 1], [1, 2], [2, 3]]))
         assert np.array_equal(g.degrees(), [1, 2, 2, 1])
-        assert np.array_equal(g.degrees(), np.asarray(g.adjacency.sum(axis=1)).ravel())
+        assert np.array_equal(g.degrees(), np.asarray(adjacency(g).sum(axis=1)).ravel())
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -433,7 +431,7 @@ class TestGraph:
         for pairs in ([[0, 1], [1, 0], [0, 1]], [[0, 1], [1, 0]] * 150):
             g = Graph.from_edges(3, np.array(pairs))
             assert g.edge_count() == 1
-            assert np.array_equal(g.adjacency.data, [1.0, 1.0])
+            assert g.indices.tolist() == [1, 0]
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(data=st.data())
@@ -444,7 +442,7 @@ class TestGraph:
         ids = st.integers(0, max(n - 1, 0))
         pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=60 if n > 1 else 0))
         pairs = np.array([p for p in pairs if p[0] != p[1]], dtype=np.int64).reshape(-1, 2)
-        self._assert_same_csr(Graph.from_edges(n, pairs).adjacency, concatenated_coo_adjacency(n, pairs))
+        self._assert_same_csr(adjacency(Graph.from_edges(n, pairs)), concatenated_coo_adjacency(n, pairs))
 
     @pytest.mark.parametrize("order", ["sorted", "shuffled", "reversed"])
     def test_from_edges_equals_concatenated_coo_build_at_scale(self, order):
@@ -457,7 +455,7 @@ class TestGraph:
             pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
         elif order == "reversed":
             pairs = pairs[:, ::-1]
-        self._assert_same_csr(Graph.from_edges(70_000, pairs).adjacency, concatenated_coo_adjacency(70_000, pairs))
+        self._assert_same_csr(adjacency(Graph.from_edges(70_000, pairs)), concatenated_coo_adjacency(70_000, pairs))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())
@@ -482,14 +480,13 @@ class TestGraph:
         if order != "shuffled":
             lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
             assert model._row_major(lo, hi) == (order != "repeated" or len(pairs) == 0)
-        mine = Graph.from_edges(n, pairs).adjacency
+        mine = adjacency(Graph.from_edges(n, pairs))
         self._assert_same_csr(mine, coo_route_adjacency(n, pairs))
-        assert (mine.data == 1.0).all()
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_edgeless_direct_build_equals_coo_route(self, n):
         pairs = np.empty((0, 2), dtype=np.int64)
-        self._assert_same_csr(Graph.from_edges(n, pairs).adjacency, coo_route_adjacency(n, pairs))
+        self._assert_same_csr(adjacency(Graph.from_edges(n, pairs)), coo_route_adjacency(n, pairs))
 
     def test_row_major_order_holds_for_ids_beyond_key_range(self):
         # keys i * n + j overflow int64 once n passes about 3.04e9: for
@@ -566,7 +563,7 @@ def fancy_index_entries(pi: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndar
 
 def triu_edges(graph: Graph) -> np.ndarray:
     """Reference edge list: upper triangle through COO, then sorted."""
-    coo = sp.triu(graph.adjacency, k=1).tocoo()
+    coo = sp.triu(adjacency(graph), k=1).tocoo()
     pairs = np.column_stack([coo.row, coo.col]).astype(np.int64)
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
@@ -702,8 +699,8 @@ class TestSamplerTileBound:
         rng = np.random.default_rng(6)
         i, j = rng.integers(0, 70, 500), rng.integers(0, 70, 500)
         pairs = omega.entries(i, j)
-        assert np.array_equal(pairs, omega.matrix[i, j])
-        assert np.array_equal(pairs, dense_omega(omega.matrix).entries(i, j))
+        assert np.array_equal(pairs, omega_array(omega)[i, j])
+        assert np.array_equal(pairs, dense_omega(omega_array(omega)).entries(i, j))
 
     @pytest.mark.parametrize("K", [1, 3, 5])
     def test_pair_gathers_equal_the_block_path_bit_for_bit(self, K):
@@ -737,7 +734,7 @@ class TestSamplerTileBound:
         monkeypatch.setattr(model, "_block_hits", lambda *a: calls.append(1) or block_hits(*a))
         omega = factored_omega(n, K=1 if n < 3 else 3, rho=rho, seed=n)
         # K = n factors at n = 400 take seconds per draw in the reference loop
-        forms = (omega, dense_omega(omega.matrix)) if n <= 90 else (omega,)
+        forms = (omega, dense_omega(omega_array(omega))) if n <= 90 else (omega,)
         for seed in (0, 19):
             for held in forms:
                 assert np.array_equal(sample_adjacency(held, seed).edges(), row_loop_sample(held, seed).edges())
@@ -769,7 +766,7 @@ def edge_indicators(omega: PopulationMatrix, seeds: int) -> np.ndarray:
     """(seeds, pairs) 0/1 array: row s flags the edges, in row-major pair
     order, of the graph drawn with seed s."""
     upper = np.triu_indices(omega.n, 1)
-    return np.array([sample_adjacency(omega, seed).adjacency.toarray()[upper] for seed in range(seeds)], dtype=np.int64)
+    return np.array([adjacency(sample_adjacency(omega, seed)).toarray()[upper] for seed in range(seeds)], dtype=np.int64)
 
 
 class TestSamplerLaw:
@@ -789,7 +786,7 @@ class TestSamplerLaw:
         omega = law_omega()
         assert model._block_bounds(omega, model._block_starts(omega.n)).max() <= model.GATHER_SHARE
         counts = edge_indicators(omega, self.SEEDS).sum(axis=0)
-        rates = omega.matrix[np.triu_indices(omega.n, 1)]
+        rates = omega_array(omega)[np.triu_indices(omega.n, 1)]
         lo, hi = binom.interval(1.0 - self.ALPHA / rates.size, self.SEEDS, rates)
         assert ((lo <= counts) & (counts <= hi)).all()
         # all pairs at once: a rate a few percent off everywhere shows here
@@ -804,7 +801,7 @@ class TestSamplerLaw:
         omega = law_omega()
         assert model._block_starts(omega.n).size == 2
         x = edge_indicators(omega, self.SEEDS)
-        rates = omega.matrix[np.triu_indices(omega.n, 1)]
+        rates = omega_array(omega)[np.triu_indices(omega.n, 1)]
         both = (x[:, 1:] & x[:, :-1]).sum(axis=0)
         joint = rates[1:] * rates[:-1]
         lo, hi = binom.interval(1.0 - self.ALPHA / joint.size, self.SEEDS, joint)

@@ -38,7 +38,7 @@ from mmsbkit.corners import sp_select, svm_cone_select
 from mmsbkit.recovery import CLIP_TOL, EMPIRICAL_METHODS, RecoveryResult, _memberships_from_z, _solve_right_inverse, recover_each, run_methods
 from mmsbkit.spectral import ZERO_ROW_TOL, SpectralBasis
 from mmsbkit.sweep import STREAM_SPLIT, diag_off_block
-from conftest import three_block_setup, unit_rows
+from conftest import omega_array, three_block_setup, unit_rows
 
 
 def align_columns(pi_ref, corners_result):
@@ -80,7 +80,7 @@ class TestIdealPipelines:
         pi_perm = MembershipMatrix(pi.weights[:, sigma])
         block_perm = BlockModel(block.tilde_p[np.ix_(sigma, sigma)], rho=block.rho)
         omega_perm = build_population_matrix(pi_perm, block_perm)
-        assert np.abs(omega.matrix - omega_perm.matrix).max() <= 1e-12
+        assert np.abs(omega_array(omega) - omega_array(omega_perm)).max() <= 1e-12
         result = ideal_srsc(omega_perm, 3)
         assert mixed_hamming_error(result.pi_hat, pi_perm).error <= 1e-10
         assert mixed_hamming_error(result.pi_hat, pi).error <= 1e-10

@@ -26,7 +26,7 @@ from mmsbkit import spectral
 from mmsbkit.io_formats import read_edge_list, write_edge_blocks
 from mmsbkit.spectral import _leading_positions
 from mmsbkit.sweep import STREAM_SPLIT
-from conftest import dense_omega, pure_corner_indices, three_block_setup
+from conftest import adjacency, dense_omega, omega_array, pure_corner_indices, three_block_setup
 
 
 def two_path_graph():
@@ -82,7 +82,7 @@ class TestRegularizedLaplacian:
         tau = 0.7
         _, lap = regularized_laplacian(g, tau)
         d = g.degrees()
-        a = g.adjacency.toarray()
+        a = adjacency(g).toarray()
         expected = a / np.sqrt(np.outer(d + tau, d + tau))
         assert np.allclose(lap.toarray(), expected, atol=1e-15)
 
@@ -131,9 +131,8 @@ class TestRegularizedLaplacian:
         rng = np.random.default_rng(chunk)
         pairs = rng.integers(0, 40, size=(300, 2))
         graph = Graph.from_edges(45, pairs[pairs[:, 0] != pairs[:, 1]])
-        a = graph.adjacency
         scale = 1.0 / np.sqrt(graph.degrees() + 0.3)
-        want = np.repeat(scale, np.diff(a.indptr)) * scale[a.indices]
+        want = np.repeat(scale, np.diff(graph.indptr)) * scale[graph.indices]
         assert np.array_equal(regularized_laplacian(graph, 0.3)[1].data, want)
 
     def test_read_and_laplacian_hold_each_entry_array_once(self, tmp_path):
@@ -167,11 +166,6 @@ class TestRegularizedLaplacian:
         assert np.shares_memory(op.indices, graph.indices) and np.shares_memory(op.indptr, graph.indptr)
         # the Laplacian's own arrays are frozen in place
         assert not any(part.flags.writeable for part in (dtau, op.data))
-        # the adjacency is built on access: float64 ones over the pattern
-        a = graph.adjacency
-        assert a.data.dtype == np.float64 and (a.data == 1.0).all() and a.nnz == nnz
-        assert not any(part.flags.writeable for part in (a.data, a.indices, a.indptr))
-        assert np.shares_memory(a.indices, graph.indices) and np.shares_memory(a.indptr, graph.indptr)
 
 
 class TestLeadingEigenpairs:
@@ -517,8 +511,9 @@ def population_case(n, K, profile="random-half", block=None):
 def dense_population_pairs(omega, K, tau):
     """Reference: the densified population Laplacian, scaled by the dense
     row sums, through dense eigh under the documented ranking."""
-    scale = 1.0 / np.sqrt(omega.matrix.sum(axis=1) + tau)
-    lap = scale[:, None] * omega.matrix * scale[None, :]
+    m = omega_array(omega)
+    scale = 1.0 / np.sqrt(m.sum(axis=1) + tau)
+    lap = scale[:, None] * m * scale[None, :]
     vals, vecs = np.linalg.eigh((lap + lap.T) / 2.0)
     take = _leading_positions(vals, K)
     return vals[take], vecs[:, take]
@@ -536,7 +531,7 @@ class TestPopulationEigenpairs:
         for _, omega in cases:
             dtau, basis = population_eigenpairs(omega, K, tau)
             vals, vecs = dense_population_pairs(omega, K, tau)
-            assert np.abs(dtau - omega.matrix.sum(axis=1) - tau).max() <= 1e-12
+            assert np.abs(dtau - omega_array(omega).sum(axis=1) - tau).max() <= 1e-12
             assert np.abs(basis.eigenvalues - vals).max() <= 1e-12
             assert np.abs(basis.projector - vecs @ vecs.T).max() <= 1e-10
 
