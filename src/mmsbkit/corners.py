@@ -53,10 +53,10 @@ CORNER_TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CornerSet:
-    """K distinct row indices chosen as simplex vertices or cone generators."""
+    """K distinct nonnegative row indices, chosen as simplex vertices or
+    cone generators; held as a tuple of ints."""
 
     indices: tuple[int, ...]
-    method: str  # "sp" or "svm-cone"
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -72,16 +72,17 @@ class CornerSet:
 
 @dataclass(frozen=True)
 class SvmSolution:
-    """Solution of the one-class SVM over unit-norm rows.
+    """Solution of the one-class SVM over unit-norm rows: the supporting
+    hyperplane ``(w, b)`` and its dual certificate.
 
     ``weights`` are the dual simplex coefficients over all rows; the
-    minimum-norm hull point is ``weights @ S`` and equals ``b * w``.
+    minimum-norm hull point is ``weights @ S`` and equals ``b * w``. The
+    support rows are those of positive weight.
     """
 
     w: np.ndarray
     b: float
     weights: np.ndarray
-    support: tuple[int, ...]
 
     def __post_init__(self):
         w = _readonly(self.w)
@@ -92,7 +93,6 @@ class SvmSolution:
             raise ValueError("dual weights must be a probability vector")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "weights", al)
-        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
 
 
 def sp_select(matrix: np.ndarray, K: int) -> CornerSet:
@@ -147,7 +147,7 @@ def sp_select(matrix: np.ndarray, K: int) -> CornerSet:
             )
         basis[k] = v / norm
         picks.append(pick)
-    return CornerSet(indices=tuple(picks), method="sp")
+    return CornerSet(tuple(picks))
 
 
 def _check_unit_rows(s: np.ndarray) -> np.ndarray:
@@ -176,6 +176,8 @@ def one_class_svm(s: np.ndarray) -> SvmSolution:
     each round, up to ``WORKING_SET`` more of the rows whose margin
     ``S(i,:).w`` falls below ``b - KKT_TOL``, most violating first, until
     no row outside the set does. The weights of the other rows are 0.
+    Returns the hyperplane ``(w, b)`` and the weights, its certificate;
+    the rows of positive weight are the support.
 
     Raises :class:`NumericalError` when the hull contains the origin
     (``b`` below 1e-10, so the rows do not form a cone), when the NNLS
@@ -216,8 +218,7 @@ def one_class_svm(s: np.ndarray) -> SvmSolution:
         raise NumericalError(
             f"one-class svm failed to converge: margin residual {abs(margins.min() - b):.3e}"
         )
-    support = tuple(int(i) for i in np.nonzero(weights > 1e-12)[0])
-    return SvmSolution(w=w, b=b, weights=weights, support=support)
+    return SvmSolution(w=w, b=b, weights=weights)
 
 
 def cone_closed_form(corner_rows: np.ndarray) -> SvmSolution:
@@ -240,7 +241,7 @@ def cone_closed_form(corner_rows: np.ndarray) -> SvmSolution:
     total = y.sum()
     b = 1.0 / np.sqrt(total)
     w = sc.T @ y / (b * total)
-    return SvmSolution(w=w, b=b, weights=y / total, support=tuple(range(k)))
+    return SvmSolution(w=w, b=b, weights=y / total)
 
 
 def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
@@ -293,8 +294,7 @@ def svm_cone_select(s: np.ndarray, K: int, seed: int = 0) -> CornerSet:
             offsets = ((points[members] - centers[j]) ** 2).sum(axis=1)
             nearest = members[offsets <= offsets.min() + CORNER_TIE_TOL][0]
             picks.append(int(candidates[nearest]))
-        if len(set(picks)) == K:
-            return CornerSet(indices=tuple(picks), method="svm-cone")
+        return CornerSet(tuple(picks))
     raise NumericalError(
         f"margin schedule exhausted without K={K} distinct clusters; "
         "K may be too large for this geometry"

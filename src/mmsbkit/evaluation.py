@@ -52,8 +52,10 @@ def mixed_hamming_error(pi_hat: MembershipMatrix, pi: MembershipMatrix) -> Error
     assignment on a precomputed K x K table, which
     ``scipy.optimize.linear_sum_assignment`` solves in O(K^3).
     """
-    # imported here, as in corners.py: generate never scores an estimate
+    # imported here, as in corners.py: generate never scores an estimate;
+    # scipy.optimize loads scipy.spatial itself
     from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
 
     if pi_hat.n != pi.n or pi_hat.K != pi.K:
         raise ValueError(
@@ -61,18 +63,12 @@ def mixed_hamming_error(pi_hat: MembershipMatrix, pi: MembershipMatrix) -> Error
         )
     a = pi_hat.weights
     b = pi.weights
-    # pair_cost[j, k] = sum_i |a[i, j] - b[i, k]|, one estimate column at a
-    # time in O(nK) scratch. Each sum runs over i in the order numpy reduces
-    # the K x K x n broadcast (whose i axis it lays out outermost), so the
-    # table is the same to the bit
-    pair_cost = np.empty((pi.K, pi.K))
-    diff = np.empty_like(b)
-    for j in range(pi.K):
-        np.subtract(a[:, j:j + 1], b, out=diff)
-        pair_cost[j] = np.abs(diff, out=diff).sum(axis=0)
+    # pair_cost[j, k] = sum_i |a[i, j] - b[i, k]|, summed over i in order as
+    # numpy reduces the K x K x n broadcast, so the table is the same to the bit
+    pair_cost = cdist(a.T, b.T, "cityblock")
     truth_cols, perm = linear_sum_assignment(pair_cost.T)
     best_cost = pair_cost[perm, truth_cols].sum()
-    np.subtract(a[:, perm], b, out=diff)
+    diff = a[:, perm] - b
     per_node = np.abs(diff, out=diff).sum(axis=1)
     return ErrorReport(error=float(best_cost / pi.n), permutation=perm, per_node=per_node)
 

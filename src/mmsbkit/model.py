@@ -176,7 +176,11 @@ class PopulationMatrix:
     blocks or single entries of ``Omega`` from them. Each factor is stored
     once, as a contiguous (K, n) copy of its columns; ``pi`` and ``b`` are
     (n, K) views of those copies. A symmetric ``m`` with entries in [0, 1]
-    is ``PopulationMatrix(pi=np.eye(n), b=m)``.
+    is ``PopulationMatrix(pi=np.eye(n), b=m)``. Factors whose products
+    exceed 1 are accepted: :meth:`entries`, and so the sampler, clip
+    Omega to [0, 1], while :meth:`degrees`, ``population_eigenpairs`` and
+    ``laplacian_concentration`` read the unclipped factors. Factors from
+    a :class:`BlockModel` never exceed 1.
     """
 
     _pi_cols: np.ndarray  # (K, n) memberships

@@ -36,7 +36,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .corners import CornerSet, sp_select, svm_cone_select
 from .exceptions import MmsbkitError, NumericalError
-from .model import RANK_SV_TOL, Graph, MembershipMatrix, PopulationMatrix, _readonly
+from .model import RANK_SV_TOL, Graph, MembershipMatrix, PopulationMatrix
 from .spectral import (
     ZERO_ROW_TOL,
     SpectralBasis,
@@ -60,7 +60,8 @@ CLIP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Output of one pipeline run.
+    """Output of one pipeline run: the memberships ``pi_hat`` and the
+    fields that ``mmsbkit cluster`` writes to ``summary.json``.
 
     ``clipped_rows`` counts rows that contained an entry below
     ``-CLIP_TOL`` before the max(0, .) step (smaller negatives are
@@ -68,22 +69,18 @@ class RecoveryResult:
     ``fallback_rows`` counts rows replaced by the uniform vector 1/K:
     rows that clipped to all zeros, and rows of nodes whose eigenvector
     row is numerically zero (norm at most ``spectral.ZERO_ROW_TOL``).
-    ``z`` is the reconstruction matrix right before row normalization.
     """
 
     pi_hat: MembershipMatrix
     corners: CornerSet
-    basis: SpectralBasis
     tau: float
     method: str
     clipped_rows: int
     fallback_rows: int
-    z: np.ndarray
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method tag {self.method!r}")
-        object.__setattr__(self, "z", _readonly(self.z))
 
 
 #: Errors that :func:`stage` labels and :func:`recover_each` returns in a method's place.
@@ -120,7 +117,7 @@ def _solve_right_inverse(rows: np.ndarray, corner: np.ndarray) -> np.ndarray:
     return (rows @ vt.T / sv) @ u.T
 
 
-def _memberships_from_z(z: np.ndarray) -> tuple[MembershipMatrix, np.ndarray, int, int]:
+def _memberships_from_z(z: np.ndarray) -> tuple[MembershipMatrix, int, int]:
     """Clip the reconstruction matrix at zero and row-l1-normalize it.
 
     Rows with an entry below ``-CLIP_TOL`` are counted as clipped (on the
@@ -136,7 +133,7 @@ def _memberships_from_z(z: np.ndarray) -> tuple[MembershipMatrix, np.ndarray, in
     if fallback:
         z[dead] = 1.0 / z.shape[1]
         sums = z.sum(axis=1)
-    return MembershipMatrix(z / sums[:, None]), z, clipped, fallback
+    return MembershipMatrix(z / sums[:, None]), clipped, fallback
 
 
 def recover_from_basis(
@@ -163,7 +160,8 @@ def recover_from_basis(
     row of ``V`` has norm above ``ZERO_ROW_TOL``: a node at or below it
     (isolated, or off the giant component, where the row is rounding
     noise) is never a corner and keeps a zero reconstruction row, hence
-    the uniform fallback. ``corners`` index all n nodes.
+    the uniform fallback. The result holds the memberships, the
+    corners, which index all n nodes, and the clipped and fallback counts.
     """
     if method not in EMPIRICAL_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -180,20 +178,17 @@ def recover_from_basis(
             unit = rows * (1.0 / np.linalg.norm(rows, axis=1))[:, None]
             found = svm_cone_select(unit, basis.K, seed=corner_seed)
     idx = list(found.indices)
-    corners = replace(found, indices=live[idx])
     with stage("reconstruct"):
         z = np.zeros((basis.n, basis.K))
         z[live] = _solve_right_inverse(rows, rows[idx]) / root_d[idx]
-        pi_hat, z_final, clipped, fallback = _memberships_from_z(z)
+        pi_hat, clipped, fallback = _memberships_from_z(z)
     return RecoveryResult(
         pi_hat=pi_hat,
-        corners=corners,
-        basis=basis,
+        corners=CornerSet(live[idx]),
         tau=tau,
         method=method,
         clipped_rows=clipped,
         fallback_rows=fallback,
-        z=z_final,
     )
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import mmsbkit
 from mmsbkit import cli, model
 from mmsbkit.cli import run_cli
+from mmsbkit.recovery import RecoveryResult
 from mmsbkit.sweep import SweepResult
 
 #: A one-point sweep that runs in a fraction of a second.
@@ -103,7 +105,7 @@ class TestGenerate:
             "import sys, mmsbkit\n"
             "from mmsbkit.cli import run_cli\n"
             f"assert run_cli({argv!r}) == 0\n"
-            "solvers = ('scipy.cluster', 'scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg')\n"
+            "solvers = ('scipy.cluster', 'scipy.optimize', 'scipy.sparse', 'scipy.sparse.linalg', 'scipy.spatial')\n"
             "pools = ('multiprocessing', 'concurrent.futures')\n"
             "print(sorted(m for m in solvers + pools if m in sys.modules))\n"
         )
@@ -225,6 +227,15 @@ class TestClusterAndEvaluate:
         assert lines[0] == "mixed_hamming_error,permutation"
         error = float(lines[1].split(",")[0])
         assert 0.0 <= error <= 2.0
+
+    def test_recovery_result_holds_the_memberships_and_the_summary(self, tmp_path):
+        # a result carries pi_hat plus what summary.json writes of it; n and
+        # k come from the graph and the command line
+        run_cli(["--quiet"] + generate_args(tmp_path / "net", n=60, n0=12))
+        argv = ["cluster", "--edges", str(tmp_path / "net.edgelist"), "--k", "3", "--method", "srsc", "--out", str(tmp_path / "run")]
+        assert run_cli(["--quiet"] + argv) == 0
+        summary = json.loads((tmp_path / "run.srsc.summary.json").read_text())
+        assert {f.name for f in fields(RecoveryResult)} == {"pi_hat"} | (summary.keys() - {"n", "k"})
 
     def test_cluster_outputs_are_byte_identical(self, tmp_path):
         out = tmp_path / "net"

@@ -86,15 +86,15 @@ def ideal_cone_matrix(seed=11):
 @pytest.mark.parametrize(
     "build, error, message",
     [
-        (lambda: CornerSet((2, 2), "sp"), ValueError, "corner indices must be distinct"),
-        (lambda: CornerSet((0, -1), "sp"), ValueError, "corner indices must be nonnegative"),
+        (lambda: CornerSet((2, 2)), ValueError, "corner indices must be distinct"),
+        (lambda: CornerSet((0, -1)), ValueError, "corner indices must be nonnegative"),
         (
-            lambda: SvmSolution(w=np.array([0.8, 0.8]), b=0.5, weights=np.array([0.5, 0.5]), support=(0, 1)),
+            lambda: SvmSolution(w=np.array([0.8, 0.8]), b=0.5, weights=np.array([0.5, 0.5])),
             ValueError,
             r"svm normal vector must satisfy \|\|w\|\| <= 1",
         ),
         (
-            lambda: SvmSolution(w=np.array([0.6, 0.0]), b=0.5, weights=np.array([0.7, 0.7]), support=(0, 1)),
+            lambda: SvmSolution(w=np.array([0.6, 0.0]), b=0.5, weights=np.array([0.7, 0.7])),
             ValueError,
             "dual weights must be a probability vector",
         ),
@@ -269,7 +269,8 @@ class TestOneClassSvmProperties:
         assert np.abs(sol.weights @ s - sol.b * sol.w).max() <= 1e-12
         margins = s @ sol.w
         assert abs(margins.min() - sol.b) <= 1e-8
-        assert set(sol.support) == set(np.nonzero(sol.weights > 1e-12)[0])
+        # complementary slackness: every row of positive weight meets the hyperplane
+        assert np.abs(margins[sol.weights > 1e-12] - sol.b).max() <= 1e-8
 
     @PROPERTY_SETTINGS
     @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 40))
@@ -316,7 +317,7 @@ class TestWorkingSet:
         # the hull of the unit vectors needs every row
         sol = one_class_svm(np.eye(300))
         assert sol.b == pytest.approx(1.0 / np.sqrt(300), abs=1e-12)
-        assert sol.support == tuple(range(300))
+        assert (sol.weights > 1e-12).all()
         assert np.allclose(sol.weights, 1.0 / 300, atol=1e-12)
         assert 1 < len(nnls_widths) and nnls_widths[-1] == 300
 
@@ -330,7 +331,7 @@ class TestWorkingSet:
         sol = one_class_svm(s)
         assert abs(sol.b - cone_closed_form(sc).b) <= 1e-12
         assert sol.weights.shape == (400_000,)
-        assert (s[list(sol.support)] @ sol.w - sol.b).max() <= 1e-8
+        assert (s[sol.weights > 1e-12] @ sol.w - sol.b).max() <= 1e-8
 
 
 class TestConeClosedForm:

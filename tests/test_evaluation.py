@@ -95,6 +95,23 @@ class TestMixedHammingError:
         assert report.error == pair_cost[perm, truth_cols].sum() / n
         assert np.array_equal(report.per_node, np.abs(a[:, perm] - b).sum(axis=1))
 
+    @pytest.mark.parametrize("n, K", [(1, 1), (7, 2), (632, 2), (5000, 1), (3000, 5), (400, 12)])
+    def test_cost_table_is_the_broadcast_bit_for_bit(self, monkeypatch, n, K):
+        import scipy.optimize
+
+        assign, tables = scipy.optimize.linear_sum_assignment, []
+
+        def spy(cost):
+            tables.append(cost.copy())
+            return assign(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", spy)
+        rng = np.random.default_rng(n * K)
+        a, b = rng.dirichlet(np.ones(K), n), rng.dirichlet(np.ones(K), n)
+        mixed_hamming_error(MembershipMatrix(a), MembershipMatrix(b))
+        (table,) = tables
+        assert np.array_equal(table.T, np.abs(a.T[:, None, :] - b.T[None, :, :]).sum(axis=2))
+
     def test_peak_memory_is_order_nk(self):
         # the K x K x n broadcast peaked at 230 MB here; two n x K arrays are 19 MB
         rng = np.random.default_rng(4)
