@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +210,9 @@ def _cmd_cluster(args) -> int:
 def _cmd_evaluate(args) -> int:
     estimate = read_memberships(args.estimate)
     truth = read_memberships(args.truth, normalize=args.normalize_truth)
+    if (estimate.n, estimate.K) != (truth.n, truth.K):
+        shapes = f"{args.estimate} is {estimate.n}x{estimate.K}, {args.truth} is {truth.n}x{truth.K}"
+        raise DataFormatError(f"shape mismatch: {shapes}")
     report = mixed_hamming_error(estimate, truth)
     print("mixed_hamming_error,permutation")
     print(f"{report.error:.17g},{' '.join(str(p) for p in report.permutation)}")
@@ -256,22 +259,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_stats(args) -> int:
     graph = _read_graph(args)
-    pi = None
-    if args.memberships:
-        pi = read_memberships(args.memberships, normalize=args.normalize)
-    stats = network_stats(graph, pi)
+    pi = read_memberships(args.memberships, normalize=args.normalize) if args.memberships else None
+    if pi is not None and pi.n != graph.n:
+        raise DataFormatError(f"{args.memberships} covers {pi.n} nodes but the graph of {args.edges} has {graph.n}")
     print("n,K,mean_degree,density,overlap")
-    print(
-        ",".join(
-            [
-                str(stats.n),
-                "" if stats.K is None else str(stats.K),
-                format(stats.mean_degree, ".17g"),
-                format(stats.density, ".17g"),
-                "" if stats.overlap is None else format(stats.overlap, ".17g"),
-            ]
-        )
-    )
+    # the counts as integers, the measures to 17 digits, an unknown K or overlap empty
+    cells = astuple(network_stats(graph, pi))
+    print(",".join("" if v is None else str(v) if isinstance(v, int) else format(v, ".17g") for v in cells))
     return EXIT_OK
 
 

@@ -609,6 +609,18 @@ def _block_hits(omega: PopulationMatrix, u: np.ndarray, r0: int, r1: int) -> np.
     return np.flatnonzero(u < rates[upper])
 
 
+def _layout_fault(n: int, K: int, n0: int, profile: str) -> str | None:
+    """Why ``n`` nodes cannot take ``K`` pure blocks of ``n0`` and
+    ``profile``'s mixed rows, or None when they can."""
+    if K < 1 or n < 1 or n0 < 0:
+        return f"invalid sizes n={n}, K={K}, n0={n0}"
+    if K * n0 > n:
+        return f"K*n0 = {K * n0} exceeds n = {n}"
+    if profile == "four-profiles" and K != 3:
+        return "four-profiles requires K = 3"
+    return None
+
+
 def planted_memberships(n: int, K: int, n0: int, mixed_profile: str, seed: int = 0) -> MembershipMatrix:
     """Benchmark membership layout: pure blocks first, then mixed rows.
 
@@ -623,41 +635,32 @@ def planted_memberships(n: int, K: int, n0: int, mixed_profile: str, seed: int =
     - ``"uniform"``: every mixed row equals 1/K in each community.
     - ``"random-half"``: seeded; the first K-1 entries are independent
       draws from (0, 1/(K-1)] and the last entry takes the remainder.
-      For K=3 this is two entries in (0, 0.5] plus the remainder.
+      For K=3 this is two entries in (0, 0.5] plus the remainder; for K=1
+      every mixed row is 1.
+
+    ``ValueError`` names an unknown profile or the :func:`_layout_fault`
+    of the sizes (four-profiles at K != 3 even when every row is pure),
+    in the words of the sweep's ``validate`` skips.
     """
-    if K < 1 or n < 1 or n0 < 0:
-        raise ValueError("n, K must be positive and n0 nonnegative")
-    if K * n0 > n:
-        raise ValueError(f"K*n0 = {K * n0} exceeds n = {n}")
+    if fault := _layout_fault(n, K, n0, mixed_profile):
+        raise ValueError(fault)
     if mixed_profile not in PROFILES:
         raise ValueError(f"unknown profile {mixed_profile!r}; choose from {PROFILES}")
 
+    lo = K * n0
+    n_mixed = n - lo
     w = np.zeros((n, K))
     for k in range(K):
         w[k * n0:(k + 1) * n0, k] = 1.0
-    n_mixed = n - K * n0
-    if n_mixed == 0:
-        return MembershipMatrix(w)
-
-    lo = K * n0
     if mixed_profile == "four-profiles":
-        if K != 3:
-            raise ValueError("the four-profiles layout requires K = 3")
         count = n_mixed // 4
-        counts = [count, count, count, n_mixed - 3 * count]
-        at = lo
-        for profile, c in zip(_FOUR_PROFILES, counts):
-            w[at:at + c] = profile
-            at += c
+        w[lo:] = np.repeat(_FOUR_PROFILES, [count, count, count, n_mixed - 3 * count], axis=0)
     elif mixed_profile == "uniform":
         w[lo:] = 1.0 / K
     else:  # random-half
         rng = np.random.default_rng(int(seed) & 0xFFFFFFFFFFFFFFFF)
-        if K == 1:
-            w[lo:, 0] = 1.0
-        else:
-            # (1 - u) maps [0, 1) onto (0, 1], keeping entries strictly positive
-            head = (1.0 - rng.random((n_mixed, K - 1))) / (K - 1)
-            w[lo:, :K - 1] = head
-            w[lo:, K - 1] = 1.0 - head.sum(axis=1)
+        # (1 - u) maps [0, 1) onto (0, 1], keeping entries strictly positive
+        head = (1.0 - rng.random((n_mixed, K - 1))) / (K - 1)
+        w[lo:, :K - 1] = head
+        w[lo:, K - 1] = 1.0 - head.sum(axis=1)
     return MembershipMatrix(w)

@@ -36,7 +36,7 @@ import numpy as np
 from ._blas import one_blas_thread
 from .evaluation import mixed_hamming_error
 from .exceptions import DataFormatError
-from .model import PROFILES, BlockModel, build_population_matrix, planted_memberships, sample_adjacency
+from .model import PROFILES, BlockModel, _layout_fault, build_population_matrix, planted_memberships, sample_adjacency
 from .recovery import EMPIRICAL_METHODS, STAGE_ERRORS, recover_each, stage
 from .spectral import default_tau
 from .recovery import recover_from_basis  # noqa: F401 (benchmarks/spans.py wraps this name here)
@@ -254,9 +254,11 @@ def _read_point(point: dict) -> dict | str:
     """What a grid point means, read once before any trial: the values
     its trials and rows use, with ``tau`` resolved (``-0.0`` read as
     ``0.0``) and ``model`` the :class:`BlockModel` at the point's ``rho``,
-    or the reason the point is skipped at ``validate``. An entry of the
-    wrong kind or form raises :class:`DataFormatError` at every point,
-    also at one that would be skipped (see :func:`run_sweep`)."""
+    or the reason the point is skipped at ``validate``: a layout
+    :func:`planted_memberships` refuses, in its words, or n < 2, which the
+    default regularizer needs. An entry of the wrong kind or form raises
+    :class:`DataFormatError` at every point, also at one that would be
+    skipped (see :func:`run_sweep`)."""
     n, k, n0 = (int(_grid_number(point, key, whole=True)) for key in ("n", "k", "n0"))
     rho, tau, profile = float(_grid_number(point, "rho")), point["tau"], point["profile"]
     if tau != "auto" and not _finite_number(tau):
@@ -264,12 +266,10 @@ def _read_point(point: dict) -> dict | str:
     if profile not in PROFILES:
         raise DataFormatError(f"unknown profile {profile!r}; choose from {list(PROFILES)}")
     _block_form(point["block"])
-    if k < 1 or n < 2 or n0 < 0:
-        return f"invalid sizes n={n}, K={k}, n0={n0}"
-    if k * n0 > n:
-        return f"K*n0 = {k * n0} exceeds n = {n}"
-    if profile == "four-profiles" and k != 3:
-        return "four-profiles requires K = 3"
+    if fault := _layout_fault(n, k, n0, profile):
+        return fault
+    if n < 2:
+        return f"need at least 2 nodes, got n={n}"
     tau = default_tau(n) if tau == "auto" else float(tau) + 0.0  # -0.0 + 0.0 is +0.0
     if tau < 0:
         return f"tau must be nonnegative, got {tau}"

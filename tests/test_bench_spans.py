@@ -2,13 +2,17 @@
 package by replacing names in its modules. Every name it wraps must
 exist there, and uninstalling it must put every original back."""
 
+import ast
 import importlib
 import importlib.util
+import io
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
+import mmsbkit
 from mmsbkit import run_sweep
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
@@ -63,3 +67,31 @@ def test_an_in_process_sweep_is_traced_down_to_the_solvers(spans):
     assert {"sweep._run_trial", "spectral.leading_eigenpairs", "corners.one_class_svm"} <= names
     # the per-method layer metrics of the benchmark read these span names
     assert {"recovery.recover_from_basis.SRSC", "recovery.recover_from_basis.CRSC"} <= names
+
+
+#: The comment that keeps an otherwise unused import for the recorder.
+TRACER_ONLY = "# noqa: F401 (benchmarks/spans.py wraps"
+
+
+def tracer_only_imports():
+    """The ``(module, line)`` of every package line that carries
+    :data:`TRACER_ONLY`, and the ``(module, line, name)`` of every name
+    imported on such a line."""
+    marked, names = set(), []
+    for path in sorted(Path(mmsbkit.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
+        lines = {t.start[0] for t in tokens if t.type == tokenize.COMMENT and t.string.startswith(TRACER_ONLY)}
+        marked |= {(path.stem, line) for line in lines}
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names += [(path.stem, a.lineno, a.asname or a.name) for a in node.names if a.lineno in lines]
+    return marked, names
+
+
+def test_tracer_only_imports_name_wrapped_functions(spans):
+    # an import kept only for the recorder must be a name it wraps in that
+    # module, so that the import goes when the recorder stops wrapping it
+    marked, names = tracer_only_imports()
+    assert {(module, line) for module, line, _ in names} == marked
+    assert [(module, name) for module, _, name in names if name not in spans.TARGETS.get(module, ())] == []

@@ -163,6 +163,36 @@ class TestGenerate:
         digest = hashlib.sha256((tmp_path / "net.edgelist").read_bytes()).hexdigest()
         assert digest == "e953ecf46f012caaa7c2d4018c3ecfe0cc9e1b1682500eb6a03d26d38e5374bb"
 
+    @pytest.mark.parametrize(
+        "n, n0, rho, seed, edges_digest, pi_digest",
+        [
+            (6000, 1200, "0.02", 1, "ece3c765aba4ab109161df0b096459b9a4842590d72904fd5c5927112189764c",
+             "85625066565ed56ebf8bb1ab3b3956fc7dac54fe42c7134cb67b2d4c1fe6455a"),
+            (6000, 1200, "0.02", 2, "ffabb485dc3e29297e24ff4e8b985f1fb6c46028f97c99849af15fdd703f33ac",
+             "5d9093d9489cb02ecc3c22aa3b224666e9f302a36615647f133885415444a954"),
+            (6000, 1200, "0.02", 3, "04f901bbe5cbdb8c7debc9a958eb6c2e618e372708e3b8fd76621c6403ad6335",
+             "38daf4a459a2d30a101b3cf2e5cd1c21a24590f0e38db20262bb4e366608c1a1"),
+            (2000, 400, "1.0", 3, "cd33ae7ef5f142288804a1e51795b34e6a6f38de95441e1aaef12a1d422430ba",
+             "87cbec9d964ce0819464862c0e163255b61d854e1c846a0c2ab5e2767243f686"),
+            (2000, 400, "1.0", 5, "e953ecf46f012caaa7c2d4018c3ecfe0cc9e1b1682500eb6a03d26d38e5374bb",
+             "7913590ee6f8fe950cbad108c3d2cfd04935e865bd1c551ccd0ec1c73bc234c8"),
+        ],
+        ids=["sparse-1", "sparse-2", "sparse-3", "dense-3", "dense-5"],
+    )
+    def test_benchmark_recipe_outputs_are_pinned(self, tmp_path, n, n0, rho, seed, edges_digest, pi_digest):
+        # the generate-sparse and cluster-dense recipes: both files of each
+        argv = generate_args(tmp_path / "net", n=n, n0=n0, seed=seed)
+        argv[argv.index("--rho") + 1] = rho
+        assert run_cli(["--quiet"] + argv) == 0
+        digests = [hashlib.sha256((tmp_path / f"net.{kind}").read_bytes()).hexdigest() for kind in ("edgelist", "memberships.csv")]
+        assert digests == [edges_digest, pi_digest]
+
+    def test_four_profiles_needs_three_communities_even_with_no_mixed_rows(self, tmp_path, capsys):
+        argv = ["generate", "--n", "6", "--k", "2", "--n0", "3", "--profile", "four-profiles", "--out", str(tmp_path / "net")]
+        assert run_cli(["--quiet"] + argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: four-profiles requires K = 3"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStats:
     def test_reports_pure_and_mixed_counts(self, tmp_path, capsys):
@@ -189,6 +219,15 @@ class TestStats:
         run_cli(["--quiet", "stats", "--edges", str(tmp_path / "net.edgelist")])
         cells = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert cells[1] == "" and cells[4] == ""
+
+    def test_memberships_for_another_node_count_are_a_data_error(self, tmp_path, capsys):
+        edges, pi = tmp_path / "net.edgelist", tmp_path / "pi.csv"
+        edges.write_text("# n=3\n0 1\n")
+        pi.write_text("1,0\n0,1\n")
+        assert run_cli(["--quiet", "stats", "--edges", str(edges), "--memberships", str(pi)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"data error: {pi} covers 2 nodes but the graph of {edges} has 3"]
 
 
 class TestClusterAndEvaluate:
@@ -302,6 +341,15 @@ class TestClusterAndEvaluate:
                 assert (
                     tmp_path / f"all.{method}.{kind}"
                 ).read_bytes() == (tmp_path / f"single.{method}.{kind}").read_bytes()
+
+    def test_estimate_and_truth_of_other_shapes_are_a_data_error(self, tmp_path, capsys):
+        estimate, truth = tmp_path / "est.csv", tmp_path / "truth.csv"
+        estimate.write_text("1,0\n0,1\n")
+        truth.write_text("1,0,0\n0,1,0\n")
+        assert run_cli(["--quiet", "evaluate", "--estimate", str(estimate), "--truth", str(truth)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines() == [f"data error: shape mismatch: {estimate} is 2x2, {truth} is 2x3"]
 
 
 class TestEvaluateNormalization:

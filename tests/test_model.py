@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -70,7 +71,7 @@ def test_factored_population_matrix_copies_its_factors():
         (lambda: BlockModel(np.array([[1.0, np.nan], [np.nan, 1.0]])), "connectivity contains non-finite entries"),
         (lambda: BlockModel(np.array([[1.0, -0.1], [-0.1, 1.0]])), "connectivity entries must be nonnegative"),
         (lambda: PopulationMatrix(pi=np.eye(2), b=np.array([[np.nan, 0.1], [0.1, 0.5]])), "factors contain non-finite"),
-        (lambda: planted_memberships(10, 2, -1, "uniform"), "n0 nonnegative"),
+        (lambda: planted_memberships(10, 2, -1, "uniform"), "invalid sizes n=10, K=2, n0=-1"),
         (lambda: Graph.from_edges(3, np.array([[0, 1], [1, 3]])), "edge endpoint out of range"),
         (lambda: Graph.from_edges(3, np.array([[-1, 2]])), "edge endpoint out of range"),
     ],
@@ -405,6 +406,29 @@ class TestPlantedMemberships:
     def test_four_profiles_requires_k3(self):
         with pytest.raises(ValueError, match="K = 3"):
             planted_memberships(40, 4, 5, "four-profiles")
+        # with no mixed rows too, in the words of the sweep's validate skip
+        with pytest.raises(ValueError, match="^four-profiles requires K = 3$"):
+            planted_memberships(6, 2, 3, "four-profiles")
+
+    @pytest.mark.parametrize(
+        "n, K, n0, profile, digest",
+        [
+            (7, 1, 3, "random-half", "022451970ff25a1cf57eb1602f05e6ab8a2d0edb918d8efd1574f2ef1a77898f"),
+            (9, 1, 0, "random-half", "19088d37e44fec2ac250d3cc3ba2102f084acde81a46ade67312433a0a6af3e2"),
+            (9, 3, 3, "uniform", "6e028ab4792b1536a45ddb84ab0399e60aed51978c378230dc4bdd01cee6101a"),
+            (9, 3, 3, "random-half", "6e028ab4792b1536a45ddb84ab0399e60aed51978c378230dc4bdd01cee6101a"),
+            (9, 3, 3, "four-profiles", "6e028ab4792b1536a45ddb84ab0399e60aed51978c378230dc4bdd01cee6101a"),
+            (40, 3, 5, "uniform", "de2ba87a3cc6b7364dc011ce19424c844da9889f87e96112f35dfb072c101e58"),
+            (40, 3, 5, "random-half", "be49021eb290e2cca657c2c7ece8e5fa9dc67ec24b83a0e40b064e5c3ddc9471"),
+            (40, 3, 5, "four-profiles", "c143539dd0cc9d9b5310582994e40f8eea10e4fbbe77d5461f502ed63139546a"),
+        ],
+        ids=["k1-mixed", "k1-all-mixed", "uniform-all-pure", "random-half-all-pure", "four-profiles-all-pure",
+             "uniform-mixed", "random-half-mixed", "four-profiles-mixed"],
+    )
+    def test_layout_bytes_are_pinned(self, n, K, n0, profile, digest):
+        # sha256 of the float64 weights, seed 5; K=1 mixed rows are all 1
+        weights = planted_memberships(n, K, n0, profile, seed=5).weights
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == digest
 
     def test_rejects_overfull_pure_blocks(self):
         with pytest.raises(ValueError, match="exceeds"):

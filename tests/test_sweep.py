@@ -13,6 +13,7 @@ from mmsbkit import (
     SweepConfig,
     default_tau,
     negative_eig_block,
+    planted_memberships,
     run_sweep,
 )
 from mmsbkit import _blas
@@ -406,6 +407,33 @@ class TestGridPointReader:
         assert not result.rows
         assert [(f["method"], f["stage"]) for f in result.failures] == [("SRSC", "validate"), ("CRSC", "validate")]
         assert all(message in f["error"] for f in result.failures)
+
+    @pytest.mark.parametrize(
+        "n, k, n0, profile",
+        [
+            (90, 3, -1, "uniform"),
+            (90, 0, 5, "uniform"),
+            (0, 3, 0, "uniform"),
+            (20, 3, 7, "random-half"),
+            (40, 2, 5, "four-profiles"),
+            (6, 2, 3, "four-profiles"),
+        ],
+        ids=["negative-n0", "zero-k", "zero-n", "pure-blocks-exceed-n", "four-profiles-at-k-2",
+             "four-profiles-at-k-2-all-pure"],
+    )
+    def test_a_layout_the_model_refuses_is_skipped_in_its_words(self, no_trials, n, k, n0, profile):
+        with pytest.raises(ValueError) as refused:
+            planted_memberships(n, k, n0, profile)
+        grid = dict(tiny_config().grid, n=[n], k=[k], n0=[n0], profile=[profile])
+        result = run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
+        assert [(f["stage"], f["error"]) for f in result.failures] == [("validate", str(refused.value))]
+
+    def test_a_one_node_point_is_skipped(self, no_trials):
+        # a layout the model can make, but the default regularizer needs 2 nodes
+        planted_memberships(1, 1, 0, "uniform")
+        grid = dict(tiny_config().grid, n=[1], k=[1], n0=[0], profile=["uniform"], tau=[0.5, "auto"])
+        result = run_sweep(tiny_config(reps=1, methods=["srsc"], grid=grid))
+        assert [(f["stage"], f["error"]) for f in result.failures] == [("validate", "need at least 2 nodes, got n=1")] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_spec_is_built_once_per_point(self, monkeypatch, tmp_path, workers):
